@@ -12,7 +12,6 @@ Exit codes: 0 all checks pass, 1 compliance failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -30,7 +29,7 @@ from .report import (
     render_json,
     render_text,
 )
-from .scenario import Scenario, parse_scenario
+from .scenario import Scenario, load_scenario_document, parse_scenario
 from .components import DetectorKind
 from .topology import (
     OpticalTopology,
@@ -251,15 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
-    path = Path(args.scenario)
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw = load_scenario_document(args.scenario)
     # CLI overrides are applied to the raw document before parsing so the
-    # fingerprint always hashes the effective inputs.
+    # fingerprint always hashes the effective inputs. A non-object analysis
+    # is left as it is for parse_scenario to report with every other problem.
     if args.variant is not None:
         raw["variant"] = args.variant
     if args.bandwidth is not None:
-        raw.setdefault("analysis", {})
-        raw["analysis"]["bandwidth_hz"] = args.bandwidth
+        analysis = raw.setdefault("analysis", {})
+        if isinstance(analysis, dict):
+            analysis["bandwidth_hz"] = args.bandwidth
     return parse_scenario(raw)
 
 

@@ -42,7 +42,6 @@ class AdcStreamSpec:
     sample_rate_sps: float
     bits_per_sample: int
     complex_iq: bool = False
-    channels_per_group: int = 4
 
     @property
     def bits_per_s(self) -> float:

@@ -364,13 +364,30 @@ def rf_gain_db(path: SignalPath, modulation: Modulation,
     quadrature-biased interferometric small-signal slope pi*P*R/(2*Vpi), whose
     feed-forward loss is already inside t_opt.
     """
+    return _rf_gain_db(path, optical_ledger(path), modulation, config)
+
+
+def noise_figure_db(path: SignalPath, modulation: Modulation,
+                    config: AnalysisConfig) -> tuple[float, NoiseBreakdown]:
+    """Link noise figure from total output-referred noise into the load.
+
+    Shot, laser intensity noise and amplifier spontaneous emission (folded in
+    as equivalent intensity noise 2*h*nu*F/P_in) land on the detector load;
+    the result is floored at the 3 dB passive matched-load limit.
+    """
+    ledger = optical_ledger(path)
+    gain_db = _rf_gain_db(path, ledger, modulation, config)
+    return _noise_figure_db(path, ledger, gain_db, config)
+
+
+def _rf_gain_db(path: SignalPath, ledger: OpticalLedger, modulation: Modulation,
+                config: AnalysisConfig) -> float:
     modulator = _modulator_of(path)
     spec = modulator.spec
     if not isinstance(spec, ModulatorSpec) or spec.scheme is not modulation:
         raise AnalysisError(
             f"path {path.path_id} carries a {getattr(spec, 'scheme', None)} modulator "
             f"but the {modulation.value} model was requested")
-    ledger = optical_ledger(path)
     transmission = db_to_linear(ledger.end_dbm - ledger.start_dbm)
     detector = _detector_of(path)
     if modulation is Modulation.DIRECT:
@@ -387,17 +404,9 @@ def rf_gain_db(path: SignalPath, modulation: Modulation,
     return 20.0 * math.log10(chain)
 
 
-def noise_figure_db(path: SignalPath, modulation: Modulation,
-                    config: AnalysisConfig) -> tuple[float, NoiseBreakdown]:
-    """Link noise figure from total output-referred noise into the load.
-
-    Shot, laser intensity noise and amplifier spontaneous emission (folded in
-    as equivalent intensity noise 2*h*nu*F/P_in) land on the detector load;
-    the result is floored at the 3 dB passive matched-load limit.
-    """
-    gain_db = rf_gain_db(path, modulation, config)
+def _noise_figure_db(path: SignalPath, ledger: OpticalLedger, gain_db: float,
+                     config: AnalysisConfig) -> tuple[float, NoiseBreakdown]:
     gain_lin = db_to_linear(gain_db)
-    ledger = optical_ledger(path)
     detector = _detector_of(path)
     laser = _laser_of(path)
     load = config.load_resistance_ohm
@@ -413,29 +422,19 @@ def noise_figure_db(path: SignalPath, modulation: Modulation,
     shot = 2.0 * ELEMENTARY_CHARGE_C * dc_current * load
     rin = db_to_linear(laser.rin_db_hz) * photocurrent ** 2 * load
 
+    # Each amplifier's input power is the ledger entry just before it.
     ase_rin = 0.0
-    power = ledger.start_dbm
     carrier_hz = wavelength_nm_to_hz(path.wavelength_nm)
-    for element in path.elements[1:]:
+    for element, upstream in zip(path.elements[1:], ledger.entries):
         if element.kind is ElementKind.EDFA and isinstance(element.spec, EdfaSpec):
-            input_w = dbm_to_watts(power)
+            input_w = dbm_to_watts(upstream.power_dbm)
             ase_rin += (2.0 * PLANCK_J_S * carrier_hz
                         * db_to_linear(element.spec.noise_figure_db) / input_w)
-        power += _element_delta_db(element)
     ase = ase_rin * photocurrent ** 2 * load
 
     breakdown = NoiseBreakdown(thermal, shot, rin, ase)
     raw = 10.0 * math.log10(breakdown.total_w_hz / (gain_lin * kt))
     return max(raw, NOISE_FIGURE_FLOOR_DB), breakdown
-
-
-def path_sfdr_db(path: SignalPath, modulation: Modulation,
-                 config: AnalysisConfig) -> float:
-    iip3 = config.iip3_for(modulation)
-    if iip3 is None:
-        raise AnalysisError("sfdr needs iip3_dbm in the analysis configuration")
-    nf, _ = noise_figure_db(path, modulation, config)
-    return sfdr_db(iip3, nf, config.bandwidth_hz)
 
 
 def effective_bandwidth_hz(path: SignalPath, config: AnalysisConfig) -> float:
@@ -488,11 +487,11 @@ def crosstalk_db(path: SignalPath, topology: OpticalTopology,
             demux = element.spec
     if demux is None:
         raise AnalysisError(f"path {path.path_id} has no demux")
-    neighbors = [ch for ch in co_propagating(topology, path) if ch != path.channel]
+    sharing = co_propagating(topology, path)
+    neighbors = [ch for ch in sharing if ch != path.channel]
     if not neighbors:
         return None
-    ordered = sorted(co_propagating(topology, path),
-                     key=lambda ch: topology.wavelength_plan[ch])
+    ordered = sorted(sharing, key=lambda ch: topology.wavelength_plan[ch])
     index = ordered.index(path.channel)
     adjacent = {ordered[i] for i in (index - 1, index + 1) if 0 <= i < len(ordered)}
     isolations = [demux.adjacent_isolation_db if ch in adjacent
@@ -515,11 +514,14 @@ def phase_noise_degradation_db(
     if config.carrier_power_dbm is None:
         raise AnalysisError("phase-noise degradation needs carrier_power_dbm")
     nf, _ = noise_figure_db(path, modulation, config)
-    floor_dbc = (THERMAL_FLOOR_DBM_PER_HZ + nf) - config.carrier_power_dbm
-    out = []
-    for offset_hz, level_dbc in profile:
-        out.append((offset_hz, added_phase_noise_dbc(level_dbc, floor_dbc) - level_dbc))
-    return tuple(out)
+    return _phase_noise_degradation_db(profile, nf, config.carrier_power_dbm)
+
+
+def _phase_noise_degradation_db(profile: Sequence[tuple[float, float]], nf_db: float,
+                                carrier_power_dbm: float) -> tuple[tuple[float, float], ...]:
+    floor_dbc = (THERMAL_FLOOR_DBM_PER_HZ + nf_db) - carrier_power_dbm
+    return tuple((offset_hz, added_phase_noise_dbc(level_dbc, floor_dbc) - level_dbc)
+                 for offset_hz, level_dbc in profile)
 
 
 def nf_degradation_db(link_gain_db: float, link_nf_db: float,
@@ -548,8 +550,8 @@ def analyze_path(
     if config.edfa_autogain:
         path = autogained(path)
     ledger = optical_ledger(path)
-    gain = rf_gain_db(path, modulation, config)
-    nf, breakdown = noise_figure_db(path, modulation, config)
+    gain = _rf_gain_db(path, ledger, modulation, config)
+    nf, breakdown = _noise_figure_db(path, ledger, gain, config)
     iip3 = config.iip3_for(modulation)
     if iip3 is None:
         raise AnalysisError("analysis needs iip3_dbm in the configuration")
@@ -563,8 +565,8 @@ def analyze_path(
     degradation = nf_degradation_db(gain, nf, config)
     phase_deg: float | None = None
     if config.phase_noise_profile and config.carrier_power_dbm is not None:
-        per_offset = phase_noise_degradation_db(
-            config.phase_noise_profile, path, modulation, config)
+        per_offset = _phase_noise_degradation_db(
+            config.phase_noise_profile, nf, config.carrier_power_dbm)
         phase_deg = max(d for _, d in per_offset)
     detector = _detector_of(path)
     return LinkMetrics(

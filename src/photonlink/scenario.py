@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -103,8 +104,8 @@ class _Problems:
         value = payload[key]
         if value is None and allow_none:
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.add(f"{where}.{key}: must be a number, got {value!r}")
+        if not _is_finite_number(value):
+            self.add(f"{where}.{key}: must be a finite number, got {value!r}")
             return default
         if minimum is not None and value < minimum:
             self.add(f"{where}.{key}: must be >= {minimum}, got {value}")
@@ -137,6 +138,17 @@ class _Problems:
             self.add(f"{where}: unknown key {key!r}")
 
 
+def _is_finite_number(value) -> bool:
+    """True for an int or float (bool excluded) that is a finite float: NaN,
+    infinities and integers too large for a float are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _reject_duplicate_keys(pairs):
     out: dict = {}
     for key, value in pairs:
@@ -163,19 +175,19 @@ def _parse_analysis(payload: Mapping, problems: _Problems) -> AnalysisConfig:
     iip3: float | dict | None = None
     if "iip3_dbm" in payload:
         raw_iip3 = payload["iip3_dbm"]
-        if isinstance(raw_iip3, (int, float)) and not isinstance(raw_iip3, bool):
+        if _is_finite_number(raw_iip3):
             iip3 = float(raw_iip3)
         elif isinstance(raw_iip3, dict):
             iip3 = {}
             for token, value in raw_iip3.items():
                 if token not in ("dm", "em"):
                     problems.add(f"{where}.iip3_dbm: keys must be dm/em, got {token!r}")
-                elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                    problems.add(f"{where}.iip3_dbm.{token}: must be a number")
+                elif not _is_finite_number(value):
+                    problems.add(f"{where}.iip3_dbm.{token}: must be a finite number")
                 else:
                     iip3[token] = float(value)
         else:
-            problems.add(f"{where}.iip3_dbm: must be a number or a dm/em map")
+            problems.add(f"{where}.iip3_dbm: must be a finite number or a dm/em map")
 
     carrier = problems.number(payload, "carrier_power_dbm", where, allow_none=True)
 
@@ -189,8 +201,7 @@ def _parse_analysis(payload: Mapping, problems: _Problems) -> AnalysisConfig:
             rows = []
             for i, pair in enumerate(raw_profile):
                 if (not isinstance(pair, list) or len(pair) != 2
-                        or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                               for x in pair)):
+                        or not all(_is_finite_number(x) for x in pair)):
                     problems.add(f"{where}.phase_noise_profile[{i}]: must be "
                                  "[offset_hz, dbc_per_hz]")
                     continue
@@ -215,8 +226,7 @@ def _parse_analysis(payload: Mapping, problems: _Problems) -> AnalysisConfig:
         for kind, value in raw_jitter.items():
             if kind not in kinds:
                 problems.add(f"{where}.jitter_rms_s: unknown element kind {kind!r}")
-            elif isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or value < 0:
+            elif not _is_finite_number(value) or value < 0:
                 problems.add(f"{where}.jitter_rms_s.{kind}: must be >= 0 seconds")
             else:
                 jitter[kind] = float(value)
@@ -275,7 +285,7 @@ def _parse_digital(payload: Mapping, problems: _Problems
             sample = problems.number(raw_adc, "sample_rate_sps", f"{where}.adc",
                                      required=True, minimum=1e-12)
             bits = raw_adc.get("bits_per_sample")
-            if not isinstance(bits, int) or isinstance(bits, bool) or bits < 1:
+            if not isinstance(bits, int) or not _is_finite_number(bits) or bits < 1:
                 problems.add(f"{where}.adc.bits_per_sample: must be an integer >= 1")
                 bits = None
             complex_iq = problems.boolean(raw_adc, "complex", f"{where}.adc")
@@ -300,6 +310,26 @@ def _parse_requirements(payload: Mapping, problems: _Problems) -> RequirementSet
     return requirements
 
 
+def load_scenario_document(path: str | Path) -> dict[str, Any]:
+    """Read a scenario file into its raw JSON object, unvalidated.
+
+    Duplicate keys at any depth are rejected, and so is any top-level value
+    other than an object; raises ScenarioError.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError([f"cannot read {path}: {exc}"]) from exc
+    try:
+        raw = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+    except ValueError as exc:
+        raise ScenarioError([f"{path}: {exc}"]) from exc
+    if not isinstance(raw, dict):
+        raise ScenarioError(["scenario must be a JSON object"])
+    return raw
+
+
 def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
     """Load and fully validate a scenario from a file path or a raw mapping.
 
@@ -309,17 +339,7 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
     if isinstance(source, Mapping):
         raw = dict(source)
     else:
-        path = Path(source)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ScenarioError([f"cannot read {path}: {exc}"]) from exc
-        try:
-            raw = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-        except ValueError as exc:
-            raise ScenarioError([f"{path}: {exc}"]) from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError(["scenario must be a JSON object"])
+        raw = load_scenario_document(source)
 
     allowed_top = {"schema_version", "name", "components", "topology", "analysis",
                    "digital", "requirements", "variant"}

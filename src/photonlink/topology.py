@@ -146,19 +146,26 @@ class OpticalTopology:
     channels_per_group: int = CHANNELS_PER_RETURN_GROUP
     min_channel_spacing_nm: float = DEFAULT_CHANNEL_SPACING_NM
 
+    def __post_init__(self) -> None:
+        # Lookup index; on a duplicate id the first node wins (validate flags it).
+        out: dict[str, list[FiberEdge]] = {}
+        into: dict[str, list[FiberEdge]] = {}
+        for e in sorted(self.edges, key=lambda e: (e.target, e.lane)):
+            out.setdefault(e.source, []).append(e)
+        for e in sorted(self.edges, key=lambda e: (e.source, e.lane)):
+            into.setdefault(e.target, []).append(e)
+        object.__setattr__(self, "_by_id", {n.id: n for n in reversed(self.nodes)})
+        object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
+        object.__setattr__(self, "_in", {k: tuple(v) for k, v in into.items()})
+
     def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._by_id[node_id]
 
-    def outgoing(self, node_id: str) -> list[FiberEdge]:
-        return sorted((e for e in self.edges if e.source == node_id),
-                      key=lambda e: (e.target, e.lane))
+    def outgoing(self, node_id: str) -> tuple[FiberEdge, ...]:
+        return self._out.get(node_id, ())
 
-    def incoming(self, node_id: str) -> list[FiberEdge]:
-        return sorted((e for e in self.edges if e.target == node_id),
-                      key=lambda e: (e.source, e.lane))
+    def incoming(self, node_id: str) -> tuple[FiberEdge, ...]:
+        return self._in.get(node_id, ())
 
 
 @dataclass(frozen=True)
@@ -441,16 +448,13 @@ def _specs_by_type(topology: OpticalTopology, node: Node, cls) -> list[str]:
 
 
 def _has_cycle(topology: OpticalTopology) -> bool:
-    adjacency: dict[str, list[str]] = {n.id: [] for n in topology.nodes}
-    for e in topology.edges:
-        adjacency.setdefault(e.source, []).append(e.target)
     state: dict[str, int] = {}
 
     def visit(node_id: str) -> bool:
         state[node_id] = 1
-        for nxt in adjacency.get(node_id, ()):
-            mark = state.get(nxt, 0)
-            if mark == 1 or (mark == 0 and visit(nxt)):
+        for edge in topology.outgoing(node_id):
+            mark = state.get(edge.target, 0)
+            if mark == 1 or (mark == 0 and visit(edge.target)):
                 return True
         state[node_id] = 2
         return False
@@ -465,10 +469,9 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
     def bad(subject: str, field_name: str, message: str) -> None:
         issues.append(Violation(subject, field_name, message))
 
-    node_ids = [n.id for n in topology.nodes]
-    if len(set(node_ids)) != len(node_ids):
+    known = topology._by_id
+    if len(known) != len(topology.nodes):
         bad("topology", "nodes", "duplicate node ids")
-    known = set(node_ids)
     for e in topology.edges:
         if e.source not in known or e.target not in known:
             bad(f"{e.source}->{e.target}", "edge", "references unknown node")
@@ -477,14 +480,14 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
         bad("topology", "edges", "graph contains a cycle")
 
     # Component resolution and per-component invariants.
+    plan_lasers = set(topology.channel_lasers.values())
     for node in topology.nodes:
         for name in node.components:
             spec = topology.library.get(name)
             if spec is None:
                 bad(node.id, "components", f"unknown component {name!r}")
                 continue
-            in_plan = isinstance(spec, LaserSpec) and name in set(
-                topology.channel_lasers.values())
+            in_plan = isinstance(spec, LaserSpec) and name in plan_lasers
             report = validate_component(spec, name=f"{node.id}:{name}",
                                         in_wdm_plan=in_plan)
             issues.extend(report.violations)
@@ -625,28 +628,22 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-def _source_node(topology: OpticalTopology, channel: str) -> Node:
+def _source_node(topology: OpticalTopology, channel: str) -> Node | None:
     # Groups may share laser specs by name, so the source is the transmitter
     # node that both holds the channel's laser and launches the channel.
     laser_name = topology.channel_lasers[channel]
-    fallback = None
     for node in topology.nodes:
         if node.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC) \
-                and laser_name in node.components:
-            if any(channel in e.channels for e in topology.outgoing(node.id)):
-                return node
-            if fallback is None:
-                fallback = node
-    if fallback is not None:
-        return fallback
-    raise TopologyError(f"no transmitter node holds the laser for channel {channel!r}")
+                and laser_name in node.components \
+                and any(channel in e.channels for e in topology.outgoing(node.id)):
+            return node
+    return None
 
 
 def _reachable_terminals(topology: OpticalTopology, channel: str) -> list[list[str]]:
     """All node-id chains from the channel's source to a receiver chip."""
-    try:
-        start = _source_node(topology, channel).id
-    except TopologyError:
+    source = _source_node(topology, channel)
+    if source is None:
         return []
     chains: list[list[str]] = []
 
@@ -659,7 +656,7 @@ def _reachable_terminals(topology: OpticalTopology, channel: str) -> list[list[s
             if channel in edge.channels:
                 walk(edge.target, trail + [edge.target])
 
-    walk(start, [start])
+    walk(source.id, [source.id])
     return chains
 
 

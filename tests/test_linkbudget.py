@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from photonlink import linkbudget
 from photonlink.components import Modulation
 from photonlink.errors import AnalysisError
 from photonlink.linkbudget import (
@@ -540,3 +541,76 @@ def test_per_modulation_intercept_map():
     assert config.iip3_for(Modulation.DIRECT) == 18.0
     assert config.iip3_for(Modulation.EXTERNAL) == 24.0
     assert AnalysisConfig().iip3_for(Modulation.DIRECT) is None
+
+
+@pytest.fixture(scope="module")
+def reference_paths(reference_scenario):
+    """(modulation, topology, path) for every forward path of every feasible
+    variant of the reference scenario."""
+    from photonlink.topology import build_forward_network, enumerate_paths
+    scenario = reference_scenario
+    out = []
+    for variant in scenario.selected_variants():
+        topology = build_forward_network(
+            scenario.n_dtrm, scenario.channels, scenario.library,
+            scenario.forward_bindings(variant), shared_fiber=scenario.shared_fiber,
+            min_channel_spacing_nm=scenario.min_channel_spacing_nm)
+        out.extend((variant.modulation, topology, path)
+                   for path in enumerate_paths(topology))
+    return out
+
+
+class TestOneLedgerWalk:
+    def test_analyze_path_walks_the_ledger_once(self, monkeypatch, reference_paths,
+                                                reference_scenario):
+        walks = []
+        real = linkbudget.optical_ledger
+
+        def counting(path):
+            walks.append(path.path_id)
+            return real(path)
+
+        monkeypatch.setattr(linkbudget, "optical_ledger", counting)
+        config = reference_scenario.analysis
+        assert config.phase_noise_profile and config.carrier_power_dbm is not None
+        for modulation, topology, path in reference_paths:
+            walks.clear()
+            analyze_path(path, modulation, config, topology=topology)
+            assert walks == [path.path_id]
+
+    def test_analyze_path_matches_the_public_functions(self, reference_paths,
+                                                       reference_scenario):
+        """Dual route: the single-walk bundle against each public function run
+        on its own ledger walk of the same autogained path."""
+        config = reference_scenario.analysis
+        assert config.edfa_autogain
+        assert len(reference_paths) == 6 * 128
+        for modulation, topology, path in reference_paths:
+            metrics = analyze_path(path, modulation, config, topology=topology)
+            tuned = autogained(path)
+            nf, breakdown = noise_figure_db(tuned, modulation, config)
+            per_offset = phase_noise_degradation_db(
+                config.phase_noise_profile, tuned, modulation, config)
+            assert metrics.rf_gain_db == rf_gain_db(tuned, modulation, config)
+            assert metrics.noise_figure_db == nf
+            assert metrics.noise == breakdown
+            assert metrics.phase_noise_degradation_db == max(d for _, d in per_offset)
+            assert metrics.optical_ledger == optical_ledger(tuned)
+
+    def test_ase_reads_each_amplifier_input_power(self):
+        """Oracle, linear domain: two amplifiers at known input powers; the
+        ASE term is sum(2*h*nu*F/P_in) * I^2 * R."""
+        path = make_path(
+            mk_laser(power_w=0.1), mk_mod_direct(), mk_mux(loss=3.0),
+            mk_edfa(gain=5.0, nf=4.0), mk_fiber(length=10_000.0, attenuation=0.2),
+            mk_edfa(gain=2.0, nf=5.0), mk_mux(loss=1.0), mk_pd(resp=0.8))
+        _, parts = noise_figure_db(path, Modulation.DIRECT, CONFIG)
+        planck, light = 6.62607015e-34, 299792458.0
+        nu = light / 1550e-9
+        p_in_1 = 0.1 * 10 ** (-3.0 / 10)
+        p_in_2 = p_in_1 * 10 ** (5.0 / 10) * 10 ** (-2.0 / 10)
+        p_det = p_in_2 * 10 ** (2.0 / 10) * 10 ** (-1.0 / 10)
+        current = 0.8 * p_det
+        expected = (2 * planck * nu * (10 ** 0.4 / p_in_1 + 10 ** 0.5 / p_in_2)
+                    * current ** 2 * CONFIG.load_resistance_ohm)
+        assert parts.ase_w_hz == pytest.approx(expected, rel=1e-9)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from photonlink.cli import EXIT_COMPLIANCE, EXIT_INPUT, EXIT_OK, exit_code, main
 from photonlink.data import reference_scenario_path
 from photonlink.errors import ScenarioError
 from photonlink.report import METRIC_COLUMNS, render_csv, render_json, render_text
-from photonlink.scenario import parse_scenario
+from photonlink.scenario import parse_scenario, scenario_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +198,48 @@ class TestCommandLine:
         a = json.loads(base.read_text())
         b = json.loads(narrow.read_text())
         assert a["scenario"]["fingerprint"] != b["scenario"]["fingerprint"]
+        effective = json.loads(reference_scenario_path().read_text())
+        effective["variant"] = "dmxvbgxhip"
+        effective["analysis"]["bandwidth_hz"] = 5e6
+        assert b["scenario"]["fingerprint"] == scenario_fingerprint(effective)
+
+    @pytest.mark.parametrize("case", ["duplicate_key", "top_level_array",
+                                      "non_object_analysis"])
+    def test_malformed_document_exits_two_without_traceback(self, tmp_path, case):
+        text = reference_scenario_path().read_text()
+        extra = []
+        if case == "duplicate_key":
+            text = '{"name": "first",' + text.lstrip()[1:]
+        elif case == "top_level_array":
+            text = "[" + text + "]"
+        else:
+            doc = json.loads(text)
+            doc["analysis"] = [1e7]
+            text = json.dumps(doc)
+            extra = ["--bandwidth", "5e6"]
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        proc = self.run_cli("analyze", "--scenario", str(path), *extra)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("section, key, value, extra", [
+        ("analysis", "bandwidth_hz", None, ["--bandwidth", "nan"]),
+        ("analysis", "temperature_k", math.inf, []),
+        ("analysis", "iip3_dbm", {"dm": math.nan}, []),
+        ("adc", "bits_per_sample", 10 ** 400, []),
+    ], ids=["bandwidth-nan", "temperature-inf", "iip3-nan", "bits-overflow"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, raw_reference,
+                                         section, key, value, extra):
+        doc = copy.deepcopy(raw_reference)
+        sections = {"analysis": doc["analysis"], "adc": doc["digital"]["adc"]}
+        if value is not None:
+            sections[section][key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--scenario", str(path), *extra]) == EXIT_INPUT
+        assert f"{section}.{key}" in capsys.readouterr().err
 
     def test_infeasible_variant_request_exits_two(self):
         proc = self.run_cli("analyze",

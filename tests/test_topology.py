@@ -12,6 +12,8 @@ from photonlink.topology import (
     ChannelPlan,
     Direction,
     ElementKind,
+    FiberEdge,
+    Node,
     NodeKind,
     adjacency_dump,
     build_forward_network,
@@ -235,3 +237,53 @@ def test_random_module_counts_scale(n_max=12):
         n = rng.randint(1, n_max)
         topology = build_reference_forward(n=n)
         assert len(enumerate_paths(topology)) == 3 * n
+
+
+class TestLookupIndex:
+    """node/outgoing/incoming read an index built at construction; each must
+    agree with a raw scan of the node and edge tuples."""
+
+    @staticmethod
+    def assert_matches_raw_scan(topology):
+        ids = ({n.id for n in topology.nodes}
+               | {e.source for e in topology.edges}
+               | {e.target for e in topology.edges} | {"no-such-node"})
+        for node_id in sorted(ids):
+            first = [n for n in topology.nodes if n.id == node_id][:1]
+            if first:
+                assert topology.node(node_id) is first[0]
+            else:
+                with pytest.raises(KeyError):
+                    topology.node(node_id)
+            out = sorted((e for e in topology.edges if e.source == node_id),
+                         key=lambda e: (e.target, e.lane))
+            into = sorted((e for e in topology.edges if e.target == node_id),
+                          key=lambda e: (e.source, e.lane))
+            assert topology.outgoing(node_id) == tuple(out)
+            assert topology.incoming(node_id) == tuple(into)
+
+    def test_built_networks(self):
+        for topology in (build_reference_forward(n=8),
+                         build_reference_forward(n=4, shared_fiber=False),
+                         build_return_network(8, return_fixture_library(),
+                                              return_fixture_bindings())):
+            self.assert_matches_raw_scan(topology)
+
+    def test_replace_rebuilds_the_index(self):
+        topology = build_reference_forward(n=4)
+        victim = next(e for e in topology.edges if e.target == "orxc02")
+        mutated = dataclasses.replace(
+            topology,
+            nodes=topology.nodes + (Node("fojb", NodeKind.ORXC),
+                                   Node("spare", NodeKind.DTRM)),
+            edges=tuple(e for e in topology.edges if e is not victim)
+            + (FiberEdge("fojb", "otxc", "trunk"), FiberEdge("ghost", "spare", None)))
+        self.assert_matches_raw_scan(mutated)
+        assert victim not in mutated.outgoing("fojb")
+        assert victim in topology.outgoing("fojb")
+        assert mutated.node("fojb").kind is NodeKind.FOJB
+
+    def test_lookups_cannot_change_the_index(self):
+        topology = build_reference_forward(n=2)
+        assert isinstance(topology.outgoing("fojb"), tuple)
+        assert isinstance(topology.incoming("orxc01"), tuple)
