@@ -557,7 +557,7 @@ def analyze_path(
         raise AnalysisError("analysis needs iip3_dbm in the configuration")
     dynamic_range = sfdr_db(iip3, nf, config.bandwidth_hz)
     bandwidth = effective_bandwidth_hz(path, config)
-    t_rise, t_fall = rise_fall_time_s(path, config)
+    t_rise = rise_time_s(bandwidth)
     delay = propagation_delay_s(path)
     skew = 0.0 if reference_delay_s is None else delay - reference_delay_s
     jitter = timing_jitter_s(path, config)
@@ -576,7 +576,7 @@ def analyze_path(
         sfdr_db=dynamic_range,
         effective_bandwidth_hz=bandwidth,
         rise_time_s=t_rise,
-        fall_time_s=t_fall,
+        fall_time_s=t_rise,
         pulse_skew_s=skew,
         timing_jitter_rms_s=jitter,
         detector_power_dbm=ledger.end_dbm,

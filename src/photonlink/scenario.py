@@ -34,6 +34,9 @@ from .topology import (
 from .tradeoff import ALL_VARIANTS, DesignVariant, RequirementSet, is_feasible
 
 SCHEMA_VERSION = 1
+# Largest module count a scenario may ask for; it bounds the networks the
+# CLI builds, so an oversized count is an input error, not a hang.
+MAX_N_DTRM = 4096
 
 
 @dataclass(frozen=True)
@@ -373,6 +376,8 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         n_dtrm = 1
     else:
         n_dtrm = n_dtrm_raw
+        if n_dtrm > MAX_N_DTRM:
+            problems.add(f"topology.n_dtrm: must be <= {MAX_N_DTRM}")
 
     channels: list[ChannelPlan] = []
     raw_channels = topo.get("channels", [])

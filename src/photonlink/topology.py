@@ -157,9 +157,35 @@ class OpticalTopology:
         object.__setattr__(self, "_by_id", {n.id: n for n in reversed(self.nodes)})
         object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
         object.__setattr__(self, "_in", {k: tuple(v) for k, v in into.items()})
+        # Component names by spec type, one entry per distinct components tuple.
+        typed: dict[tuple[str, ...], dict[type, tuple[str, ...]]] = {}
+        # Groups may share laser names, so a channel's source is the first
+        # transmitter in node order that holds its laser and launches it.
+        sources: dict[str, Node] = {}
+        for n in self.nodes:
+            if n.components not in typed:
+                buckets: dict[type, list[str]] = {}
+                for name in n.components:
+                    buckets.setdefault(type(self.library.get(name)), []).append(name)
+                typed[n.components] = {t: tuple(v) for t, v in buckets.items()}
+            if n.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC):
+                for e in self.outgoing(n.id):
+                    for ch in e.channels:
+                        if ch not in sources and self.channel_lasers.get(ch) in n.components:
+                            sources[ch] = n
+        object.__setattr__(self, "_typed", typed)
+        object.__setattr__(self, "_sources", sources)
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
+
+    def components_of(self, node: Node, spec_type: type) -> tuple[str, ...]:
+        """Names in ``node.components`` whose library spec is a ``spec_type``."""
+        return self._typed[node.components].get(spec_type, ())
+
+    def source(self, channel: str) -> Node | None:
+        """The transmitter that launches ``channel``, if any."""
+        return self._sources.get(channel)
 
     def outgoing(self, node_id: str) -> tuple[FiberEdge, ...]:
         return self._out.get(node_id, ())
@@ -442,11 +468,6 @@ def return_groups(topology: OpticalTopology) -> list[tuple[str, tuple[str, ...]]
     return sorted(groups)
 
 
-def _specs_by_type(topology: OpticalTopology, node: Node, cls) -> list[str]:
-    return [name for name in node.components
-            if isinstance(topology.library.get(name), cls)]
-
-
 def _has_cycle(topology: OpticalTopology) -> bool:
     state: dict[str, int] = {}
 
@@ -525,12 +546,12 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
 
     # Node composition rules.
     for node in topology.nodes:
-        lasers = _specs_by_type(topology, node, LaserSpec)
-        modulators = _specs_by_type(topology, node, ModulatorSpec)
-        muxes = _specs_by_type(topology, node, MuxDemuxSpec)
-        edfas = _specs_by_type(topology, node, EdfaSpec)
-        splitters = _specs_by_type(topology, node, SplitterSpec)
-        detectors = _specs_by_type(topology, node, PhotodetectorSpec)
+        lasers = topology.components_of(node, LaserSpec)
+        modulators = topology.components_of(node, ModulatorSpec)
+        muxes = topology.components_of(node, MuxDemuxSpec)
+        edfas = topology.components_of(node, EdfaSpec)
+        splitters = topology.components_of(node, SplitterSpec)
+        detectors = topology.components_of(node, PhotodetectorSpec)
         out_edges = topology.outgoing(node.id)
         in_edges = topology.incoming(node.id)
         out_lanes = sorted({e.lane for e in out_edges if e.channels})
@@ -628,43 +649,24 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-def _source_node(topology: OpticalTopology, channel: str) -> Node | None:
-    # Groups may share laser specs by name, so the source is the transmitter
-    # node that both holds the channel's laser and launches the channel.
-    laser_name = topology.channel_lasers[channel]
-    for node in topology.nodes:
-        if node.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC) \
-                and laser_name in node.components \
-                and any(channel in e.channels for e in topology.outgoing(node.id)):
-            return node
-    return None
-
-
-def _reachable_terminals(topology: OpticalTopology, channel: str) -> list[list[str]]:
-    """All node-id chains from the channel's source to a receiver chip."""
-    source = _source_node(topology, channel)
+def _reachable_terminals(topology: OpticalTopology,
+                         channel: str) -> list[tuple[FiberEdge, ...]]:
+    """All edge trails that carry the channel from its source to a receiver chip."""
+    source = topology.source(channel)
     if source is None:
         return []
-    chains: list[list[str]] = []
+    trails: list[tuple[FiberEdge, ...]] = []
 
-    def walk(node_id: str, trail: list[str]) -> None:
-        node = topology.node(node_id)
-        if node.kind is NodeKind.ORXC:
-            chains.append(trail)
+    def walk(node_id: str, trail: tuple[FiberEdge, ...]) -> None:
+        if topology.node(node_id).kind is NodeKind.ORXC:
+            trails.append(trail)
             return
         for edge in topology.outgoing(node_id):
             if channel in edge.channels:
-                walk(edge.target, trail + [edge.target])
+                walk(edge.target, trail + (edge,))
 
-    walk(source.id, [source.id])
-    return chains
-
-
-def _lane_for(topology: OpticalTopology, node_id: str, channel: str) -> int:
-    for edge in topology.outgoing(node_id):
-        if channel in edge.channels:
-            return edge.lane
-    return 0
+    walk(source.id, ())
+    return trails
 
 
 def _element(topology: OpticalTopology, element_id: str, kind: ElementKind,
@@ -673,11 +675,16 @@ def _element(topology: OpticalTopology, element_id: str, kind: ElementKind,
 
 
 def _assemble(topology: OpticalTopology, channel: str,
-              chain: list[str]) -> SignalPath:
+              trail: tuple[FiberEdge, ...]) -> SignalPath:
     elements: list[PathElement] = []
-    source = topology.node(chain[0])
-    lane = _lane_for(topology, source.id, channel)
+    source = topology.node(trail[0].source)
+    lane = trail[0].lane
     suffix = f".lane{lane}" if lane else ""
+
+    def on_lane(node: Node, spec_type: type) -> str:
+        # A node with fewer parts of a type than lanes serves the rest with its last.
+        names = topology.components_of(node, spec_type)
+        return names[min(lane, len(names) - 1)]
 
     laser_name = topology.channel_lasers[channel]
     mod_name = topology.channel_modulators[channel]
@@ -685,44 +692,32 @@ def _assemble(topology: OpticalTopology, channel: str,
                              ElementKind.LASER, laser_name, source.id))
     elements.append(_element(topology, f"{source.id}.mod.{channel}",
                              ElementKind.MODULATOR, mod_name, source.id))
-    muxes = _specs_by_type(topology, source, MuxDemuxSpec)
     elements.append(_element(topology, f"{source.id}.mux{suffix}",
-                             ElementKind.MUX, muxes[min(lane, len(muxes) - 1)],
-                             source.id))
-    source_edfas = _specs_by_type(topology, source, EdfaSpec)
-    if source_edfas:
+                             ElementKind.MUX, on_lane(source, MuxDemuxSpec), source.id))
+    if topology.components_of(source, EdfaSpec):
         elements.append(_element(topology, f"{source.id}.edfa{suffix}",
-                                 ElementKind.EDFA,
-                                 source_edfas[min(lane, len(source_edfas) - 1)],
-                                 source.id))
+                                 ElementKind.EDFA, on_lane(source, EdfaSpec), source.id))
 
-    for src, dst in zip(chain, chain[1:]):
-        edge = next(e for e in topology.outgoing(src)
-                    if e.target == dst and channel in e.channels)
+    for edge in trail:
+        src, dst = edge.source, edge.target
         if edge.fiber is not None:
             edge_suffix = f".lane{edge.lane}" if edge.lane else ""
             elements.append(_element(topology, f"{src}->{dst}{edge_suffix}",
                                      ElementKind.FIBER, edge.fiber, src))
         node = topology.node(dst)
         if node.kind is NodeKind.FOJB:
-            edfas = _specs_by_type(topology, node, EdfaSpec)
-            splitters = _specs_by_type(topology, node, SplitterSpec)
             elements.append(_element(topology, f"{dst}.edfa{suffix}",
-                                     ElementKind.EDFA,
-                                     edfas[min(lane, len(edfas) - 1)], dst))
+                                     ElementKind.EDFA, on_lane(node, EdfaSpec), dst))
             elements.append(_element(topology, f"{dst}.splitter{suffix}",
-                                     ElementKind.SPLITTER,
-                                     splitters[min(lane, len(splitters) - 1)], dst))
+                                     ElementKind.SPLITTER, on_lane(node, SplitterSpec), dst))
         elif node.kind is NodeKind.ORXC:
-            demuxes = _specs_by_type(topology, node, MuxDemuxSpec)
             elements.append(_element(topology, f"{dst}.demux{suffix}",
-                                     ElementKind.DEMUX,
-                                     demuxes[min(lane, len(demuxes) - 1)], dst))
+                                     ElementKind.DEMUX, on_lane(node, MuxDemuxSpec), dst))
             elements.append(_element(topology, f"{dst}.pd.{channel}",
                                      ElementKind.DETECTOR,
                                      topology.channel_detectors[channel], dst))
 
-    terminal = chain[-1]
+    terminal = trail[-1].target
     destination = terminal
     for edge in topology.outgoing(terminal):
         target = topology.node(edge.target)
@@ -746,10 +741,10 @@ def enumerate_paths(topology: OpticalTopology) -> list[SignalPath]:
         raise TopologyError("topology is invalid", report.messages())
     paths: list[SignalPath] = []
     for channel in sorted(topology.wavelength_plan):
-        chains = _reachable_terminals(topology, channel)
-        chains.sort(key=lambda trail: trail[-1])
-        for chain in chains:
-            path = _assemble(topology, channel, chain)
+        trails = _reachable_terminals(topology, channel)
+        trails.sort(key=lambda trail: trail[-1].target)
+        for trail in trails:
+            path = _assemble(topology, channel, trail)
             if not _LEGAL_PATH_RE.match(path.kind_tokens()):
                 raise TopologyError(
                     f"path {path.path_id} has illegal element order "

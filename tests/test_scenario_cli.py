@@ -12,7 +12,7 @@ from photonlink.cli import EXIT_COMPLIANCE, EXIT_INPUT, EXIT_OK, exit_code, main
 from photonlink.data import reference_scenario_path
 from photonlink.errors import ScenarioError
 from photonlink.report import METRIC_COLUMNS, render_csv, render_json, render_text
-from photonlink.scenario import parse_scenario, scenario_fingerprint
+from photonlink.scenario import MAX_N_DTRM, parse_scenario, scenario_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +135,10 @@ class TestEmission:
 
 
 class TestCommandLine:
-    def run_cli(self, *args):
+    def run_cli(self, *args, **kwargs):
         return subprocess.run(
             [sys.executable, "-m", "photonlink.cli", *args],
-            capture_output=True, text=True)
+            capture_output=True, text=True, **kwargs)
 
     def test_analyze_exit_zero(self, tmp_path):
         out = tmp_path / "report.json"
@@ -240,6 +240,21 @@ class TestCommandLine:
         path.write_text(json.dumps(doc))
         assert main(["analyze", "--scenario", str(path), *extra]) == EXIT_INPUT
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_dtrm", [10 ** 400, MAX_N_DTRM + 4],
+                             ids=["huge", "cap-plus-four"])
+    def test_oversized_module_count_exits_two(self, tmp_path, raw_reference, n_dtrm):
+        doc = copy.deepcopy(raw_reference)
+        doc["topology"]["n_dtrm"] = n_dtrm
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        # An uncapped count makes the CLI build the whole network; the timeout
+        # turns that into a failure instead of a hang.
+        proc = self.run_cli("validate", "--scenario", str(path), timeout=15)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert "topology.n_dtrm" in proc.stderr
 
     def test_infeasible_variant_request_exits_two(self):
         proc = self.run_cli("analyze",

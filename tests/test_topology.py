@@ -6,7 +6,16 @@ import re
 
 import pytest
 
-from photonlink.components import DetectorKind
+from photonlink.components import (
+    DetectorKind,
+    EdfaSpec,
+    FiberSpec,
+    LaserSpec,
+    ModulatorSpec,
+    MuxDemuxSpec,
+    PhotodetectorSpec,
+    SplitterSpec,
+)
 from photonlink.errors import BuildError, TopologyError
 from photonlink.topology import (
     ChannelPlan,
@@ -107,6 +116,24 @@ class TestReturnBuild:
         with pytest.raises(BuildError, match="multiple of 4"):
             build_return_network(6, return_fixture_library(),
                                  return_fixture_bindings())
+
+    def test_each_return_path_starts_at_its_own_group(self):
+        """Every group holds the same four laser names, so a channel's source
+        is the group transmitter whose outgoing edge carries it."""
+        topology = build_return_network(16, return_fixture_library(),
+                                        return_fixture_bindings())
+        paths = enumerate_paths(topology)
+        assert len(paths) == 16
+        for path in paths:
+            group = (int(path.channel.removeprefix("rx")) - 1) // 4 + 1
+            dotxc, rx = f"dotxc{group:02d}", f"dbfu_rx{group:02d}"
+            carrier = [e for e in topology.edges if path.channel in e.channels]
+            assert [(e.source, e.target) for e in carrier] == [(dotxc, rx)]
+            laser = path.elements[0]
+            assert laser.kind is ElementKind.LASER and laser.node == dotxc
+            fibers = [e.element_id for e in path.elements
+                      if e.kind is ElementKind.FIBER]
+            assert fibers == [f"{dotxc}->{rx}"]
 
     def test_return_paths_end_at_beam_former(self):
         topology = build_return_network(8, return_fixture_library(),
@@ -239,9 +266,13 @@ def test_random_module_counts_scale(n_max=12):
         assert len(enumerate_paths(topology)) == 3 * n
 
 
+SPEC_TYPES = (LaserSpec, ModulatorSpec, MuxDemuxSpec, EdfaSpec, SplitterSpec,
+              FiberSpec, PhotodetectorSpec)
+
+
 class TestLookupIndex:
-    """node/outgoing/incoming read an index built at construction; each must
-    agree with a raw scan of the node and edge tuples."""
+    """node/outgoing/incoming, components_of and source read an index built at
+    construction; each must agree with a raw scan of the node and edge tuples."""
 
     @staticmethod
     def assert_matches_raw_scan(topology):
@@ -261,10 +292,27 @@ class TestLookupIndex:
                           key=lambda e: (e.source, e.lane))
             assert topology.outgoing(node_id) == tuple(out)
             assert topology.incoming(node_id) == tuple(into)
+        for node in topology.nodes:
+            for spec_type in SPEC_TYPES:
+                want = tuple(name for name in node.components
+                             if isinstance(topology.library.get(name), spec_type))
+                assert topology.components_of(node, spec_type) == want
+        channels = (set(topology.wavelength_plan) | {"no-such-channel"}
+                    | {ch for e in topology.edges for ch in e.channels})
+        for channel in sorted(channels):
+            first = [n for n in topology.nodes
+                     if n.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC)
+                     and topology.channel_lasers.get(channel) in n.components
+                     and any(e.source == n.id and channel in e.channels
+                             for e in topology.edges)][:1]
+            assert topology.source(channel) is (first[0] if first else None)
 
     def test_built_networks(self):
         for topology in (build_reference_forward(n=8),
                          build_reference_forward(n=4, shared_fiber=False),
+                         build_forward_network(
+                             2, forward_fixture_channels(), forward_fixture_library(),
+                             forward_fixture_bindings(otxc_edfa="edfa")),
                          build_return_network(8, return_fixture_library(),
                                               return_fixture_bindings())):
             self.assert_matches_raw_scan(topology)
@@ -275,13 +323,18 @@ class TestLookupIndex:
         mutated = dataclasses.replace(
             topology,
             nodes=topology.nodes + (Node("fojb", NodeKind.ORXC),
-                                   Node("spare", NodeKind.DTRM)),
+                                   Node("spare", NodeKind.DTRM),
+                                   Node("otxc2", NodeKind.OTXC,
+                                        ("laser_a", "ghost-part", "mux"))),
             edges=tuple(e for e in topology.edges if e is not victim)
-            + (FiberEdge("fojb", "otxc", "trunk"), FiberEdge("ghost", "spare", None)))
+            + (FiberEdge("fojb", "otxc", "trunk"), FiberEdge("ghost", "spare", None),
+               FiberEdge("otxc2", "fojb", "trunk", frozenset({"alpha", "bravo"}))))
         self.assert_matches_raw_scan(mutated)
         assert victim not in mutated.outgoing("fojb")
         assert victim in topology.outgoing("fojb")
         assert mutated.node("fojb").kind is NodeKind.FOJB
+        assert mutated.source("alpha").id == "otxc"
+        assert mutated.components_of(mutated.node("otxc2"), MuxDemuxSpec) == ("mux",)
 
     def test_lookups_cannot_change_the_index(self):
         topology = build_reference_forward(n=2)
