@@ -19,7 +19,15 @@ from pathlib import Path
 from . import __version__
 from .errors import PhotonlinkError
 from .digitalpath import check_group_capacity
-from .linkbudget import analyze_path, propagation_delay_s, worst_case
+from .linkbudget import (
+    AnalysisConfig,
+    LinkMetrics,
+    analysis_class,
+    analyze_path,
+    propagation_delay_s,
+    relabeled,
+    worst_case,
+)
 from .report import (
     PathResult,
     Report,
@@ -30,9 +38,10 @@ from .report import (
     render_text,
 )
 from .scenario import Scenario, load_scenario_document, parse_scenario
-from .components import DetectorKind
+from .components import DetectorKind, Modulation
 from .topology import (
     OpticalTopology,
+    SignalPath,
     adjacency_dump,
     build_forward_network,
     build_return_network,
@@ -88,17 +97,36 @@ def _summary(topology: OpticalTopology, path_count: int) -> TopologySummary:
     )
 
 
+def _analyze_classes(topology: OpticalTopology, paths: list[SignalPath],
+                     modulation: Modulation,
+                     config: AnalysisConfig) -> list[LinkMetrics]:
+    """Metrics of each path, skew taken against the first. ``analyze_path``
+    runs once per analysis class; the other members get its numbers
+    relabeled with their own element ids."""
+    reference_delay = propagation_delay_s(paths[0]) if paths else 0.0
+    by_class: dict[tuple, LinkMetrics] = {}
+    out = []
+    for path in paths:
+        key = analysis_class(path, topology)
+        metrics = by_class.get(key)
+        if metrics is None:
+            metrics = by_class[key] = analyze_path(
+                path, modulation, config,
+                topology=topology, reference_delay_s=reference_delay)
+        else:
+            metrics = relabeled(metrics, path)
+        out.append(metrics)
+    return out
+
+
 def _analyze_variant(scenario: Scenario, variant: DesignVariant,
                      digital_groups) -> tuple[VariantResult, TopologySummary]:
     topology = _forward_topology(scenario, variant)
     paths = enumerate_paths(topology)
-    reference_delay = propagation_delay_s(paths[0]) if paths else 0.0
     results = []
     analog_metrics = []
-    for path in paths:
-        metrics = analyze_path(
-            path, variant.modulation, scenario.analysis,
-            topology=topology, reference_delay_s=reference_delay)
+    for path, metrics in zip(paths, _analyze_classes(
+            topology, paths, variant.modulation, scenario.analysis)):
         results.append(PathResult(path, metrics))
         if topology.channel_kinds[path.channel] is DetectorKind.ANALOG:
             analog_metrics.append(metrics)

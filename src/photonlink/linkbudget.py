@@ -333,25 +333,32 @@ def optical_ledger(path: SignalPath) -> OpticalLedger:
         delta = _element_delta_db(element)
         power += delta
         note = None
-        if isinstance(element.spec, EdfaSpec):
-            if element.spec.gain_db >= element.spec.max_gain_db:
-                note = "gain clamped at max"
-            if power > element.spec.saturation_output_power_dbm:
-                flags.append(
-                    f"{element.element_id}: output {power:.2f} dBm above "
-                    f"saturation {element.spec.saturation_output_power_dbm:.2f} dBm")
-        if isinstance(element.spec, PhotodetectorSpec):
-            if power > element.spec.saturation_power_dbm:
-                flags.append(
-                    f"{element.element_id}: input {power:.2f} dBm above "
-                    f"saturation {element.spec.saturation_power_dbm:.2f} dBm")
-            if element.spec.sensitivity_dbm is not None \
-                    and power < element.spec.sensitivity_dbm:
-                flags.append(
-                    f"{element.element_id}: input {power:.2f} dBm below "
-                    f"sensitivity {element.spec.sensitivity_dbm:.2f} dBm")
+        if isinstance(element.spec, EdfaSpec) \
+                and element.spec.gain_db >= element.spec.max_gain_db:
+            note = "gain clamped at max"
+        _flag_breaches(element, power, flags)
         entries.append(LedgerEntry(element.element_id, delta, power, note))
     return OpticalLedger(tuple(entries), tuple(flags))
+
+
+def _flag_breaches(element: PathElement, power_dbm: float, flags: list[str]) -> None:
+    """Append the saturation and sensitivity breaches at one element, whose
+    output (amplifier) or input (detector) sits at ``power_dbm``."""
+    spec = element.spec
+    if isinstance(spec, EdfaSpec):
+        if power_dbm > spec.saturation_output_power_dbm:
+            flags.append(
+                f"{element.element_id}: output {power_dbm:.2f} dBm above "
+                f"saturation {spec.saturation_output_power_dbm:.2f} dBm")
+    elif isinstance(spec, PhotodetectorSpec):
+        if power_dbm > spec.saturation_power_dbm:
+            flags.append(
+                f"{element.element_id}: input {power_dbm:.2f} dBm above "
+                f"saturation {spec.saturation_power_dbm:.2f} dBm")
+        if spec.sensitivity_dbm is not None and power_dbm < spec.sensitivity_dbm:
+            flags.append(
+                f"{element.element_id}: input {power_dbm:.2f} dBm below "
+                f"sensitivity {spec.sensitivity_dbm:.2f} dBm")
 
 
 def rf_gain_db(path: SignalPath, modulation: Modulation,
@@ -590,6 +597,33 @@ def analyze_path(
     )
 
 
+def analysis_class(path: SignalPath, topology: OpticalTopology) -> tuple:
+    """Key under which paths of one topology get equal metrics, ids aside.
+
+    ``analyze_path`` reads the channel, each element's kind and spec (within
+    one topology the component name fixes the spec) and the channels that
+    share the path's demux. Element ids only label the ledger and its flags,
+    which ``relabeled`` restates for each member of the class.
+    """
+    return (path.channel,
+            tuple((e.kind, e.component) for e in path.elements),
+            co_propagating(topology, path))
+
+
+def relabeled(metrics: LinkMetrics, path: SignalPath) -> LinkMetrics:
+    """``metrics`` of one path, restated for ``path`` of the same analysis
+    class: the ledger entries and flags name ``path``'s own elements."""
+    entries = tuple(
+        e if e.element_id == element.element_id
+        else LedgerEntry(element.element_id, e.delta_db, e.power_dbm, e.note)
+        for element, e in zip(path.elements, metrics.optical_ledger.entries))
+    flags: list[str] = []
+    for element, entry in zip(path.elements[1:], entries[1:]):
+        _flag_breaches(element, entry.power_dbm, flags)
+    ledger = OpticalLedger(entries, tuple(flags))
+    return replace(metrics, optical_ledger=ledger, flags=ledger.flags)
+
+
 def worst_case(metrics: Sequence[LinkMetrics]) -> LinkMetrics:
     """Pessimistic aggregate across paths for compliance checking.
 
@@ -604,11 +638,8 @@ def worst_case(metrics: Sequence[LinkMetrics]) -> LinkMetrics:
         present = [v for v in values if v is not None]
         return max(present) if present else None
 
-    flags: list[str] = []
-    for m in metrics:
-        for f in m.flags:
-            if f not in flags:
-                flags.append(f)
+    # Union in order of first appearance.
+    flags = tuple(dict.fromkeys(f for m in metrics for f in m.flags))
     return LinkMetrics(
         rf_gain_db=min(m.rf_gain_db for m in metrics),
         noise_figure_db=anchor.noise_figure_db,
@@ -628,5 +659,5 @@ def worst_case(metrics: Sequence[LinkMetrics]) -> LinkMetrics:
         phase_noise_degradation_db=_max_opt(m.phase_noise_degradation_db
                                             for m in metrics),
         crosstalk_db=_max_opt(m.crosstalk_db for m in metrics),
-        flags=tuple(flags),
+        flags=flags,
     )

@@ -395,11 +395,10 @@ def render_csv(report: Report) -> str:
                      "metric", "unit", "value"])
     for variant in report.variants:
         for pr in variant.paths:
+            path = pr.path
+            prefix = (variant.label, path.path_id, path.channel, path.destination)
             for metric_name, unit in METRIC_COLUMNS:
                 value = getattr(pr.metrics, metric_name)
-                writer.writerow([
-                    variant.label, pr.path.path_id, pr.path.channel,
-                    pr.path.destination, metric_name, unit,
-                    "" if value is None else repr(value),
-                ])
+                writer.writerow((*prefix, metric_name, unit,
+                                 "" if value is None else repr(value)))
     return buffer.getvalue()

@@ -175,6 +175,8 @@ class OpticalTopology:
                             sources[ch] = n
         object.__setattr__(self, "_typed", typed)
         object.__setattr__(self, "_sources", sources)
+        # Edge trails per channel, walked on first use (_reachable_terminals).
+        object.__setattr__(self, "_trails", {})
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
@@ -500,10 +502,14 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
     if _has_cycle(topology):
         bad("topology", "edges", "graph contains a cycle")
 
-    # Component resolution and per-component invariants.
+    # Component resolution and per-component invariants. A part that passes
+    # once passes everywhere; one that fails is reported at every node.
     plan_lasers = set(topology.channel_lasers.values())
+    passed: set[str] = set()
     for node in topology.nodes:
         for name in node.components:
+            if name in passed:
+                continue
             spec = topology.library.get(name)
             if spec is None:
                 bad(node.id, "components", f"unknown component {name!r}")
@@ -511,6 +517,8 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
             in_plan = isinstance(spec, LaserSpec) and name in plan_lasers
             report = validate_component(spec, name=f"{node.id}:{name}",
                                         in_wdm_plan=in_plan)
+            if report.ok:
+                passed.add(name)
             issues.extend(report.violations)
 
     # Per-edge wavelength bookkeeping.
@@ -650,11 +658,20 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
 
 
 def _reachable_terminals(topology: OpticalTopology,
-                         channel: str) -> list[tuple[FiberEdge, ...]]:
-    """All edge trails that carry the channel from its source to a receiver chip."""
+                         channel: str) -> tuple[tuple[FiberEdge, ...], ...]:
+    """All edge trails that carry the channel from its source to a receiver
+    chip; walked once per topology and channel."""
+    trails = topology._trails.get(channel)
+    if trails is None:
+        trails = topology._trails[channel] = _walk_trails(topology, channel)
+    return trails
+
+
+def _walk_trails(topology: OpticalTopology,
+                 channel: str) -> tuple[tuple[FiberEdge, ...], ...]:
     source = topology.source(channel)
     if source is None:
-        return []
+        return ()
     trails: list[tuple[FiberEdge, ...]] = []
 
     def walk(node_id: str, trail: tuple[FiberEdge, ...]) -> None:
@@ -666,7 +683,7 @@ def _reachable_terminals(topology: OpticalTopology,
                 walk(edge.target, trail + (edge,))
 
     walk(source.id, ())
-    return trails
+    return tuple(trails)
 
 
 def _element(topology: OpticalTopology, element_id: str, kind: ElementKind,
@@ -741,8 +758,8 @@ def enumerate_paths(topology: OpticalTopology) -> list[SignalPath]:
         raise TopologyError("topology is invalid", report.messages())
     paths: list[SignalPath] = []
     for channel in sorted(topology.wavelength_plan):
-        trails = _reachable_terminals(topology, channel)
-        trails.sort(key=lambda trail: trail[-1].target)
+        trails = sorted(_reachable_terminals(topology, channel),
+                        key=lambda trail: trail[-1].target)
         for trail in trails:
             path = _assemble(topology, channel, trail)
             if not _LEGAL_PATH_RE.match(path.kind_tokens()):

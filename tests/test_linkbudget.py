@@ -515,6 +515,15 @@ def test_worst_case_aggregation_picks_pessimistic_fields():
     assert worst.sfdr_db == min(good.sfdr_db, bad.sfdr_db)
 
 
+def test_worst_case_keeps_flags_in_order_of_first_appearance():
+    path = make_path(mk_laser(), mk_mod_direct(), mk_mux(loss=1.0),
+                     mk_mux(loss=0.0), mk_pd())
+    base = analyze_path(path, Modulation.DIRECT, CONFIG)
+    bundles = [dataclasses.replace(base, flags=flags)
+               for flags in (("b", "a"), ("c", "b"), (), ("a", "d", "c", "e"))]
+    assert worst_case(bundles).flags == ("b", "a", "c", "d", "e")
+
+
 class TestSharedAmplifierSettings:
     def test_shared_amplifier_takes_the_worst_leg(self):
         """Asymmetric drop legs: the junction-box amplifier must cover the

@@ -16,6 +16,7 @@ from photonlink.components import (
     PhotodetectorSpec,
     SplitterSpec,
 )
+from photonlink import topology as topology_module
 from photonlink.errors import BuildError, TopologyError
 from photonlink.topology import (
     ChannelPlan,
@@ -192,6 +193,30 @@ class TestValidation:
         report = validate_topology(mutated)
         assert any("cycle" in m for m in report.messages())
 
+    def test_invalid_receiver_part_reported_at_every_node(self, monkeypatch):
+        """A part that passes is validated once; one that fails is still
+        reported at every node that holds it, under the node's own name."""
+        library = forward_fixture_library()
+        library["pd_digital"] = dataclasses.replace(library["pd_digital"],
+                                                    responsivity_a_per_w=2.0)
+        topology = build_forward_network(
+            16, forward_fixture_channels(), library, forward_fixture_bindings())
+        calls = []
+        real = topology_module.validate_component
+
+        def counting(spec, *, name, in_wdm_plan):
+            calls.append(name)
+            return real(spec, name=name, in_wdm_plan=in_wdm_plan)
+
+        monkeypatch.setattr(topology_module, "validate_component", counting)
+        report = validate_topology(topology)
+        assert [str(v) for v in report.violations] == [
+            f"orxc{i:02d}:pd_digital.responsivity_a_per_w: "
+            "must be in (0, 1.1] A/W, got 2.0" for i in range(1, 17)]
+        distinct = {name for node in topology.nodes for name in node.components}
+        assert len(calls) == len(distinct) - 1 + 16
+        assert sum(name.endswith(":pd_digital") for name in calls) == 16
+
     def test_enumerate_refuses_invalid_topology(self):
         topology = build_reference_forward(n=4)
         mutated = dataclasses.replace(topology, edges=topology.edges[:-3])
@@ -244,6 +269,35 @@ class TestEnumeration:
         assert validate_topology(boosted).ok
         path = enumerate_paths(boosted)[0]
         assert path.kind_tokens() == "LMUEFESFDP"
+
+    def test_each_channel_is_walked_once(self, monkeypatch):
+        library = forward_fixture_library()
+        channels = []
+        for i in range(8):
+            library[f"laser_{i}"] = mk_laser(nm=1550.0 + 0.8 * i)
+            kind = DetectorKind.DIGITAL if i >= 6 else DetectorKind.ANALOG
+            channels.append(ChannelPlan(f"ch{i}", f"laser_{i}", kind))
+        topology = build_forward_network(4, channels, library,
+                                         forward_fixture_bindings())
+        walks = []
+        real = topology_module._walk_trails
+
+        def counting(topology, channel):
+            walks.append(channel)
+            return real(topology, channel)
+
+        monkeypatch.setattr(topology_module, "_walk_trails", counting)
+        assert validate_topology(topology).ok
+        first = enumerate_paths(topology)
+        assert enumerate_paths(topology) == first
+        assert sorted(walks) == [f"ch{i}" for i in range(8)]
+        assert len(first) == 8 * 4
+        # The cache hands out tuples, so the enumeration sort cannot reorder it.
+        assert isinstance(topology_module._reachable_terminals(topology, "ch0"), tuple)
+        # A replaced topology walks its own trails.
+        walks.clear()
+        enumerate_paths(dataclasses.replace(topology))
+        assert len(walks) == 8
 
     def test_co_propagating_set(self):
         topology = build_reference_forward(n=2)
