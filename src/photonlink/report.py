@@ -108,6 +108,8 @@ def _fmt_si(value: float | None) -> str:
         return "-"
     if value == 0:
         return "0"
+    if math.isinf(value):
+        return _fmt(value)
     magnitude = abs(value)
     for scale, suffix in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
         if magnitude >= scale:
@@ -318,7 +320,7 @@ def _compliance_dict(compliance: ComplianceReport) -> dict:
     }
 
 
-def render_json(report: Report) -> str:
+def _json_payload(report: Report) -> dict:
     payload: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": {"name": "photonlink", "version": report.tool_version},
@@ -384,7 +386,91 @@ def render_json(report: Report) -> str:
             "rationale": list(report.recommendation.rationale),
             "notes": list(report.recommendation.notes),
         }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return payload
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+# Exact type -> JSON token; dict and list are written by _dump_json itself.
+_JSON_SCALARS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _dump_json(obj: object) -> str:
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    The standard library falls back to its pure-Python encoder whenever
+    ``indent`` is set; this writer emits each key with its scalar value as
+    one chunk and joins the chunks once. It accepts dicts with ``str`` keys,
+    lists, str, int, float, bool and None by exact type, and raises
+    ``TypeError`` on anything else.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    scalar = _JSON_SCALARS.get
+
+    def write(value: object, newline: str) -> None:
+        # `newline` is a line break plus the indent of the line `value` opens.
+        kind = type(value)
+        if kind is dict:
+            if not value:
+                append("{}")
+                return
+            inner = newline + "  "
+            separator = "{" + inner
+            for key, item in sorted(value.items()):
+                # _ESCAPE raises TypeError on a key that is not a str.
+                encode = scalar(type(item))
+                if encode is None:
+                    append(f"{separator}{_ESCAPE(key)}: ")
+                    write(item, inner)
+                else:
+                    append(f"{separator}{_ESCAPE(key)}: {encode(item)}")
+                separator = "," + inner
+            append(newline + "}")
+        elif kind is list:
+            if not value:
+                append("[]")
+                return
+            inner = newline + "  "
+            separator = "[" + inner
+            for item in value:
+                encode = scalar(type(item))
+                if encode is None:
+                    append(separator)
+                    write(item, inner)
+                else:
+                    append(separator + encode(item))
+                separator = "," + inner
+            append(newline + "]")
+        else:
+            encode = scalar(kind)
+            if encode is None:
+                raise TypeError(
+                    f"Object of type {kind.__name__} is not JSON serializable")
+            append(encode(value))
+
+    write(obj, "\n")
+    return "".join(chunks)
+
+
+def render_json(report: Report) -> str:
+    return _dump_json(_json_payload(report)) + "\n"
 
 
 def render_csv(report: Report) -> str:
