@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -24,8 +25,8 @@ from .linkbudget import (
     LinkMetrics,
     analysis_class,
     analyze_path,
+    own_flags,
     propagation_delay_s,
-    relabeled,
     worst_case,
 )
 from .report import (
@@ -99,10 +100,10 @@ def _summary(topology: OpticalTopology, path_count: int) -> TopologySummary:
 
 def _analyze_classes(topology: OpticalTopology, paths: list[SignalPath],
                      modulation: Modulation,
-                     config: AnalysisConfig) -> list[LinkMetrics]:
-    """Metrics of each path, skew taken against the first. ``analyze_path``
-    runs once per analysis class; the other members get its numbers
-    relabeled with their own element ids."""
+                     config: AnalysisConfig) -> list[PathResult]:
+    """One result per path, skew taken against the first. ``analyze_path``
+    runs once per analysis class; every member holds the class's metrics and
+    its own ledger flags, and relabels the ledger only when it is read."""
     reference_delay = propagation_delay_s(paths[0]) if paths else 0.0
     by_class: dict[tuple, LinkMetrics] = {}
     out = []
@@ -113,27 +114,36 @@ def _analyze_classes(topology: OpticalTopology, paths: list[SignalPath],
             metrics = by_class[key] = analyze_path(
                 path, modulation, config,
                 topology=topology, reference_delay_s=reference_delay)
-        else:
-            metrics = relabeled(metrics, path)
-        out.append(metrics)
+        out.append(PathResult(path, metrics, own_flags(metrics, path)))
     return out
+
+
+def _worst_case(results: list[PathResult]) -> LinkMetrics:
+    """``worst_case`` of every result's ``metrics``, from one bundle per
+    class: the scalars are equal within a class, the flags are each path's
+    own, and only the anchor path's ledger is relabeled."""
+    firsts: dict[int, PathResult] = {}
+    for result in results:
+        firsts.setdefault(id(result.class_metrics), result)
+    worst = worst_case([r.class_metrics for r in firsts.values()])
+    # worst_case's anchor rule: the first path of largest noise figure.
+    anchor = max(firsts.values(), key=lambda r: r.class_metrics.noise_figure_db)
+    flags = tuple(dict.fromkeys(f for r in results for f in r.flags))
+    return replace(worst, optical_ledger=anchor.metrics.optical_ledger,
+                   flags=flags)
 
 
 def _analyze_variant(scenario: Scenario, variant: DesignVariant,
                      digital_groups) -> tuple[VariantResult, TopologySummary]:
     topology = _forward_topology(scenario, variant)
     paths = enumerate_paths(topology)
-    results = []
-    analog_metrics = []
-    for path, metrics in zip(paths, _analyze_classes(
-            topology, paths, variant.modulation, scenario.analysis)):
-        results.append(PathResult(path, metrics))
-        if topology.channel_kinds[path.channel] is DetectorKind.ANALOG:
-            analog_metrics.append(metrics)
+    results = _analyze_classes(topology, paths, variant.modulation,
+                               scenario.analysis)
+    analog = [r for r in results
+              if topology.channel_kinds[r.path.channel] is DetectorKind.ANALOG]
     # Requirement checks apply to the RF (analog) distribution paths; the
     # forward clock channels are reported but not held to the RF bounds.
-    worst = worst_case(analog_metrics if analog_metrics
-                       else [r.metrics for r in results])
+    worst = _worst_case(analog or results)
     wavelengths = sorted(topology.wavelength_plan.values())
     compliance = check_requirements(
         worst,

@@ -352,13 +352,18 @@ def component_from_dict(payload: dict, *, name: str = "component") -> ComponentS
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _reject_duplicate_keys(pairs):
-    result = {}
-    for key, value in pairs:
-        if key in result:
-            raise ValueError(f"duplicate name {key!r}")
-        result[key] = value
-    return result
+def loads_unique_keys(text: str, noun: str) -> object:
+    """``json.loads`` that rejects a key repeated in any object of the
+    document with ``ValueError("duplicate <noun> '<key>'")``."""
+    def unique(pairs):
+        result = {}
+        for key, value in pairs:
+            if key in result:
+                raise ValueError(f"duplicate {noun} {key!r}")
+            result[key] = value
+        return result
+
+    return json.loads(text, object_pairs_hook=unique)
 
 
 def parse_component_library(payload: dict, *, where: str = "library") -> dict[str, ComponentSpec]:
@@ -397,7 +402,7 @@ def load_component_library(path: str | Path) -> dict[str, ComponentSpec]:
     if not text.strip():
         return {}
     try:
-        payload = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        payload = loads_unique_keys(text, "name")
     except ValueError as exc:
         raise LibraryError(f"{path}: {exc}") from exc
     return parse_component_library(payload, where=str(path))

@@ -172,11 +172,6 @@ def cascade_noise_figure(stages: Sequence[tuple[float, float]]) -> float:
     return 10.0 * math.log10(total_factor)
 
 
-def snr_out_db(snr_in_db: float, noise_figure_db: float) -> tuple[float, float]:
-    """(output SNR, degradation); the link subtracts exactly its noise figure."""
-    return snr_in_db - noise_figure_db, noise_figure_db
-
-
 def rise_time_s(bandwidth_hz: float) -> float:
     if bandwidth_hz <= 0 or not math.isfinite(bandwidth_hz):
         raise AnalysisError(f"bandwidth must be finite and > 0 Hz, got {bandwidth_hz}")
@@ -610,6 +605,20 @@ def analysis_class(path: SignalPath, topology: OpticalTopology) -> tuple:
             co_propagating(topology, path))
 
 
+def own_flags(metrics: LinkMetrics, path: SignalPath) -> tuple[str, ...]:
+    """The ledger flags of ``path``, a member of the analysis class that
+    ``metrics`` was computed for: ``_flag_breaches`` on ``path``'s own
+    elements at the class ledger's powers. A breach depends only on the spec
+    and the power, both equal across the class, so a class without flags has
+    none on any member."""
+    flags: list[str] = []
+    if metrics.flags:
+        for element, entry in zip(path.elements[1:],
+                                  metrics.optical_ledger.entries[1:]):
+            _flag_breaches(element, entry.power_dbm, flags)
+    return tuple(flags)
+
+
 def relabeled(metrics: LinkMetrics, path: SignalPath) -> LinkMetrics:
     """``metrics`` of one path, restated for ``path`` of the same analysis
     class: the ledger entries and flags name ``path``'s own elements."""
@@ -617,10 +626,7 @@ def relabeled(metrics: LinkMetrics, path: SignalPath) -> LinkMetrics:
         e if e.element_id == element.element_id
         else LedgerEntry(element.element_id, e.delta_db, e.power_dbm, e.note)
         for element, e in zip(path.elements, metrics.optical_ledger.entries))
-    flags: list[str] = []
-    for element, entry in zip(path.elements[1:], entries[1:]):
-        _flag_breaches(element, entry.power_dbm, flags)
-    ledger = OpticalLedger(entries, tuple(flags))
+    ledger = OpticalLedger(entries, own_flags(metrics, path))
     return replace(metrics, optical_ledger=ledger, flags=ledger.flags)
 
 

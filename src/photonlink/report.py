@@ -8,13 +8,13 @@ produces byte-identical files.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .digitalpath import GroupCapacity
-from .linkbudget import LinkMetrics
+from .linkbudget import LinkMetrics, relabeled
 from .topology import Direction, SignalPath
 from .tradeoff import ComplianceReport, OrdinalScore, Recommendation
 
@@ -56,8 +56,17 @@ class TopologySummary:
 
 @dataclass(frozen=True)
 class PathResult:
+    """One path's result: the metrics of its analysis class, whose scalars it
+    shares, and its own ledger flags. Only the ledger's element ids differ
+    between members of a class; ``metrics`` restates them on first read."""
+
     path: SignalPath
-    metrics: LinkMetrics
+    class_metrics: LinkMetrics
+    flags: tuple[str, ...]
+
+    @cached_property
+    def metrics(self) -> LinkMetrics:
+        return relabeled(self.class_metrics, self.path)
 
 
 @dataclass(frozen=True)
@@ -190,7 +199,7 @@ def render_text(report: Report, *, color: bool = False) -> str:
         if variant.paths:
             rows = []
             for pr in variant.paths:
-                m = pr.metrics
+                m = pr.class_metrics
                 rows.append([
                     pr.path.path_id,
                     _fmt(m.rf_gain_db, 2),
@@ -290,12 +299,14 @@ def render_text(report: Report, *, color: bool = False) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def _metrics_dict(metrics: LinkMetrics) -> dict:
+def _metrics_dict(metrics: LinkMetrics, element_ids: list, flags: object) -> dict:
+    """The JSON object of ``metrics`` with the given ledger element ids and
+    flags; a class template passes ``_Slot``s for both."""
     payload = {name: getattr(metrics, name) for name, _ in METRIC_COLUMNS}
     payload["optical_ledger"] = [
-        {"element_id": e.element_id, "delta_db": e.delta_db,
+        {"element_id": element_id, "delta_db": e.delta_db,
          "power_dbm": e.power_dbm, "note": e.note}
-        for e in metrics.optical_ledger.entries
+        for element_id, e in zip(element_ids, metrics.optical_ledger.entries)
     ]
     payload["noise_w_hz"] = {
         "thermal": metrics.noise.thermal_w_hz,
@@ -303,7 +314,7 @@ def _metrics_dict(metrics: LinkMetrics) -> dict:
         "rin": metrics.noise.rin_w_hz,
         "ase": metrics.noise.ase_w_hz,
     }
-    payload["flags"] = list(metrics.flags)
+    payload["flags"] = flags
     return payload
 
 
@@ -345,15 +356,18 @@ def _json_payload(report: Report) -> dict:
                     "size_rank": v.score.size_rank,
                     "weight_rank": v.score.weight_rank,
                 },
+                # _dump_json writes a PathResult as the path's metrics block.
                 "paths": [
                     {"path_id": pr.path.path_id,
                      "channel": pr.path.channel,
                      "destination": pr.path.destination,
                      "wavelength_nm": pr.path.wavelength_nm,
-                     "metrics": _metrics_dict(pr.metrics)}
+                     "metrics": pr}
                     for pr in v.paths
                 ],
-                "worst_case": None if v.worst is None else _metrics_dict(v.worst),
+                "worst_case": None if v.worst is None else _metrics_dict(
+                    v.worst, [e.element_id for e in v.worst.optical_ledger.entries],
+                    list(v.worst.flags)),
                 "compliance": None if v.compliance is None
                 else _compliance_dict(v.compliance),
             }
@@ -411,6 +425,16 @@ _JSON_SCALARS = {
 }
 
 
+class _Slot:
+    """A value a class template leaves open: the element id of ledger entry
+    ``index``, or the flags list when ``index`` is None."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int | None) -> None:
+        self.index = index
+
+
 def _dump_json(obj: object) -> str:
     """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
 
@@ -418,11 +442,16 @@ def _dump_json(obj: object) -> str:
     ``indent`` is set; this writer emits each key with its scalar value as
     one chunk and joins the chunks once. It accepts dicts with ``str`` keys,
     lists, str, int, float, bool and None by exact type, and raises
-    ``TypeError`` on anything else.
+    ``TypeError`` on anything else. A ``PathResult`` is written as the JSON
+    object of its ``metrics``: its class's block is written once per indent
+    as a template, and each path fills in its own element ids and flags.
     """
-    chunks: list[str] = []
+    chunks: list = []
     append = chunks.append
     scalar = _JSON_SCALARS.get
+    # (id of the class metrics, newline) -> (texts, slots); the path's values
+    # go between consecutive texts.
+    templates: dict[tuple[int, str], tuple[list[str], list[tuple]]] = {}
 
     def write(value: object, newline: str) -> None:
         # `newline` is a line break plus the indent of the line `value` opens.
@@ -458,12 +487,50 @@ def _dump_json(obj: object) -> str:
                     append(separator + encode(item))
                 separator = "," + inner
             append(newline + "]")
+        elif kind is PathResult:
+            stamp(value, newline)
+        elif kind is _Slot:
+            # Stays in `chunks` only until template() cuts it out.
+            append((value.index, newline))
         else:
             encode = scalar(kind)
             if encode is None:
                 raise TypeError(
                     f"Object of type {kind.__name__} is not JSON serializable")
             append(encode(value))
+
+    def template(metrics: LinkMetrics, newline: str) -> tuple[list[str], list[tuple]]:
+        start = len(chunks)
+        ids = [_Slot(i) for i in range(len(metrics.optical_ledger.entries))]
+        write(_metrics_dict(metrics, ids, _Slot(None)), newline)
+        texts: list[str] = []
+        slots: list[tuple] = []
+        run: list[str] = []
+        for chunk in chunks[start:]:
+            if type(chunk) is tuple:
+                texts.append("".join(run))
+                slots.append(chunk)
+                run = []
+            else:
+                run.append(chunk)
+        texts.append("".join(run))
+        del chunks[start:]
+        return texts, slots
+
+    def stamp(result: PathResult, newline: str) -> None:
+        key = (id(result.class_metrics), newline)
+        found = templates.get(key)
+        if found is None:
+            found = templates[key] = template(result.class_metrics, newline)
+        texts, slots = found
+        elements = result.path.elements
+        for text, (index, inner) in zip(texts, slots):
+            append(text)
+            if index is None:
+                write(list(result.flags), inner)
+            else:
+                append(_ESCAPE(elements[index].element_id))
+        append(texts[-1])
 
     write(obj, "\n")
     return "".join(chunks)
@@ -473,18 +540,36 @@ def render_json(report: Report) -> str:
     return _dump_json(_json_payload(report)) + "\n"
 
 
+class _Echo:
+    """A file whose ``write`` returns its text, so that ``writerow`` of a
+    ``csv.writer`` on it returns the line it formats."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def render_csv(report: Report) -> str:
-    """One row per (path, metric); empty value means not evaluated."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["variant", "path_id", "channel", "destination",
-                     "metric", "unit", "value"])
+    """One row per (path, metric); empty value means not evaluated.
+
+    The csv writer quotes each cell on its own, so a row is its path's four
+    leading cells, a comma and its metric's three cells. The metric cells are
+    formatted once per analysis class."""
+    line = csv.writer(_Echo, lineterminator="\n").writerow
+    chunks = [line(["variant", "path_id", "channel", "destination",
+                    "metric", "unit", "value"])]
+    tails: dict[int, list[str]] = {}
     for variant in report.variants:
         for pr in variant.paths:
+            metrics = pr.class_metrics
+            tail = tails.get(id(metrics))
+            if tail is None:
+                tail = tails[id(metrics)] = [
+                    "," + line((name, unit, "" if value is None else repr(value)))
+                    for name, unit in METRIC_COLUMNS
+                    for value in (getattr(metrics, name),)]
             path = pr.path
-            prefix = (variant.label, path.path_id, path.channel, path.destination)
-            for metric_name, unit in METRIC_COLUMNS:
-                value = getattr(pr.metrics, metric_name)
-                writer.writerow((*prefix, metric_name, unit,
-                                 "" if value is None else repr(value)))
-    return buffer.getvalue()
+            head = line((variant.label, path.path_id, path.channel,
+                         path.destination))[:-1]
+            chunks.extend([head + cells for cells in tail])
+    return "".join(chunks)

@@ -20,6 +20,7 @@ from typing import Any, Mapping
 from .components import (
     ComponentSpec,
     DetectorKind,
+    loads_unique_keys,
     parse_component_library,
 )
 from .digitalpath import AdcStreamSpec, DigitalLinkSpec, LineEncoding
@@ -150,15 +151,6 @@ def _is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
-
-
-def _reject_duplicate_keys(pairs):
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"duplicate key {key!r}")
-        out[key] = value
-    return out
 
 
 def _parse_analysis(payload: Mapping, problems: _Problems) -> AnalysisConfig:
@@ -325,7 +317,7 @@ def load_scenario_document(path: str | Path) -> dict[str, Any]:
     except OSError as exc:
         raise ScenarioError([f"cannot read {path}: {exc}"]) from exc
     try:
-        raw = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        raw = loads_unique_keys(text, "key")
     except ValueError as exc:
         raise ScenarioError([f"{path}: {exc}"]) from exc
     if not isinstance(raw, dict):

@@ -691,77 +691,100 @@ def _element(topology: OpticalTopology, element_id: str, kind: ElementKind,
     return PathElement(element_id, kind, name, topology.library[name], node_id)
 
 
-def _assemble(topology: OpticalTopology, channel: str,
-              trail: tuple[FiberEdge, ...]) -> SignalPath:
-    elements: list[PathElement] = []
-    source = topology.node(trail[0].source)
-    lane = trail[0].lane
+def _on_lane(topology: OpticalTopology, node: Node, spec_type: type, lane: int) -> str:
+    # A node with fewer parts of a type than lanes serves the rest with its last.
+    names = topology.components_of(node, spec_type)
+    return names[min(lane, len(names) - 1)]
+
+
+def _launch(topology: OpticalTopology, channel: str,
+            first: FiberEdge) -> list[PathElement]:
+    """The transmitter's elements on ``channel``: laser, modulator, mux and
+    any booster, on the lane of the trail's first edge."""
+    source = topology.node(first.source)
+    lane = first.lane
     suffix = f".lane{lane}" if lane else ""
-
-    def on_lane(node: Node, spec_type: type) -> str:
-        # A node with fewer parts of a type than lanes serves the rest with its last.
-        names = topology.components_of(node, spec_type)
-        return names[min(lane, len(names) - 1)]
-
-    laser_name = topology.channel_lasers[channel]
-    mod_name = topology.channel_modulators[channel]
-    elements.append(_element(topology, f"{source.id}.laser.{channel}",
-                             ElementKind.LASER, laser_name, source.id))
-    elements.append(_element(topology, f"{source.id}.mod.{channel}",
-                             ElementKind.MODULATOR, mod_name, source.id))
-    elements.append(_element(topology, f"{source.id}.mux{suffix}",
-                             ElementKind.MUX, on_lane(source, MuxDemuxSpec), source.id))
+    elements = [
+        _element(topology, f"{source.id}.laser.{channel}", ElementKind.LASER,
+                 topology.channel_lasers[channel], source.id),
+        _element(topology, f"{source.id}.mod.{channel}", ElementKind.MODULATOR,
+                 topology.channel_modulators[channel], source.id),
+        _element(topology, f"{source.id}.mux{suffix}", ElementKind.MUX,
+                 _on_lane(topology, source, MuxDemuxSpec, lane), source.id),
+    ]
     if topology.components_of(source, EdfaSpec):
-        elements.append(_element(topology, f"{source.id}.edfa{suffix}",
-                                 ElementKind.EDFA, on_lane(source, EdfaSpec), source.id))
+        elements.append(_element(topology, f"{source.id}.edfa{suffix}", ElementKind.EDFA,
+                                 _on_lane(topology, source, EdfaSpec, lane), source.id))
+    return elements
 
-    for edge in trail:
-        src, dst = edge.source, edge.target
-        if edge.fiber is not None:
-            edge_suffix = f".lane{edge.lane}" if edge.lane else ""
-            elements.append(_element(topology, f"{src}->{dst}{edge_suffix}",
-                                     ElementKind.FIBER, edge.fiber, src))
-        node = topology.node(dst)
-        if node.kind is NodeKind.FOJB:
-            elements.append(_element(topology, f"{dst}.edfa{suffix}",
-                                     ElementKind.EDFA, on_lane(node, EdfaSpec), dst))
-            elements.append(_element(topology, f"{dst}.splitter{suffix}",
-                                     ElementKind.SPLITTER, on_lane(node, SplitterSpec), dst))
-        elif node.kind is NodeKind.ORXC:
-            elements.append(_element(topology, f"{dst}.demux{suffix}",
-                                     ElementKind.DEMUX, on_lane(node, MuxDemuxSpec), dst))
-            elements.append(_element(topology, f"{dst}.pd.{channel}",
-                                     ElementKind.DETECTOR,
-                                     topology.channel_detectors[channel], dst))
 
-    terminal = trail[-1].target
-    destination = terminal
+def _hop(topology: OpticalTopology, channel: str, edge: FiberEdge,
+         lane: int) -> list[PathElement]:
+    """The elements ``channel`` meets over one edge: its fiber, then the
+    junction box's amplifier and splitter or the receiver's demux and
+    detector. Node parts are picked on the launch ``lane``."""
+    src, dst = edge.source, edge.target
+    suffix = f".lane{lane}" if lane else ""
+    elements = []
+    if edge.fiber is not None:
+        edge_suffix = f".lane{edge.lane}" if edge.lane else ""
+        elements.append(_element(topology, f"{src}->{dst}{edge_suffix}",
+                                 ElementKind.FIBER, edge.fiber, src))
+    node = topology.node(dst)
+    if node.kind is NodeKind.FOJB:
+        elements.append(_element(topology, f"{dst}.edfa{suffix}", ElementKind.EDFA,
+                                 _on_lane(topology, node, EdfaSpec, lane), dst))
+        elements.append(_element(topology, f"{dst}.splitter{suffix}", ElementKind.SPLITTER,
+                                 _on_lane(topology, node, SplitterSpec, lane), dst))
+    elif node.kind is NodeKind.ORXC:
+        elements.append(_element(topology, f"{dst}.demux{suffix}", ElementKind.DEMUX,
+                                 _on_lane(topology, node, MuxDemuxSpec, lane), dst))
+        elements.append(_element(topology, f"{dst}.pd.{channel}", ElementKind.DETECTOR,
+                                 topology.channel_detectors[channel], dst))
+    return elements
+
+
+def _destination(topology: OpticalTopology, terminal: str) -> str:
     for edge in topology.outgoing(terminal):
-        target = topology.node(edge.target)
-        if target.kind in (NodeKind.DTRM, NodeKind.DBFU):
-            destination = target.id
-            break
-    return SignalPath(
-        channel=channel,
-        direction=topology.direction,
-        destination=destination,
-        wavelength_nm=topology.wavelength_plan[channel],
-        elements=tuple(elements),
-    )
+        if topology.node(edge.target).kind in (NodeKind.DTRM, NodeKind.DBFU):
+            return edge.target
+    return terminal
 
 
 def enumerate_paths(topology: OpticalTopology) -> list[SignalPath]:
     """One path per (channel, destination); deterministic order by channel id
-    then terminal node id. Raises if the topology does not validate."""
+    then terminal node id. Raises if the topology does not validate.
+
+    The elements up to a trail's last edge (laser to splitter on the forward
+    network) are built once per channel and shared by every destination that
+    reaches them; only the last edge's fiber, demux and detector are built
+    per path."""
     report = validate_topology(topology)
     if not report.ok:
         raise TopologyError("topology is invalid", report.messages())
     paths: list[SignalPath] = []
     for channel in sorted(topology.wavelength_plan):
+        wavelength = topology.wavelength_plan[channel]
+        prefixes: dict[tuple[FiberEdge, ...], tuple[PathElement, ...]] = {}
         trails = sorted(_reachable_terminals(topology, channel),
                         key=lambda trail: trail[-1].target)
         for trail in trails:
-            path = _assemble(topology, channel, trail)
+            lane = trail[0].lane
+            head = trail[:-1]
+            prefix = prefixes.get(head)
+            if prefix is None:
+                elements = _launch(topology, channel, trail[0])
+                for edge in head:
+                    elements += _hop(topology, channel, edge, lane)
+                prefix = prefixes[head] = tuple(elements)
+            last = trail[-1]
+            path = SignalPath(
+                channel=channel,
+                direction=topology.direction,
+                destination=_destination(topology, last.target),
+                wavelength_nm=wavelength,
+                elements=prefix + tuple(_hop(topology, channel, last, lane)),
+            )
             if not _LEGAL_PATH_RE.match(path.kind_tokens()):
                 raise TopologyError(
                     f"path {path.path_id} has illegal element order "

@@ -3,6 +3,7 @@ bundled reference inputs."""
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from photonlink.components import (
     SplitterSpec,
 )
 from photonlink.data import reference_components_path, reference_scenario_path
+from photonlink.report import METRIC_COLUMNS, _json_payload
 from photonlink.scenario import parse_scenario
 from photonlink.topology import (
     ChannelPlan,
@@ -169,6 +171,82 @@ def return_fixture_bindings() -> ReturnBindings:
         detector="dpd",
         fiber="dfiber",
     )
+
+
+def _redraw(spec, rng):
+    """Spec with its values redrawn inside the validator's bounds; wavelengths
+    and fanouts stay put so the plan and the network shape do not change."""
+    if isinstance(spec, LaserSpec):
+        return dataclasses.replace(
+            spec, output_power_w=rng.uniform(0.005, 0.2),
+            rin_db_hz=rng.uniform(-175.0, -145.0),
+            slope_efficiency_w_per_a=rng.uniform(0.1, 0.6))
+    if isinstance(spec, ModulatorSpec) and spec.insertion_loss_db is not None:
+        return dataclasses.replace(spec, insertion_loss_db=rng.uniform(0.0, 8.0),
+                                   v_pi_v=rng.uniform(1.0, 8.0))
+    if isinstance(spec, MuxDemuxSpec):
+        adjacent = rng.uniform(15.0, 40.0)
+        return dataclasses.replace(
+            spec, insertion_loss_db=rng.uniform(0.0, 5.0),
+            adjacent_isolation_db=adjacent,
+            nonadjacent_isolation_db=adjacent + rng.uniform(0.0, 20.0))
+    if isinstance(spec, EdfaSpec):
+        # A low ceiling clamps the autogain; a low saturation flags the ledger.
+        return dataclasses.replace(
+            spec, max_gain_db=rng.uniform(5.0, 35.0),
+            noise_figure_db=rng.uniform(3.0, 7.0),
+            saturation_output_power_dbm=rng.uniform(5.0, 33.0))
+    if isinstance(spec, SplitterSpec):
+        return dataclasses.replace(spec, excess_loss_db=rng.uniform(0.0, 2.0))
+    if isinstance(spec, FiberSpec):
+        return dataclasses.replace(spec, length_m=rng.uniform(0.0, 5000.0),
+                                   attenuation_db_per_km=rng.uniform(0.1, 1.0))
+    if isinstance(spec, PhotodetectorSpec):
+        sensitivity = rng.choice((None, rng.uniform(-30.0, 10.0)))
+        return dataclasses.replace(
+            spec, responsivity_a_per_w=rng.uniform(0.5, 1.1),
+            saturation_power_dbm=rng.uniform(-5.0, 24.0),
+            dark_current_a=rng.uniform(0.0, 1e-6), sensitivity_dbm=sensitivity)
+    return spec
+
+
+def redrawn_scenario(scenario, rng):
+    """``scenario`` with every library value redrawn, and N, the lanes and a
+    transmitter booster drawn too."""
+    return dataclasses.replace(
+        scenario,
+        library={name: _redraw(spec, rng)
+                 for name, spec in sorted(scenario.library.items())},
+        n_dtrm=rng.choice((1, 3, 8)),
+        shared_fiber=rng.choice((True, False)),
+        otxc_edfa=rng.choice((None, scenario.fojb_edfa)))
+
+
+def metrics_json(metrics) -> dict:
+    """The report's JSON object of one metrics bundle, built field by field."""
+    payload = {name: getattr(metrics, name) for name, _ in METRIC_COLUMNS}
+    payload["optical_ledger"] = [
+        {"element_id": e.element_id, "delta_db": e.delta_db,
+         "power_dbm": e.power_dbm, "note": e.note}
+        for e in metrics.optical_ledger.entries]
+    payload["noise_w_hz"] = {
+        "thermal": metrics.noise.thermal_w_hz, "shot": metrics.noise.shot_w_hz,
+        "rin": metrics.noise.rin_w_hz, "ase": metrics.noise.ase_w_hz}
+    payload["flags"] = list(metrics.flags)
+    return payload
+
+
+def per_path_payload(report) -> dict:
+    """The JSON payload of ``report`` with every path's metrics and every
+    worst case built from the materialized metrics, path by path: the oracle
+    of the class-stamped writer."""
+    payload = _json_payload(report)
+    for variant, entry in zip(report.variants, payload["variants"]):
+        for result, path_entry in zip(variant.paths, entry["paths"], strict=True):
+            path_entry["metrics"] = metrics_json(result.metrics)
+        if variant.worst is not None:
+            entry["worst_case"] = metrics_json(variant.worst)
+    return payload
 
 
 @pytest.fixture(scope="session")

@@ -8,21 +8,14 @@ import random
 import pytest
 
 from photonlink import cli
-from photonlink.components import (
-    EdfaSpec,
-    FiberSpec,
-    LaserSpec,
-    ModulatorSpec,
-    MuxDemuxSpec,
-    PhotodetectorSpec,
-    SplitterSpec,
-)
 from photonlink.linkbudget import (
     analyze_path,
     propagation_delay_s,
     worst_case,
 )
 from photonlink.topology import ElementKind, enumerate_paths
+
+from conftest import redrawn_scenario
 
 
 @pytest.fixture
@@ -50,13 +43,14 @@ def assert_matches_per_path(scenario, variant, topology=None):
     paths and their metrics."""
     topology = topology or cli._forward_topology(scenario, variant)
     paths = enumerate_paths(topology)
-    got = cli._analyze_classes(topology, paths, variant.modulation,
-                               scenario.analysis)
+    results = cli._analyze_classes(topology, paths, variant.modulation,
+                                   scenario.analysis)
     want = per_path(topology, paths, variant.modulation, scenario.analysis)
-    assert len(got) == len(want) == len(paths)
-    for path, mine, theirs in zip(paths, got, want):
-        assert mine == theirs, path.path_id
-    return paths, got
+    assert len(results) == len(want) == len(paths)
+    for path, result, theirs in zip(paths, results, want):
+        assert result.metrics == theirs, path.path_id
+        assert result.flags == theirs.flags, path.path_id
+    return paths, [r.metrics for r in results]
 
 
 def test_reference_scenario_all_variants(reference_scenario, analyze_calls):
@@ -79,53 +73,10 @@ def test_cli_run_analyzes_once_per_class(reference_scenario, analyze_calls):
     assert len(analyze_calls) == 6 * 8
 
 
-def _redraw(spec, rng):
-    """Spec with its values redrawn inside the validator's bounds; wavelengths
-    and fanouts stay put so the plan and the network shape do not change."""
-    if isinstance(spec, LaserSpec):
-        return dataclasses.replace(
-            spec, output_power_w=rng.uniform(0.005, 0.2),
-            rin_db_hz=rng.uniform(-175.0, -145.0),
-            slope_efficiency_w_per_a=rng.uniform(0.1, 0.6))
-    if isinstance(spec, ModulatorSpec) and spec.insertion_loss_db is not None:
-        return dataclasses.replace(spec, insertion_loss_db=rng.uniform(0.0, 8.0),
-                                   v_pi_v=rng.uniform(1.0, 8.0))
-    if isinstance(spec, MuxDemuxSpec):
-        adjacent = rng.uniform(15.0, 40.0)
-        return dataclasses.replace(
-            spec, insertion_loss_db=rng.uniform(0.0, 5.0),
-            adjacent_isolation_db=adjacent,
-            nonadjacent_isolation_db=adjacent + rng.uniform(0.0, 20.0))
-    if isinstance(spec, EdfaSpec):
-        # A low ceiling clamps the autogain; a low saturation flags the ledger.
-        return dataclasses.replace(
-            spec, max_gain_db=rng.uniform(5.0, 35.0),
-            noise_figure_db=rng.uniform(3.0, 7.0),
-            saturation_output_power_dbm=rng.uniform(5.0, 33.0))
-    if isinstance(spec, SplitterSpec):
-        return dataclasses.replace(spec, excess_loss_db=rng.uniform(0.0, 2.0))
-    if isinstance(spec, FiberSpec):
-        return dataclasses.replace(spec, length_m=rng.uniform(0.0, 5000.0),
-                                   attenuation_db_per_km=rng.uniform(0.1, 1.0))
-    if isinstance(spec, PhotodetectorSpec):
-        sensitivity = rng.choice((None, rng.uniform(-30.0, 10.0)))
-        return dataclasses.replace(
-            spec, responsivity_a_per_w=rng.uniform(0.5, 1.1),
-            saturation_power_dbm=rng.uniform(-5.0, 24.0),
-            dark_current_a=rng.uniform(0.0, 1e-6), sensitivity_dbm=sensitivity)
-    return spec
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_libraries(reference_scenario, seed):
     rng = random.Random(seed)
-    scenario = dataclasses.replace(
-        reference_scenario,
-        library={name: _redraw(spec, rng)
-                 for name, spec in sorted(reference_scenario.library.items())},
-        n_dtrm=rng.choice((1, 3, 8)),
-        shared_fiber=rng.choice((True, False)),
-        otxc_edfa=rng.choice((None, reference_scenario.fojb_edfa)))
+    scenario = redrawn_scenario(reference_scenario, rng)
     variants = scenario.selected_variants()
     for variant in rng.sample(variants, 2):
         assert_matches_per_path(scenario, variant)
@@ -147,8 +98,8 @@ def test_swapped_drop_fiber_splits_its_destination(reference_scenario,
 
     analyze_calls.clear()
     paths = enumerate_paths(topology)
-    metrics = cli._analyze_classes(topology, paths, variant.modulation,
-                                   scenario.analysis)
+    metrics = [r.metrics for r in cli._analyze_classes(
+        topology, paths, variant.modulation, scenario.analysis)]
     channels = len(scenario.channels)
     assert len(analyze_calls) == 2 * channels
     assert sorted(p.destination for p in analyze_calls) == (

@@ -1,0 +1,207 @@
+"""Class-first rendering against per-path rendering.
+
+A path's result holds its class's metrics and relabels its ledger only when
+``metrics`` is read. Every report here is written twice: by the writers,
+which read the class metrics and stamp each path's ids and flags into a
+template, and by an oracle from each path's materialized ``pr.metrics``. The
+two must be equal to the byte, and the variant's worst case must equal
+``worst_case`` of the materialized metrics under exact ``==``."""
+
+import csv
+import dataclasses
+import io
+import json
+import math
+import random
+import sys
+
+import pytest
+
+from photonlink import cli, linkbudget, topology as topology_module
+from photonlink.components import DetectorKind
+from photonlink.linkbudget import worst_case
+from photonlink.report import (
+    METRIC_COLUMNS,
+    PathResult,
+    Report,
+    render_csv,
+    render_json,
+    render_text,
+)
+from photonlink.topology import ElementKind, enumerate_paths
+
+from conftest import per_path_payload, redrawn_scenario
+
+
+def per_path_csv(report) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["variant", "path_id", "channel", "destination",
+                     "metric", "unit", "value"])
+    for variant in report.variants:
+        for pr in variant.paths:
+            for name, unit in METRIC_COLUMNS:
+                value = getattr(pr.metrics, name)
+                writer.writerow([variant.label, pr.path.path_id, pr.path.channel,
+                                 pr.path.destination, name, unit,
+                                 "" if value is None else repr(value)])
+    return buffer.getvalue()
+
+
+def materialized(report):
+    """``report`` with every path holding its own relabeled metrics."""
+    return dataclasses.replace(report, variants=tuple(
+        dataclasses.replace(v, paths=tuple(
+            PathResult(pr.path, pr.metrics, pr.metrics.flags) for pr in v.paths))
+        for v in report.variants))
+
+
+def assert_renders_per_path(report, analog_channels):
+    for variant in report.variants:
+        analog = [pr for pr in variant.paths if pr.path.channel in analog_channels]
+        eager = worst_case([pr.metrics for pr in analog or variant.paths])
+        assert variant.worst == eager, variant.label
+    expected = json.dumps(per_path_payload(report), indent=2, sort_keys=True)
+    assert render_json(report) == expected + "\n"
+    assert render_csv(report) == per_path_csv(report)
+    assert render_text(report) == render_text(materialized(report))
+
+
+def analog_ids(scenario):
+    return {ch.id for ch in scenario.channels if ch.kind is DetectorKind.ANALOG}
+
+
+def variants_report(scenario, variants, topology=None, monkeypatch=None):
+    """A report of ``variants`` through the CLI's variant analysis; with
+    ``topology``, every variant is analyzed on that network."""
+    if topology is not None:
+        monkeypatch.setattr(cli, "_forward_topology", lambda *_: topology)
+    results = [cli._analyze_variant(scenario, v, ())[0] for v in variants]
+    return Report(command="analyze", tool_version="test",
+                  scenario_name=scenario.name, scenario_fingerprint="0" * 64,
+                  topology_summaries=(), variants=tuple(results))
+
+
+@pytest.mark.parametrize("command", ["analyze", "tradeoff"])
+def test_reference_runs(reference_scenario, command):
+    report = cli.run(command, reference_scenario)
+    assert len(report.variants) == 6
+    assert_renders_per_path(report, analog_ids(reference_scenario))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_randomized_libraries(reference_scenario, seed):
+    rng = random.Random(seed)
+    scenario = redrawn_scenario(reference_scenario, rng)
+    report = variants_report(scenario, rng.sample(scenario.selected_variants(), 2))
+    assert_renders_per_path(report, analog_ids(scenario))
+
+
+def test_swapped_drop_fiber(reference_scenario, monkeypatch):
+    library = dict(reference_scenario.library)
+    library["spare_drop"] = dataclasses.replace(
+        library[reference_scenario.drop_fiber], length_m=2500.0)
+    scenario = dataclasses.replace(reference_scenario, library=library)
+    variant = scenario.selected_variants()[0]
+    built = cli._forward_topology(scenario, variant)
+    victim = next(e for e in built.edges if e.target == "orxc03")
+    swapped = dataclasses.replace(built, edges=tuple(
+        dataclasses.replace(e, fiber="spare_drop") if e is victim else e
+        for e in built.edges))
+    report = variants_report(scenario, [variant], swapped, monkeypatch)
+    paths = report.variants[0].paths
+    assert len({id(pr.class_metrics) for pr in paths}) == 2 * len(scenario.channels)
+    assert_renders_per_path(report, analog_ids(scenario))
+
+
+def test_detector_saturation_flags_each_path(reference_scenario):
+    library = dict(reference_scenario.library)
+    for name in (reference_scenario.analog_detector,
+                 reference_scenario.digital_detector):
+        library[name] = dataclasses.replace(library[name],
+                                            saturation_power_dbm=-40.0)
+    scenario = dataclasses.replace(reference_scenario, library=library)
+    report = variants_report(scenario, scenario.selected_variants()[:2])
+    for variant in report.variants:
+        flags = [pr.flags for pr in variant.paths]
+        assert all(len(f) == 1 for f in flags)
+        assert len({f for (f,) in flags}) == len(flags)
+    assert_renders_per_path(report, analog_ids(scenario))
+
+
+def test_dead_link(reference_scenario):
+    report = cli.run("analyze", reference_scenario)
+    first = report.variants[0]
+    analog_channels = analog_ids(reference_scenario)
+    victim = next(pr.class_metrics for pr in first.paths
+                  if pr.path.channel in analog_channels)
+    dead = dataclasses.replace(victim, noise_figure_db=math.inf,
+                               snr_degradation_db=math.inf)
+    paths = tuple(PathResult(pr.path, dead, pr.flags)
+                  if pr.class_metrics is victim else pr for pr in first.paths)
+    analog = [pr for pr in paths if pr.path.channel in analog_channels]
+    first = dataclasses.replace(first, paths=paths, worst=cli._worst_case(analog))
+    report = dataclasses.replace(report, variants=(first, *report.variants[1:]))
+    assert first.worst.noise_figure_db == math.inf
+    assert '"noise_figure_db": Infinity,' in render_json(report)
+    assert_renders_per_path(report, analog_channels)
+
+
+def test_escaped_channel_ids(reference_scenario):
+    scenario = dataclasses.replace(reference_scenario, channels=tuple(
+        dataclasses.replace(ch, id=f'{ch.id} "é中\U0001f600"')
+        for ch in reference_scenario.channels))
+    report = variants_report(scenario, scenario.selected_variants()[:1])
+    text = render_json(report)
+    assert '\\"\\u00e9\\u4e2d\\ud83d\\ude00\\"' in text
+    assert json.loads(text)["variants"][0]["paths"][0]["metrics"][
+        "optical_ledger"][0]["element_id"].endswith('"é中\U0001f600"')
+    assert_renders_per_path(report, analog_ids(scenario))
+
+
+def test_only_the_worst_case_anchor_is_relabeled(reference_scenario, monkeypatch):
+    calls = []
+    real = linkbudget.relabeled
+
+    def counting(metrics, path):
+        calls.append(path)
+        return real(metrics, path)
+
+    patched = [name for name, module in list(sys.modules.items())
+               if name.startswith("photonlink")
+               and getattr(module, "relabeled", None) is real]
+    assert "photonlink.report" in patched
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "relabeled", counting)
+
+    report = cli.run("tradeoff", reference_scenario)
+    for render in (render_text, render_json, render_csv):
+        render(report)
+    assert 1 <= len(calls) <= len(report.variants)
+
+
+def test_each_channel_prefix_is_built_once(reference_scenario, monkeypatch):
+    variant = reference_scenario.selected_variants()[0]
+    topology = cli._forward_topology(reference_scenario, variant)
+    built = []
+    real = topology_module.PathElement
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(topology_module, "PathElement", counting)
+    paths = enumerate_paths(topology)
+
+    kinds = [e.kind for e in paths[0].elements]
+    prefix = kinds.index(ElementKind.SPLITTER) + 1
+    suffix = len(kinds) - prefix
+    assert suffix == 3
+    assert all(len(p.elements) == prefix + suffix for p in paths)
+    channels = len(topology.wavelength_plan)
+    assert len(paths) == channels * reference_scenario.n_dtrm
+    assert len(built) == channels * prefix + len(paths) * suffix
+    first = {}
+    for path in paths:
+        shared = first.setdefault(path.channel, path.elements[:prefix])
+        assert all(a is b for a, b in zip(path.elements[:prefix], shared))

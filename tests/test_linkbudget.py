@@ -33,7 +33,6 @@ from photonlink.linkbudget import (
     rise_time_s,
     rss_jitter_s,
     sfdr_db,
-    snr_out_db,
     timing_jitter_s,
     worst_case,
 )
@@ -322,23 +321,6 @@ class TestSfdr:
 
 
 class TestSnrAndPhaseNoise:
-    def test_snr_subtracts_noise_figure(self):
-        out, degradation = snr_out_db(60.0, 4.0)
-        assert (out, degradation) == (56.0, 4.0)
-
-    def test_zero_noise_figure_is_identity(self):
-        out, _ = snr_out_db(42.0, 0.0)
-        assert out == 42.0
-
-    def test_snr_identity_holds_for_random_inputs(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            snr_in = rng.uniform(-20.0, 80.0)
-            nf = rng.uniform(0.0, 60.0)
-            out, degradation = snr_out_db(snr_in, nf)
-            assert out + nf == pytest.approx(snr_in, abs=1e-12)
-            assert degradation == nf
-
     def test_floor_thirty_db_down_adds_four_millidb(self):
         """Oracle: 10log10(1e-12 + 1e-15) + 120 = 0.00434077 dB."""
         assert added_phase_noise_dbc(-120.0, -150.0) + 120.0 \

@@ -10,7 +10,9 @@ import random
 import pytest
 
 from photonlink import cli
-from photonlink.report import _dump_json, _fmt_si, _json_payload, render_json
+from photonlink.report import _dump_json, _fmt_si, render_json
+
+from conftest import per_path_payload
 
 
 def oracle(obj) -> str:
@@ -127,7 +129,7 @@ def test_unhandled_values_raise_type_error(make):
 def test_reference_reports_match_the_standard_library(reference_scenario,
                                                       command):
     report = cli.run(command, reference_scenario)
-    assert render_json(report) == oracle(_json_payload(report)) + "\n"
+    assert render_json(report) == oracle(per_path_payload(report)) + "\n"
 
 
 def test_dead_link_noise_figure_is_written_as_infinity(reference_scenario):
@@ -138,7 +140,7 @@ def test_dead_link_noise_figure_is_written_as_infinity(reference_scenario):
     report = dataclasses.replace(report, variants=(dead, *report.variants[1:]))
 
     text = render_json(report)
-    assert text == oracle(_json_payload(report)) + "\n"
+    assert text == oracle(per_path_payload(report)) + "\n"
     worst_block = text.split('"worst_case": {', 1)[1].split("\n      }", 1)[0]
     assert '\n        "noise_figure_db": Infinity,\n' in worst_block
     parsed = json.loads(text)["variants"][0]["worst_case"]["noise_figure_db"]

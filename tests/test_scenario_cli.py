@@ -223,6 +223,8 @@ class TestCommandLine:
         assert proc.returncode == EXIT_INPUT
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+        if case == "duplicate_key":
+            assert "duplicate key 'name'" in proc.stderr
 
     @pytest.mark.parametrize("section, key, value, extra", [
         ("analysis", "bandwidth_hz", None, ["--bandwidth", "nan"]),
