@@ -23,7 +23,6 @@ from .digitalpath import check_group_capacity
 from .linkbudget import (
     AnalysisConfig,
     LinkMetrics,
-    analysis_class,
     analyze_path,
     own_flags,
     propagation_delay_s,
@@ -42,6 +41,7 @@ from .scenario import Scenario, load_scenario_document, parse_scenario
 from .components import DetectorKind, Modulation
 from .topology import (
     OpticalTopology,
+    PathElement,
     SignalPath,
     adjacency_dump,
     build_forward_network,
@@ -102,19 +102,36 @@ def _analyze_classes(topology: OpticalTopology, paths: list[SignalPath],
                      modulation: Modulation,
                      config: AnalysisConfig) -> list[PathResult]:
     """One result per path, skew taken against the first. ``analyze_path``
-    runs once per analysis class; every member holds the class's metrics and
-    its own ledger flags, and relabels the ledger only when it is read."""
+    runs once per analysis class (``SignalPath.class_key``); every member
+    holds the class's metrics and its own ledger flags, and relabels the
+    ledger only when it is read. The flags of a class's shared elements are
+    found once per prefix; the last hop's are found per path, and only when
+    the class has flags there, since every member breaches at the same
+    elements."""
     reference_delay = propagation_delay_s(paths[0]) if paths else 0.0
     by_class: dict[tuple, LinkMetrics] = {}
+    # Class key -> the first element of the prefix last seen in the class
+    # and the flags of that prefix's elements.
+    heads: dict[tuple, tuple[PathElement, tuple[str, ...]]] = {}
     out = []
     for path in paths:
-        key = analysis_class(path, topology)
+        key = path.class_key
         metrics = by_class.get(key)
         if metrics is None:
             metrics = by_class[key] = analyze_path(
                 path, modulation, config,
                 topology=topology, reference_delay_s=reference_delay)
-        out.append(PathResult(path, metrics, own_flags(metrics, path)))
+        flags = ()
+        if metrics.flags:
+            shared = len(key[1])  # the shared elements' (kind, component)s
+            head = heads.get(key)
+            if head is None or head[0] is not path.elements[0]:
+                head = heads[key] = (path.elements[0],
+                                     own_flags(metrics, path, stop=shared))
+            flags = head[1]
+            if len(metrics.flags) > len(flags):
+                flags += own_flags(metrics, path, start=shared)
+        out.append(PathResult(path, metrics, flags))
     return out
 
 

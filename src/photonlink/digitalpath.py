@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import AnalysisError
 from .topology import OpticalTopology, return_groups
@@ -27,7 +26,7 @@ class LineEncoding(str, Enum):
     def efficiency(self) -> float:
         if self is LineEncoding.E8B10B:
             return 0.8
-        return float(Fraction(64, 66))
+        return 64 / 66
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,8 @@ def check_group_capacity(
 
     The bar scales with group size (boundary inclusive); the ADC demand and
     the line rate it would require are reported alongside when a stream spec
-    is given.
+    is given. A group whose demand is above the payload fails, whatever the
+    bar.
     """
     payload = payload_throughput_bytes_per_s(link)
     rows = []
@@ -127,7 +127,7 @@ def check_group_capacity(
             payload_bytes_per_s=payload,
             bar_bytes_per_s=bar,
             margin_bytes_per_s=payload - bar,
-            passed=payload >= bar,
+            passed=payload >= bar and (demand is None or demand <= payload),
             adc_demand_bytes_per_s=demand,
             required_line_rate_bps=required,
         ))

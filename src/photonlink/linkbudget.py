@@ -27,7 +27,7 @@ from .topology import (
     OpticalTopology,
     PathElement,
     SignalPath,
-    co_propagating,
+    co_propagating_at,
 )
 from .units import (
     BOLTZMANN_J_PER_K,
@@ -486,18 +486,18 @@ def crosstalk_db(path: SignalPath, topology: OpticalTopology,
     demux = None
     for element in path.elements:
         if element.kind is ElementKind.DEMUX and isinstance(element.spec, MuxDemuxSpec):
-            demux = element.spec
+            demux = element
     if demux is None:
         raise AnalysisError(f"path {path.path_id} has no demux")
-    sharing = co_propagating(topology, path)
-    neighbors = [ch for ch in sharing if ch != path.channel]
+    by_name, ordered = co_propagating_at(topology, path.channel, demux.node)
+    neighbors = [ch for ch in by_name if ch != path.channel]
     if not neighbors:
         return None
-    ordered = sorted(sharing, key=lambda ch: topology.wavelength_plan[ch])
     index = ordered.index(path.channel)
     adjacent = {ordered[i] for i in (index - 1, index + 1) if 0 <= i < len(ordered)}
-    isolations = [demux.adjacent_isolation_db if ch in adjacent
-                  else demux.nonadjacent_isolation_db
+    spec = demux.spec
+    isolations = [spec.adjacent_isolation_db if ch in adjacent
+                  else spec.nonadjacent_isolation_db
                   for ch in neighbors]
     return crosstalk_power_sum_db(isolations)
 
@@ -592,30 +592,19 @@ def analyze_path(
     )
 
 
-def analysis_class(path: SignalPath, topology: OpticalTopology) -> tuple:
-    """Key under which paths of one topology get equal metrics, ids aside.
-
-    ``analyze_path`` reads the channel, each element's kind and spec (within
-    one topology the component name fixes the spec) and the channels that
-    share the path's demux. Element ids only label the ledger and its flags,
-    which ``relabeled`` restates for each member of the class.
-    """
-    return (path.channel,
-            tuple((e.kind, e.component) for e in path.elements),
-            co_propagating(topology, path))
-
-
-def own_flags(metrics: LinkMetrics, path: SignalPath) -> tuple[str, ...]:
-    """The ledger flags of ``path``, a member of the analysis class that
-    ``metrics`` was computed for: ``_flag_breaches`` on ``path``'s own
-    elements at the class ledger's powers. A breach depends only on the spec
-    and the power, both equal across the class, so a class without flags has
-    none on any member."""
+def own_flags(metrics: LinkMetrics, path: SignalPath, start: int = 1,
+              stop: int | None = None) -> tuple[str, ...]:
+    """The ledger flags of ``path``'s elements ``start`` to ``stop`` (after
+    the laser to the end by default), where ``path`` is a member of the
+    analysis class that ``metrics`` was computed for: ``_flag_breaches`` on
+    ``path``'s own elements at the class ledger's powers. A breach depends
+    only on the spec and the power, both equal across the class, so a class
+    without flags has none on any member."""
     flags: list[str] = []
     if metrics.flags:
-        for element, entry in zip(path.elements[1:],
-                                  metrics.optical_ledger.entries[1:]):
-            _flag_breaches(element, entry.power_dbm, flags)
+        entries = metrics.optical_ledger.entries
+        for index in range(start, len(path.elements) if stop is None else stop):
+            _flag_breaches(path.elements[index], entries[index].power_dbm, flags)
     return tuple(flags)
 
 

@@ -554,7 +554,8 @@ def render_csv(report: Report) -> str:
 
     The csv writer quotes each cell on its own, so a row is its path's four
     leading cells, a comma and its metric's three cells. The metric cells are
-    formatted once per analysis class."""
+    formatted once per analysis class, and a path's rows are one join of its
+    leading cells with them."""
     line = csv.writer(_Echo, lineterminator="\n").writerow
     chunks = [line(["variant", "path_id", "channel", "destination",
                     "metric", "unit", "value"])]
@@ -564,12 +565,13 @@ def render_csv(report: Report) -> str:
             metrics = pr.class_metrics
             tail = tails.get(id(metrics))
             if tail is None:
-                tail = tails[id(metrics)] = [
+                # A leading empty string puts the path's cells before every row.
+                tail = tails[id(metrics)] = ["", *(
                     "," + line((name, unit, "" if value is None else repr(value)))
                     for name, unit in METRIC_COLUMNS
-                    for value in (getattr(metrics, name),)]
+                    for value in (getattr(metrics, name),))]
             path = pr.path
             head = line((variant.label, path.path_id, path.channel,
                          path.destination))[:-1]
-            chunks.extend([head + cells for cells in tail])
+            chunks.append(head.join(tail))
     return "".join(chunks)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -122,6 +122,11 @@ class SignalPath:
     destination: str
     wavelength_nm: float
     elements: tuple[PathElement, ...]
+    # Set by enumerate_paths: paths of one topology with equal keys get equal
+    # metrics, element ids aside. The key is (channel, the (kind, component)
+    # sequence of the elements shared with the channel's other destinations,
+    # the last hop's component names, the co-propagating channels).
+    class_key: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def path_id(self) -> str:
@@ -175,8 +180,11 @@ class OpticalTopology:
                             sources[ch] = n
         object.__setattr__(self, "_typed", typed)
         object.__setattr__(self, "_sources", sources)
-        # Edge trails per channel, walked on first use (_reachable_terminals).
+        # Edge trails per channel, walked on first use (_reachable_terminals),
+        # and each channel set carried into a demux by name and by wavelength,
+        # sorted on first use (co_propagating_at).
         object.__setattr__(self, "_trails", {})
+        object.__setattr__(self, "_lanes", {})
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
@@ -339,18 +347,20 @@ def build_forward_network(
         Node("otxc", NodeKind.OTXC, tuple(otxc_parts)),
         Node("fojb", NodeKind.FOJB, tuple(fojb_parts)),
     ]
+    # One channel set per lane, shared by every edge of the lane.
+    carried = [frozenset(lane) for lane in lanes]
     edges: list[FiberEdge] = [FiberEdge("exciter", "otxc", None)]
-    for lane_index, lane in enumerate(lanes):
+    for lane_index, lane in enumerate(carried):
         edges.append(FiberEdge("otxc", "fojb", bindings.trunk_fiber,
-                               frozenset(lane), lane_index))
+                               lane, lane_index))
     for i in range(1, n_dtrm + 1):
         orxc_id = f"orxc{i:0{width}d}"
         dtrm_id = f"dtrm{i:0{width}d}"
         nodes.append(Node(orxc_id, NodeKind.ORXC, tuple(orxc_parts)))
         nodes.append(Node(dtrm_id, NodeKind.DTRM))
-        for lane_index, lane in enumerate(lanes):
+        for lane_index, lane in enumerate(carried):
             edges.append(FiberEdge("fojb", orxc_id, bindings.drop_fiber,
-                                   frozenset(lane), lane_index))
+                                   lane, lane_index))
         edges.append(FiberEdge(orxc_id, dtrm_id, None))
 
     return OpticalTopology(
@@ -758,14 +768,20 @@ def enumerate_paths(topology: OpticalTopology) -> list[SignalPath]:
     The elements up to a trail's last edge (laser to splitter on the forward
     network) are built once per channel and shared by every destination that
     reaches them; only the last edge's fiber, demux and detector are built
-    per path."""
+    per path. Each path carries its analysis class key, and paths of one
+    class share one key object. The element order is checked once per
+    distinct kind sequence."""
     report = validate_topology(topology)
     if not report.ok:
         raise TopologyError("topology is invalid", report.messages())
     paths: list[SignalPath] = []
+    keys: dict[tuple, tuple] = {}
+    legal: set[str] = set()
+    destinations: dict[str, str] = {}
     for channel in sorted(topology.wavelength_plan):
         wavelength = topology.wavelength_plan[channel]
-        prefixes: dict[tuple[FiberEdge, ...], tuple[PathElement, ...]] = {}
+        prefixes: dict[tuple[FiberEdge, ...],
+                       tuple[tuple[PathElement, ...], tuple]] = {}
         trails = sorted(_reachable_terminals(topology, channel),
                         key=lambda trail: trail[-1].target)
         for trail in trails:
@@ -776,21 +792,56 @@ def enumerate_paths(topology: OpticalTopology) -> list[SignalPath]:
                 elements = _launch(topology, channel, trail[0])
                 for edge in head:
                     elements += _hop(topology, channel, edge, lane)
-                prefix = prefixes[head] = tuple(elements)
+                prefix = prefixes[head] = (
+                    tuple(elements),
+                    tuple([(e.kind, e.component) for e in elements]))
+            shared, signature = prefix
             last = trail[-1]
+            terminal = last.target
+            hop = tuple(_hop(topology, channel, last, lane))
+            # The last hop ends at a receiver chip, so its kinds follow from
+            # whether it has a fiber, and its component names fix the rest.
+            new = (channel, signature, tuple([e.component for e in hop]),
+                   co_propagating_at(topology, channel, terminal)[0])
+            key = keys.setdefault(new, new)
+            destination = destinations.get(terminal)
+            if destination is None:
+                destination = destinations[terminal] = _destination(
+                    topology, terminal)
             path = SignalPath(
                 channel=channel,
                 direction=topology.direction,
-                destination=_destination(topology, last.target),
+                destination=destination,
                 wavelength_nm=wavelength,
-                elements=prefix + tuple(_hop(topology, channel, last, lane)),
+                elements=shared + hop,
+                class_key=key,
             )
-            if not _LEGAL_PATH_RE.match(path.kind_tokens()):
-                raise TopologyError(
-                    f"path {path.path_id} has illegal element order "
-                    f"{path.kind_tokens()!r}")
+            if key is new:
+                tokens = path.kind_tokens()
+                if tokens not in legal:
+                    if not _LEGAL_PATH_RE.match(tokens):
+                        raise TopologyError(
+                            f"path {path.path_id} has illegal element order "
+                            f"{tokens!r}")
+                    legal.add(tokens)
             paths.append(path)
     return paths
+
+
+def co_propagating_at(topology: OpticalTopology, channel: str,
+                      terminal: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The channels that enter ``terminal`` on its first incoming edge that
+    carries ``channel`` (itself included), by name and by wavelength. Each
+    distinct channel set is sorted once per topology."""
+    for edge in topology.incoming(terminal):
+        if channel in edge.channels:
+            lane = topology._lanes.get(edge.channels)
+            if lane is None:
+                by_name = tuple(sorted(edge.channels))
+                lane = topology._lanes[edge.channels] = (by_name, tuple(
+                    sorted(by_name, key=topology.wavelength_plan.__getitem__)))
+            return lane
+    return (channel,), (channel,)
 
 
 def co_propagating(topology: OpticalTopology, path: SignalPath) -> tuple[str, ...]:
@@ -798,11 +849,7 @@ def co_propagating(topology: OpticalTopology, path: SignalPath) -> tuple[str, ..
     demux_nodes = [e.node for e in path.elements if e.kind is ElementKind.DEMUX]
     if not demux_nodes:
         return (path.channel,)
-    terminal = demux_nodes[-1]
-    for edge in topology.incoming(terminal):
-        if path.channel in edge.channels:
-            return tuple(sorted(edge.channels))
-    return (path.channel,)
+    return co_propagating_at(topology, path.channel, demux_nodes[-1])[0]
 
 
 def adjacency_dump(topology: OpticalTopology) -> list[str]:

@@ -4,6 +4,8 @@ bundled reference inputs."""
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -220,6 +222,58 @@ def redrawn_scenario(scenario, rng):
         n_dtrm=rng.choice((1, 3, 8)),
         shared_fiber=rng.choice((True, False)),
         otxc_edfa=rng.choice((None, scenario.fojb_edfa)))
+
+
+def analysis_class(path, topology) -> tuple:
+    """Per-path oracle of ``SignalPath.class_key``: a key under which paths
+    of one topology get equal metrics, ids aside.
+
+    ``analyze_path`` reads the channel, each element's kind and spec (within
+    one topology the component name fixes the spec) and the channels that
+    share the path's demux: those on the first edge into the demux's node
+    that carries the path's channel.
+    """
+    demux_nodes = [e.node for e in path.elements if e.kind is ElementKind.DEMUX]
+    sharing = (path.channel,)
+    if demux_nodes:
+        for edge in topology.incoming(demux_nodes[-1]):
+            if path.channel in edge.channels:
+                sharing = tuple(sorted(edge.channels))
+                break
+    return (path.channel,
+            tuple((e.kind, e.component) for e in path.elements),
+            sharing)
+
+
+def class_partition(paths, key) -> list[list[int]]:
+    """The indices of ``paths`` grouped by ``key``, in order of first index."""
+    classes: dict = {}
+    for index, path in enumerate(paths):
+        classes.setdefault(key(path), []).append(index)
+    return sorted(classes.values())
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def benchmark_workloads():
+    """The benchmark's workload module (``perfbench/workloads.py``), loaded
+    from its file without putting ``perfbench/`` on the import path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up in sys.modules while it is executed.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_document(name: str, seed: int) -> dict:
+    """The scenario document of one benchmark workload and seed."""
+    workloads = benchmark_workloads()
+    return workloads.make_scenario(workloads.WORKLOADS[name], seed,
+                                   workloads.load_reference(ROOT))
 
 
 def metrics_json(metrics) -> dict:

@@ -8,6 +8,7 @@ photonlink.topology internals so the dual-route checks mean something.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 BOLTZMANN = 1.380649e-23
 
@@ -61,3 +62,25 @@ def count_laser_to_detector_routes(topology) -> int:
                     seen.add(edge.target)
                     frontier.append(edge.target)
     return total
+
+
+def group_capacity_holds(line_rate_bps: float, encoding: str,
+                         framing_overhead: float, channels: int,
+                         bar_bytes_per_8ch: float,
+                         demand_bits_per_channel: float | None) -> bool:
+    """Whether one return group keeps up, in exact rational arithmetic.
+
+    The usable payload is the line rate times the code rate (8/10 or 64/66)
+    times the unframed share, in bytes. It must reach the bar, scaled from
+    eight channels to ``channels``, and it must carry every channel's ADC
+    stream when one is given.
+    """
+    code_rate = {"8b10b": Fraction(8, 10), "64b66b": Fraction(64, 66)}[encoding]
+    payload = (Fraction(line_rate_bps) * code_rate
+               * (1 - Fraction(framing_overhead)) / 8)
+    bar = Fraction(bar_bytes_per_8ch) * channels / 8
+    if payload < bar:
+        return False
+    if demand_bits_per_channel is None:
+        return True
+    return payload >= Fraction(demand_bits_per_channel) * channels / 8

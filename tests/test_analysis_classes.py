@@ -8,14 +8,21 @@ import random
 import pytest
 
 from photonlink import cli
+from photonlink import topology as topology_module
 from photonlink.linkbudget import (
     analyze_path,
     propagation_delay_s,
     worst_case,
 )
+from photonlink.scenario import parse_scenario
 from photonlink.topology import ElementKind, enumerate_paths
 
-from conftest import redrawn_scenario
+from conftest import (
+    analysis_class,
+    class_partition,
+    redrawn_scenario,
+    workload_document,
+)
 
 
 @pytest.fixture
@@ -82,9 +89,9 @@ def test_randomized_libraries(reference_scenario, seed):
         assert_matches_per_path(scenario, variant)
 
 
-def test_swapped_drop_fiber_splits_its_destination(reference_scenario,
-                                                   analyze_calls):
-    scenario = reference_scenario
+def swapped_drop_fiber(scenario):
+    """``scenario`` with a 2.5 km spare drop fiber in its library, and its
+    first variant's forward network with that fiber on the drop to orxc03."""
     library = dict(scenario.library)
     library["spare_drop"] = dataclasses.replace(
         library[scenario.drop_fiber], length_m=2500.0)
@@ -95,6 +102,21 @@ def test_swapped_drop_fiber_splits_its_destination(reference_scenario,
     topology = dataclasses.replace(built, edges=tuple(
         dataclasses.replace(e, fiber="spare_drop") if e is victim else e
         for e in built.edges))
+    return scenario, variant, topology
+
+
+def saturated_detectors(scenario):
+    """``scenario`` with both detectors saturating at -40 dBm."""
+    library = dict(scenario.library)
+    for name in (scenario.analog_detector, scenario.digital_detector):
+        library[name] = dataclasses.replace(library[name],
+                                            saturation_power_dbm=-40.0)
+    return dataclasses.replace(scenario, library=library)
+
+
+def test_swapped_drop_fiber_splits_its_destination(reference_scenario,
+                                                   analyze_calls):
+    scenario, variant, topology = swapped_drop_fiber(reference_scenario)
 
     analyze_calls.clear()
     paths = enumerate_paths(topology)
@@ -116,12 +138,7 @@ def test_swapped_drop_fiber_splits_its_destination(reference_scenario,
 
 
 def test_detector_saturation_flags_name_each_path(reference_scenario):
-    scenario = reference_scenario
-    library = dict(scenario.library)
-    for name in (scenario.analog_detector, scenario.digital_detector):
-        library[name] = dataclasses.replace(library[name],
-                                            saturation_power_dbm=-40.0)
-    scenario = dataclasses.replace(scenario, library=library)
+    scenario = saturated_detectors(reference_scenario)
     variant = scenario.selected_variants()[0]
     paths, metrics = assert_matches_per_path(scenario, variant)
 
@@ -138,3 +155,153 @@ def test_detector_saturation_flags_name_each_path(reference_scenario):
             e.element_id for e in path.elements]
     assert len(worst_case(metrics).flags) == len(paths)
 
+
+# Dual route for the class key: the partition that enumeration's keys make
+# must equal the partition by the per-path oracle in conftest.
+
+
+def assert_partition_matches(topology):
+    """The classes of ``enumerate_paths(topology)``, checked against the
+    oracle; paths of one class share one key object."""
+    paths = enumerate_paths(topology)
+    classes = class_partition(paths, lambda p: p.class_key)
+    assert classes == class_partition(
+        paths, lambda p: analysis_class(p, topology))
+    for members in classes:
+        key = paths[members[0]].class_key
+        assert all(paths[i].class_key is key for i in members)
+    return paths, classes
+
+
+def assert_variants_partition(scenario, variants):
+    for variant in variants:
+        assert_partition_matches(cli._forward_topology(scenario, variant))
+
+
+def test_partition_reference_variants(reference_scenario):
+    variants = reference_scenario.selected_variants()
+    assert len(variants) == 6
+    for variant in variants:
+        paths, classes = assert_partition_matches(
+            cli._forward_topology(reference_scenario, variant))
+        assert len(paths) == 8 * 16
+        assert len(classes) == 8
+    paths, classes = assert_partition_matches(
+        cli._return_topology(reference_scenario))
+    assert len(classes) == len(paths) == 16
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_partition_randomized_libraries(reference_scenario, seed):
+    scenario = redrawn_scenario(reference_scenario, random.Random(seed))
+    assert_variants_partition(scenario, scenario.selected_variants())
+
+
+def test_partition_swapped_drop_fiber(reference_scenario):
+    scenario, _, topology = swapped_drop_fiber(reference_scenario)
+    _, classes = assert_partition_matches(topology)
+    assert len(classes) == 2 * len(scenario.channels)
+
+
+def test_partition_saturated_detectors(reference_scenario):
+    scenario = saturated_detectors(reference_scenario)
+    assert_variants_partition(scenario, scenario.selected_variants())
+
+
+def test_partition_split_lanes_many_channels():
+    # 48 channels on two lanes. Each channel's prefix is dropped once its
+    # paths are built, so a later channel's prefix can take over its memory:
+    # a memo keyed on a prefix's id() would mix the two channels up.
+    document = workload_document("analyze-dwdm48-csv", 1)
+    document["variant"] = "all"
+    scenario = parse_scenario(document)
+    assert not scenario.shared_fiber and len(scenario.channels) >= 40
+    variants = scenario.selected_variants()
+    assert len(variants) == 6
+    for variant in variants:
+        paths, classes = assert_partition_matches(
+            cli._forward_topology(scenario, variant))
+        assert len(classes) == len(scenario.channels)
+        assert any(".lane1" in e.element_id for p in paths for e in p.elements)
+
+
+def test_element_order_is_checked_once_per_kind_sequence(reference_scenario,
+                                                         monkeypatch):
+    checked = []
+    real = topology_module._LEGAL_PATH_RE
+
+    class Counting:
+        def match(self, tokens):
+            checked.append(tokens)
+            return real.match(tokens)
+
+    monkeypatch.setattr(topology_module, "_LEGAL_PATH_RE", Counting())
+    rng = random.Random(5)
+    topologies = [cli._return_topology(reference_scenario)]
+    for scenario in [reference_scenario] + [
+            redrawn_scenario(reference_scenario, rng) for _ in range(4)]:
+        topologies += [cli._forward_topology(scenario, variant)
+                       for variant in scenario.selected_variants()]
+    sequences = set()
+    for topology in topologies:
+        checked.clear()
+        paths = enumerate_paths(topology)
+        tokens = {p.kind_tokens() for p in paths}
+        assert sorted(checked) == sorted(tokens)
+        sequences |= tokens
+    # Both the forward order with and without a transmitter booster, and
+    # the return order.
+    assert len(sequences) == 3
+
+
+def test_each_prefix_of_a_class_flags_its_own_elements(reference_scenario):
+    # Valid networks give a channel one prefix, so a class with two is built
+    # by hand: every other path gets its own renamed copy of the prefix. The
+    # junction-box amplifier, a prefix element, saturates on every path.
+    scenario = reference_scenario
+    library = dict(scenario.library)
+    library[scenario.fojb_edfa] = dataclasses.replace(
+        library[scenario.fojb_edfa], saturation_output_power_dbm=-10.0)
+    scenario = dataclasses.replace(scenario, library=library)
+    variant = scenario.selected_variants()[0]
+    topology = cli._forward_topology(scenario, variant)
+    paths = enumerate_paths(topology)
+    shared = len(paths[0].class_key[1])
+    renamed = [
+        dataclasses.replace(p, elements=tuple(
+            dataclasses.replace(e, element_id=f"{e.element_id}.b")
+            for e in p.elements[:shared]) + p.elements[shared:])
+        if i % 2 else p
+        for i, p in enumerate(paths)]
+    assert all(a.class_key is b.class_key for a, b in zip(paths, renamed))
+    results = cli._analyze_classes(topology, renamed, variant.modulation,
+                                   scenario.analysis)
+    want = per_path(topology, renamed, variant.modulation, scenario.analysis)
+    assert all(m.flags for m in want)
+    assert [r.flags for r in results] == [m.flags for m in want]
+    assert any(".b:" in f for r in results for f in r.flags)
+
+
+def test_partition_channel_moved_to_the_other_lane(reference_scenario):
+    # On split lanes, one analog channel reaches orxc03 on the digital
+    # lane's drop instead of its own. At orxc03 it shares the demux with the
+    # digital channels, and the other analog channels lose it, so every
+    # channel's path to orxc03 forms a class of its own.
+    scenario = dataclasses.replace(reference_scenario, shared_fiber=False)
+    variant = scenario.selected_variants()[0]
+    built = cli._forward_topology(scenario, variant)
+    moved = sorted(built.edges[1].channels)[0]
+    assert built.edges[1].lane == 0
+
+    def edited(edge):
+        if edge.source != "fojb" or edge.target != "orxc03":
+            return edge
+        if edge.lane == 0:
+            return dataclasses.replace(edge, channels=edge.channels - {moved})
+        return dataclasses.replace(edge, channels=edge.channels | {moved})
+
+    topology = dataclasses.replace(built, edges=tuple(map(edited, built.edges)))
+    paths, classes = assert_partition_matches(topology)
+    assert len(classes) == 2 * len(topology.wavelength_plan)
+    assert {paths[c[0]].destination for c in classes if len(c) == 1} == {"dtrm03"}
+    assert_matches_per_path(scenario, variant, topology)

@@ -1,9 +1,15 @@
 """Digitized return-link throughput arithmetic and group compliance."""
 
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import photonlink
 from photonlink.digitalpath import (
     AdcStreamSpec,
     DigitalLinkSpec,
@@ -16,6 +22,7 @@ from photonlink.errors import AnalysisError
 from photonlink.topology import build_return_network
 
 from conftest import return_fixture_bindings, return_fixture_library
+from oracles import group_capacity_holds
 
 
 class TestPayload:
@@ -128,3 +135,52 @@ class TestGroupCapacity:
         for row in rows:
             assert row.adc_demand_bytes_per_s == pytest.approx(4 * 4.8e8 / 8)
             assert row.required_line_rate_bps == pytest.approx(4 * 4.8e8 / 0.8)
+
+    def test_demand_above_payload_fails_despite_the_bar(self):
+        # 1 Gb/s of 8b/10b is 100 MB/s: twice the 50 MB/s bar of four
+        # channels, but four 32 MB/s streams need 128 MB/s.
+        link = DigitalLinkSpec(1e9, LineEncoding.E8B10B)
+        stream = AdcStreamSpec(16e6, 16)
+        (row,) = check_group_capacity(self.make_topology(4), link, stream,
+                                      bar_bytes_per_8ch=100e6)
+        assert row.payload_bytes_per_s >= row.bar_bytes_per_s
+        assert row.adc_demand_bytes_per_s > row.payload_bytes_per_s
+        assert not row.passed
+        assert not group_capacity_holds(1e9, "8b10b", 0.0, 4, 100e6,
+                                        stream.bits_per_s)
+
+    def test_verdict_matches_the_demand_oracle(self):
+        rng = random.Random(2718)
+        topology = self.make_topology(8)
+        verdicts = set()
+        for _ in range(300):
+            link = DigitalLinkSpec(rng.uniform(0.2e9, 4e9),
+                                   rng.choice(list(LineEncoding)),
+                                   rng.uniform(0.0, 0.2))
+            stream = rng.choice((None, AdcStreamSpec(
+                rng.uniform(1e6, 5e7), rng.randint(8, 16),
+                complex_iq=bool(rng.getrandbits(1)))))
+            bar = rng.uniform(50e6, 500e6)
+            want = group_capacity_holds(
+                link.line_rate_bps, link.encoding.value, link.framing_overhead,
+                4, bar, None if stream is None else stream.bits_per_s)
+            for row in check_group_capacity(topology, link, stream,
+                                            bar_bytes_per_8ch=bar):
+                assert row.passed is want
+            verdicts.add((want, stream is None))
+        assert verdicts == {(True, True), (True, False),
+                            (False, True), (False, False)}
+
+
+class TestImportCost:
+    def test_64b66b_efficiency_is_the_exact_code_rate(self):
+        assert LineEncoding.E64B66B.efficiency == float(Fraction(64, 66))
+
+    def test_cli_import_leaves_fractions_out(self):
+        src = Path(photonlink.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, photonlink.cli; print('fractions' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"

@@ -1,9 +1,12 @@
-"""Golden SHA-256 digests of the nine reference reports.
+"""Golden SHA-256 digests of the nine reference reports and of the seed-1
+reports of the three benchmark workloads.
 
-Each report is the bundled reference scenario under one command and one
-format, with ``--variant all``. A change to the pipeline that moves a single
-byte of any of them fails here; a deliberate change to the report format
-updates these digests and says so in CHANGES.md.
+Each reference report is the bundled reference scenario under one command
+and one format, with ``--variant all``. Each workload report is the CLI run
+that ``perfbench/run.py`` times, on the scenario file it writes. A change to
+the pipeline that moves a single byte of any of them fails here; a
+deliberate change to the report format updates these digests and says so in
+CHANGES.md.
 """
 
 import hashlib
@@ -12,6 +15,8 @@ import pytest
 
 from photonlink import cli
 from photonlink.data import reference_scenario_path
+
+from conftest import ROOT, benchmark_workloads
 
 DIGESTS = {
     ("validate", "text"):
@@ -43,3 +48,28 @@ def test_reference_report_digest(tmp_path, command, fmt):
                      "--variant", "all", "--format", fmt, "--out", str(out)])
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[command, fmt]
+
+
+# Split lanes (".lane1" element ids), 48 channels and N=1024, which no
+# reference report covers.
+WORKLOAD_DIGESTS = {
+    "tradeoff-n32-json":
+        "ac4a719092648976b53c063209d9f0f8dce97e791726996103cb3230708b02b1",
+    "validate-n1024":
+        "41bcd75efb5930181ebcb95cf838e445113096cd23c1e3c9f8610a5b466252dc",
+    "analyze-dwdm48-csv":
+        "afb4c9d19f951a76f8759225eecfcca12f4bb206f5e2a89ca4990f4acc0a8f6b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_workload_report_digest(tmp_path, name):
+    workloads = benchmark_workloads()
+    workload = workloads.WORKLOADS[name]
+    scenario = workloads.write_scenario(workload, 1, ROOT,
+                                        tmp_path / "scenario.json")
+    out = tmp_path / f"report.{workload.fmt}"
+    code = cli.main([*workload.cli_args, "--scenario", str(scenario),
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WORKLOAD_DIGESTS[name]
