@@ -1,9 +1,9 @@
 """Parameter models and validation for every photonic element in the network.
 
 Each element family is a frozen dataclass with unit-bearing field names; a
-component library is a plain name -> spec mapping serialized as JSON. Validation
-never raises for bad parameter values: violations are returned as data so a
-loader or report can list all of them at once.
+component library is the name -> spec mapping of a scenario's ``components``.
+Validation never raises for bad parameter values: violations are returned as
+data so a loader or report can list all of them at once.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
-from pathlib import Path
 from typing import Union
 
 from .errors import LibraryError
@@ -133,16 +132,15 @@ ComponentSpec = Union[
     PhotodetectorSpec,
 ]
 
-_TYPE_TAGS: dict[type, str] = {
-    LaserSpec: "laser",
-    ModulatorSpec: "modulator",
-    MuxDemuxSpec: "mux_demux",
-    EdfaSpec: "edfa",
-    SplitterSpec: "splitter",
-    FiberSpec: "fiber",
-    PhotodetectorSpec: "photodetector",
+_TAG_TYPES: dict[str, type] = {
+    "laser": LaserSpec,
+    "modulator": ModulatorSpec,
+    "mux_demux": MuxDemuxSpec,
+    "edfa": EdfaSpec,
+    "splitter": SplitterSpec,
+    "fiber": FiberSpec,
+    "photodetector": PhotodetectorSpec,
 }
-_TAG_TYPES = {tag: cls for cls, tag in _TYPE_TAGS.items()}
 
 _ENUM_FIELDS = {
     "scheme": Modulation,
@@ -184,18 +182,23 @@ class _Checker:
     def add(self, field: str, message: str) -> None:
         self.items.append(Violation(self.name, field, message))
 
-    def finite(self, field: str, value: float | None) -> bool:
-        """NaN and infinities are violations everywhere: the engine is pure
-        arithmetic and must stay deterministic."""
-        if value is None:
+    def finite(self, field: str, value) -> bool:
+        """Anything but a finite number (``None`` too) is a violation."""
+        if is_finite_number(value):
             return True
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.add(field, f"must be a number, got {value!r}")
-            return False
-        if not math.isfinite(value):
-            self.add(field, f"must be finite, got {value!r}")
-            return False
-        return True
+        self.add(field, f"must be a finite number, got {value!r}")
+        return False
+
+
+def is_finite_number(value) -> bool:
+    """True for an int or float (bool excluded) that is a finite float: NaN,
+    infinities and integers too large for a float are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def validate_component(spec: ComponentSpec, *, name: str = "component",
@@ -239,11 +242,11 @@ def validate_component(spec: ComponentSpec, *, name: str = "component",
                 c.add("v_pi_v", "external scheme requires v_pi > 0 V")
             elif c.finite("v_pi_v", spec.v_pi_v) and spec.v_pi_v <= 0:
                 c.add("v_pi_v", f"must be > 0 V, got {spec.v_pi_v}")
-            if spec.insertion_loss_db is not None:
-                if (c.finite("insertion_loss_db", spec.insertion_loss_db)
-                        and spec.insertion_loss_db < 0):
-                    c.add("insertion_loss_db",
-                          f"must be >= 0 dB, got {spec.insertion_loss_db}")
+            if (spec.insertion_loss_db is not None
+                    and c.finite("insertion_loss_db", spec.insertion_loss_db)
+                    and spec.insertion_loss_db < 0):
+                c.add("insertion_loss_db",
+                      f"must be >= 0 dB, got {spec.insertion_loss_db}")
             if spec.bias is None:
                 c.add("bias", "external scheme requires a quadrature bias point")
     elif isinstance(spec, MuxDemuxSpec):
@@ -298,32 +301,20 @@ def validate_component(spec: ComponentSpec, *, name: str = "component",
         if c.finite("bandwidth_hz", spec.bandwidth_hz) and spec.bandwidth_hz <= 0:
             c.add("bandwidth_hz", f"must be > 0 Hz, got {spec.bandwidth_hz}")
         c.finite("saturation_power_dbm", spec.saturation_power_dbm)
-        c.finite("sensitivity_dbm", spec.sensitivity_dbm)
+        if spec.sensitivity_dbm is not None:
+            c.finite("sensitivity_dbm", spec.sensitivity_dbm)
     else:
         c.add("type", f"unknown component type {type(spec).__name__}")
     return ValidationReport(tuple(c.items))
 
 
-def component_to_dict(spec: ComponentSpec) -> dict:
-    """JSON-ready dict with a ``type`` tag; enum fields become their tokens."""
-    payload: dict = {"type": _TYPE_TAGS[type(spec)]}
-    for f in dataclass_fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, Enum):
-            value = value.value
-        if value is None:
-            continue
-        payload[f.name] = value
-    return payload
-
-
 def component_from_dict(payload: dict, *, name: str = "component") -> ComponentSpec:
-    """Inverse of :func:`component_to_dict`; raises ValueError on shape errors."""
+    """The spec of one ``type``-tagged entry; raises ValueError on shape errors."""
     if not isinstance(payload, dict):
         raise ValueError(f"{name}: component entry must be an object")
     data = dict(payload)
     tag = data.pop("type", None)
-    cls = _TAG_TYPES.get(tag)
+    cls = _TAG_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         known = ", ".join(sorted(_TAG_TYPES))
         raise ValueError(f"{name}: unknown component type {tag!r} (expected one of {known})")
@@ -334,7 +325,8 @@ def component_from_dict(payload: dict, *, name: str = "component") -> ComponentS
     kwargs = {}
     for field_name, value in data.items():
         enum_cls = _ENUM_FIELDS.get(field_name)
-        if enum_cls is not None and value is not None:
+        # Of the enum fields only the bias point may be null.
+        if enum_cls is not None and (value is not None or field_name != "bias"):
             try:
                 value = enum_cls(value)
             except ValueError:
@@ -352,14 +344,14 @@ def component_from_dict(payload: dict, *, name: str = "component") -> ComponentS
         raise ValueError(f"{name}: {exc}") from None
 
 
-def loads_unique_keys(text: str, noun: str) -> object:
+def loads_unique_keys(text: str) -> object:
     """``json.loads`` that rejects a key repeated in any object of the
-    document with ``ValueError("duplicate <noun> '<key>'")``."""
+    document with ``ValueError("duplicate key '<key>'")``."""
     def unique(pairs):
         result = {}
         for key, value in pairs:
             if key in result:
-                raise ValueError(f"duplicate {noun} {key!r}")
+                raise ValueError(f"duplicate key {key!r}")
             result[key] = value
         return result
 
@@ -386,29 +378,3 @@ def parse_component_library(payload: dict, *, where: str = "library") -> dict[st
     if problems:
         raise LibraryError(f"{where}: invalid component entries", problems)
     return library
-
-
-def load_component_library(path: str | Path) -> dict[str, ComponentSpec]:
-    """Load a component library JSON file.
-
-    The load either returns a fully valid map or fails with every problem
-    listed; duplicate names are rejected.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LibraryError(f"cannot read {path}: {exc}") from exc
-    if not text.strip():
-        return {}
-    try:
-        payload = loads_unique_keys(text, "name")
-    except ValueError as exc:
-        raise LibraryError(f"{path}: {exc}") from exc
-    return parse_component_library(payload, where=str(path))
-
-
-def save_component_library(library: dict[str, ComponentSpec], path: str | Path) -> None:
-    payload = {name: component_to_dict(spec) for name, spec in library.items()}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")

@@ -9,9 +9,5 @@ from importlib.resources import files
 from pathlib import Path
 
 
-def reference_components_path() -> Path:
-    return Path(str(files(__package__) / "reference_components.json"))
-
-
 def reference_scenario_path() -> Path:
     return Path(str(files(__package__) / "reference_scenario.json"))

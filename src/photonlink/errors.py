@@ -10,7 +10,7 @@ class PhotonlinkError(Exception):
 
 
 class LibraryError(PhotonlinkError):
-    """A component library file failed to parse or validate."""
+    """A component library failed to parse or validate."""
 
     def __init__(self, message: str, problems: Sequence[str] = ()):
         self.problems = tuple(problems)

@@ -304,19 +304,6 @@ def autogained(path: SignalPath) -> SignalPath:
     return apply_edfa_gains(path, edfa_autogain(path).gains_db)
 
 
-def topology_edfa_gains(paths: Sequence[SignalPath]) -> dict[str, float]:
-    """Coherent gain settings for amplifiers shared across paths.
-
-    A shared amplifier takes the largest per-path requirement so the worst-case
-    leg is fully compensated; symmetric networks see no difference.
-    """
-    gains: dict[str, float] = {}
-    for path in paths:
-        for element_id, gain in edfa_autogain(path).gains_db.items():
-            gains[element_id] = max(gain, gains.get(element_id, 0.0))
-    return gains
-
-
 def optical_ledger(path: SignalPath) -> OpticalLedger:
     """Walk the path applying per-element dB deltas; flags saturation and
     sensitivity breaches instead of raising."""
@@ -448,25 +435,12 @@ def effective_bandwidth_hz(path: SignalPath, config: AnalysisConfig) -> float:
     return min(widths)
 
 
-def rise_fall_time_s(path: SignalPath, config: AnalysisConfig) -> tuple[float, float]:
-    t = rise_time_s(effective_bandwidth_hz(path, config))
-    return t, t
-
-
 def propagation_delay_s(path: SignalPath) -> float:
     delay = 0.0
     for element in path.elements:
         if isinstance(element.spec, FiberSpec):
             delay += element.spec.group_index * element.spec.length_m / SPEED_OF_LIGHT_M_S
     return delay
-
-
-def pulse_skew_s(paths: Sequence[SignalPath]) -> float:
-    """Max pairwise propagation-delay difference over a path set, s."""
-    if not paths:
-        return 0.0
-    delays = [propagation_delay_s(p) for p in paths]
-    return max(delays) - min(delays)
 
 
 def timing_jitter_s(path: SignalPath, config: AnalysisConfig) -> float:
@@ -548,7 +522,28 @@ def analyze_path(
     reference_delay_s: float | None = None,
 ) -> LinkMetrics:
     """Full metric bundle for one path; internally consistent by construction
-    (ledger conservation, SNR degradation equal to the noise figure)."""
+    (ledger conservation, SNR degradation equal to the noise figure).
+
+    Inputs that take the arithmetic out of floating-point range (an overflow,
+    a vanishing gain, a NaN) raise AnalysisError naming the path's parts."""
+    try:
+        metrics = _analyze_path(path, modulation, config, topology,
+                                reference_delay_s)
+        values = [*vars(metrics).values(), *vars(metrics.noise).values(),
+                  *(e.power_dbm for e in metrics.optical_ledger.entries)]
+    except (OverflowError, ZeroDivisionError):
+        values = [math.nan]
+    if any(v != v for v in values if isinstance(v, float)):
+        parts = ", ".join(dict.fromkeys(e.component for e in path.elements))
+        raise AnalysisError(
+            f"path {path.path_id}: metrics out of floating-point range; check "
+            f"the values of its components ({parts}) and of the analysis section")
+    return metrics
+
+
+def _analyze_path(path: SignalPath, modulation: Modulation, config: AnalysisConfig,
+                  topology: OpticalTopology | None,
+                  reference_delay_s: float | None) -> LinkMetrics:
     if config.edfa_autogain:
         path = autogained(path)
     ledger = optical_ledger(path)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -20,6 +19,7 @@ from typing import Any, Mapping
 from .components import (
     ComponentSpec,
     DetectorKind,
+    is_finite_number,
     loads_unique_keys,
     parse_component_library,
 )
@@ -108,7 +108,7 @@ class _Problems:
         value = payload[key]
         if value is None and allow_none:
             return None
-        if not _is_finite_number(value):
+        if not is_finite_number(value):
             self.add(f"{where}.{key}: must be a finite number, got {value!r}")
             return default
         if minimum is not None and value < minimum:
@@ -142,17 +142,6 @@ class _Problems:
             self.add(f"{where}: unknown key {key!r}")
 
 
-def _is_finite_number(value) -> bool:
-    """True for an int or float (bool excluded) that is a finite float: NaN,
-    infinities and integers too large for a float are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _parse_analysis(payload: Mapping, problems: _Problems) -> AnalysisConfig:
     where = "analysis"
     allowed = {"bandwidth_hz", "temperature_k", "load_resistance_ohm", "iip3_dbm",
@@ -170,14 +159,14 @@ def _parse_analysis(payload: Mapping, problems: _Problems) -> AnalysisConfig:
     iip3: float | dict | None = None
     if "iip3_dbm" in payload:
         raw_iip3 = payload["iip3_dbm"]
-        if _is_finite_number(raw_iip3):
+        if is_finite_number(raw_iip3):
             iip3 = float(raw_iip3)
         elif isinstance(raw_iip3, dict):
             iip3 = {}
             for token, value in raw_iip3.items():
                 if token not in ("dm", "em"):
                     problems.add(f"{where}.iip3_dbm: keys must be dm/em, got {token!r}")
-                elif not _is_finite_number(value):
+                elif not is_finite_number(value):
                     problems.add(f"{where}.iip3_dbm.{token}: must be a finite number")
                 else:
                     iip3[token] = float(value)
@@ -196,13 +185,13 @@ def _parse_analysis(payload: Mapping, problems: _Problems) -> AnalysisConfig:
             rows = []
             for i, pair in enumerate(raw_profile):
                 if (not isinstance(pair, list) or len(pair) != 2
-                        or not all(_is_finite_number(x) for x in pair)):
+                        or not all(is_finite_number(x) for x in pair)):
                     problems.add(f"{where}.phase_noise_profile[{i}]: must be "
                                  "[offset_hz, dbc_per_hz]")
                     continue
-                if pair[0] <= 0:
+                if pair[0] <= 0 or pair[1] >= 0:
                     problems.add(f"{where}.phase_noise_profile[{i}]: offset must "
-                                 "be > 0 Hz")
+                                 "be > 0 Hz and level < 0 dBc/Hz")
                     continue
                 rows.append((float(pair[0]), float(pair[1])))
             profile = tuple(rows) if rows else None
@@ -221,7 +210,7 @@ def _parse_analysis(payload: Mapping, problems: _Problems) -> AnalysisConfig:
         for kind, value in raw_jitter.items():
             if kind not in kinds:
                 problems.add(f"{where}.jitter_rms_s: unknown element kind {kind!r}")
-            elif not _is_finite_number(value) or value < 0:
+            elif not is_finite_number(value) or value < 0:
                 problems.add(f"{where}.jitter_rms_s.{kind}: must be >= 0 seconds")
             else:
                 jitter[kind] = float(value)
@@ -280,7 +269,7 @@ def _parse_digital(payload: Mapping, problems: _Problems
             sample = problems.number(raw_adc, "sample_rate_sps", f"{where}.adc",
                                      required=True, minimum=1e-12)
             bits = raw_adc.get("bits_per_sample")
-            if not isinstance(bits, int) or not _is_finite_number(bits) or bits < 1:
+            if not isinstance(bits, int) or not is_finite_number(bits) or bits < 1:
                 problems.add(f"{where}.adc.bits_per_sample: must be an integer >= 1")
                 bits = None
             complex_iq = problems.boolean(raw_adc, "complex", f"{where}.adc")
@@ -317,7 +306,7 @@ def load_scenario_document(path: str | Path) -> dict[str, Any]:
     except OSError as exc:
         raise ScenarioError([f"cannot read {path}: {exc}"]) from exc
     try:
-        raw = loads_unique_keys(text, "key")
+        raw = loads_unique_keys(text)
     except ValueError as exc:
         raise ScenarioError([f"{path}: {exc}"]) from exc
     if not isinstance(raw, dict):

@@ -148,7 +148,6 @@ class OpticalTopology:
     channel_modulators: Mapping[str, str]
     channel_detectors: Mapping[str, str]
     n_dtrm: int
-    channels_per_group: int = CHANNELS_PER_RETURN_GROUP
     min_channel_spacing_nm: float = DEFAULT_CHANNEL_SPACING_NM
 
     def __post_init__(self) -> None:
@@ -162,22 +161,27 @@ class OpticalTopology:
         object.__setattr__(self, "_by_id", {n.id: n for n in reversed(self.nodes)})
         object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
         object.__setattr__(self, "_in", {k: tuple(v) for k, v in into.items()})
-        # Component names by spec type, one entry per distinct components tuple.
-        typed: dict[tuple[str, ...], dict[type, tuple[str, ...]]] = {}
+        # Component names by spec type by node id; equal parts share one dict.
+        shared: dict[tuple[str, ...], dict[type, tuple[str, ...]]] = {}
+        typed: dict[str, dict[type, tuple[str, ...]]] = {}
         # Groups may share laser names, so a channel's source is the first
         # transmitter in node order that holds its laser and launches it.
         sources: dict[str, Node] = {}
         for n in self.nodes:
-            if n.components not in typed:
-                buckets: dict[type, list[str]] = {}
+            buckets = shared.get(n.components)
+            if buckets is None:
+                lists: dict[type, list[str]] = {}
                 for name in n.components:
-                    buckets.setdefault(type(self.library.get(name)), []).append(name)
-                typed[n.components] = {t: tuple(v) for t, v in buckets.items()}
+                    lists.setdefault(type(self.library.get(name)), []).append(name)
+                buckets = shared[n.components] = {
+                    t: tuple(v) for t, v in lists.items()}
+            typed.setdefault(n.id, buckets)
             if n.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC):
                 for e in self.outgoing(n.id):
                     for ch in e.channels:
                         if ch not in sources and self.channel_lasers.get(ch) in n.components:
                             sources[ch] = n
+        object.__setattr__(self, "_shared", shared)
         object.__setattr__(self, "_typed", typed)
         object.__setattr__(self, "_sources", sources)
         # Edge trails per channel, walked on first use (_reachable_terminals),
@@ -190,8 +194,11 @@ class OpticalTopology:
         return self._by_id[node_id]
 
     def components_of(self, node: Node, spec_type: type) -> tuple[str, ...]:
-        """Names in ``node.components`` whose library spec is a ``spec_type``."""
-        return self._typed[node.components].get(spec_type, ())
+        """Names in ``node.components`` whose library spec is a ``spec_type``;
+        a node that lost its id to an earlier duplicate goes by its parts."""
+        if self._by_id.get(node.id) is node:
+            return self._typed[node.id].get(spec_type, ())
+        return self._shared[node.components].get(spec_type, ())
 
     def source(self, channel: str) -> Node | None:
         """The transmitter that launches ``channel``, if any."""
@@ -656,7 +663,7 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
                     f"channel {ch!r} reaches {len(reached)} of "
                     f"{topology.n_dtrm} modules")
     else:
-        n_groups = topology.n_dtrm // topology.channels_per_group
+        n_groups = topology.n_dtrm // CHANNELS_PER_RETURN_GROUP
         if kind_counts.get(NodeKind.DIGITAL_OTXC, 0) != n_groups:
             bad("topology", "nodes",
                 f"expected {n_groups} digital transmitter group(s), found "
@@ -842,14 +849,6 @@ def co_propagating_at(topology: OpticalTopology, channel: str,
                     sorted(by_name, key=topology.wavelength_plan.__getitem__)))
             return lane
     return (channel,), (channel,)
-
-
-def co_propagating(topology: OpticalTopology, path: SignalPath) -> tuple[str, ...]:
-    """Channels sharing the demux that terminates this path (itself included)."""
-    demux_nodes = [e.node for e in path.elements if e.kind is ElementKind.DEMUX]
-    if not demux_nodes:
-        return (path.channel,)
-    return co_propagating_at(topology, path.channel, demux_nodes[-1])[0]
 
 
 def adjacency_dump(topology: OpticalTopology) -> list[str]:

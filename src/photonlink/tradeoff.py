@@ -9,12 +9,11 @@ compliance first, then power, size and weight ranks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .components import GratingTech, Modulation
+from .components import GratingTech, Modulation, is_finite_number
 from .digitalpath import GroupCapacity
 from .errors import AnalysisError
 from .linkbudget import LinkMetrics
@@ -181,7 +180,7 @@ class RequirementSet:
         issues = []
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not is_finite_number(value):
                 issues.append(f"requirements.{name}: must be finite, got {value!r}")
         if self.nf_degradation_strict_db > self.nf_degradation_relaxed_db:
             issues.append("requirements: strict NF-degradation bound exceeds the "

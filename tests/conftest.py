@@ -26,7 +26,7 @@ from photonlink.components import (
     PhotodetectorSpec,
     SplitterSpec,
 )
-from photonlink.data import reference_components_path, reference_scenario_path
+from photonlink.data import reference_scenario_path
 from photonlink.report import METRIC_COLUMNS, _json_payload
 from photonlink.scenario import parse_scenario
 from photonlink.topology import (
@@ -306,8 +306,3 @@ def per_path_payload(report) -> dict:
 @pytest.fixture(scope="session")
 def reference_scenario():
     return parse_scenario(reference_scenario_path())
-
-
-@pytest.fixture(scope="session")
-def reference_components_file():
-    return reference_components_path()

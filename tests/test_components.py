@@ -1,4 +1,4 @@
-"""Component parameter validation and library round-trips."""
+"""Component parameter validation and the scenario's component entries."""
 
 import json
 import math
@@ -13,12 +13,11 @@ from photonlink.components import (
     ModulatorSpec,
     SplitterSpec,
     component_from_dict,
-    component_to_dict,
-    load_component_library,
-    save_component_library,
     validate_component,
 )
-from photonlink.errors import LibraryError
+from photonlink.data import reference_scenario_path
+from photonlink.errors import ScenarioError
+from photonlink.scenario import load_scenario_document, parse_scenario
 
 from conftest import (
     mk_edfa,
@@ -99,9 +98,11 @@ class TestOtherComponents:
 
 
 def test_validation_is_total_over_nan_and_inf():
-    """Non-finite numbers never raise; they come back as violations."""
+    """Non-finite numbers, integers too large for a float and nulls never
+    raise; they come back as violations, except a null in an optional field."""
     rng = random.Random(20240811)
-    poison = [math.nan, math.inf, -math.inf]
+    poison = [math.nan, math.inf, -math.inf, 10 ** 400, None]
+    optional = {(mk_mod_external, "insertion_loss_db")}
     factories = [mk_laser, mk_mod_external, mk_mux, mk_edfa, mk_fiber, mk_pd]
     numeric_fields = {
         mk_laser: ["output_power_w", "rin_db_hz", "wavelength_nm",
@@ -120,30 +121,58 @@ def test_validation_is_total_over_nan_and_inf():
         factory = rng.choice(factories)
         spec = factory()
         field = rng.choice(numeric_fields[factory])
-        spec = dataclasses.replace(spec, **{field: rng.choice(poison)})
+        value = rng.choice(poison)
+        spec = dataclasses.replace(spec, **{field: value})
         report = validate_component(spec, in_wdm_plan=True)
+        if value is None and (factory, field) in optional:
+            assert report.ok
+            continue
         assert not report.ok
         assert any(v.field == field for v in report.violations)
 
 
-def test_serialization_round_trip_is_identity():
-    rng = random.Random(7)
-    samples = [
-        mk_laser(power_w=rng.uniform(0.001, 0.5), rin=rng.uniform(-175, -140),
-                 nm=rng.uniform(1300, 1650), slope=rng.uniform(0.1, 0.9),
-                 tunable=bool(rng.getrandbits(1)))
-        for _ in range(20)
+def test_from_dict_builds_each_type():
+    """Literal scenario entries give the specs the factories build; enum
+    fields are read from their tokens and an external modulator defaults to
+    quadrature bias and no insertion loss."""
+    cases = [
+        ({"type": "laser", "output_power_w": 0.05, "rin_db_hz": -170.0,
+          "wavelength_nm": 1550.8, "slope_efficiency_w_per_a": 0.4,
+          "linewidth_tunable": True},
+         mk_laser(power_w=0.05, rin=-170.0, nm=1550.8, slope=0.4, tunable=True)),
+        ({"type": "modulator", "scheme": "direct", "bandwidth_hz": 20e9},
+         mk_mod_direct()),
+        ({"type": "modulator", "scheme": "external", "bandwidth_hz": 25e9,
+          "v_pi_v": 5.0, "insertion_loss_db": 5.0, "bias": "quadrature"},
+         mk_mod_external()),
+        ({"type": "modulator", "scheme": "external", "bandwidth_hz": 25e9,
+          "v_pi_v": 5.0},
+         mk_mod_external(loss=0.0)),
+        ({"type": "mux_demux", "technology": "vbg", "insertion_loss_db": 3.0,
+          "channel_spacing_nm": 0.8, "adjacent_isolation_db": 30.0,
+          "nonadjacent_isolation_db": 45.0, "athermal": True},
+         mk_mux()),
+        ({"type": "edfa", "gain_db": 0.0, "max_gain_db": 30.0,
+          "noise_figure_db": 4.0, "saturation_output_power_dbm": 33.0},
+         mk_edfa()),
+        ({"type": "splitter", "fanout": 16, "excess_loss_db": 1.0},
+         mk_splitter()),
+        ({"type": "fiber", "length_m": 12.5, "attenuation_db_per_km": 0.2},
+         mk_fiber(length=12.5)),
+        ({"type": "photodetector", "responsivity_a_per_w": 0.8,
+          "saturation_power_dbm": 24.0, "bandwidth_hz": 20e9, "kind": "analog",
+          "sensitivity_dbm": -30.0},
+         mk_pd(sensitivity=-30.0)),
     ]
-    samples += [mk_mod_direct(), mk_mod_external(), mk_mux(), mk_edfa(),
-                mk_splitter(), mk_fiber(length=12.5), mk_pd(sensitivity=-30.0)]
-    for spec in samples:
-        payload = json.loads(json.dumps(component_to_dict(spec)))
+    for payload, spec in cases:
         assert component_from_dict(payload) == spec
 
 
 def test_from_dict_rejects_unknown_type_and_fields():
     with pytest.raises(ValueError, match="unknown component type"):
         component_from_dict({"type": "isolator"})
+    with pytest.raises(ValueError, match="unknown component type"):
+        component_from_dict({"type": {}})
     with pytest.raises(ValueError, match="unknown field"):
         component_from_dict({"type": "laser", "output_power_w": 0.1,
                              "rin_db_hz": -160, "wavelength_nm": 1550,
@@ -151,39 +180,25 @@ def test_from_dict_rejects_unknown_type_and_fields():
 
 
 class TestLibraryLoading:
-    def test_reference_library_has_seven_entries(self, reference_components_file):
-        library = load_component_library(reference_components_file)
-        assert len(library) == 7
-        kinds = {type(spec).__name__ for spec in library.values()}
-        assert len(kinds) == 7
-
-    def test_reference_library_round_trips(self, reference_components_file,
-                                           tmp_path):
-        library = load_component_library(reference_components_file)
-        out = tmp_path / "copy.json"
-        save_component_library(library, out)
-        assert load_component_library(out) == library
+    """A scenario's ``components`` object is the component library."""
 
     def test_duplicate_names_rejected(self, tmp_path):
-        path = tmp_path / "dup.json"
-        path.write_text('{"a": {"type": "splitter", "fanout": 2},'
-                        ' "a": {"type": "splitter", "fanout": 3}}')
-        with pytest.raises(LibraryError, match="duplicate name 'a'"):
-            load_component_library(path)
+        text = reference_scenario_path().read_text()
+        head, tail = text.split('"components": {', 1)
+        path = tmp_path / "scenario.json"
+        path.write_text(head + '"components": {"a": {"type": "splitter", "fanout": 2},'
+                        ' "a": {"type": "splitter", "fanout": 3}, ' + tail)
+        with pytest.raises(ScenarioError, match="duplicate key 'a'"):
+            load_scenario_document(path)
 
-    def test_empty_file_gives_empty_map(self, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text("")
-        assert load_component_library(path) == {}
-
-    def test_invalid_entries_all_reported(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "bad_laser": {"type": "laser", "output_power_w": -1.0,
-                          "rin_db_hz": -160.0, "wavelength_nm": 1550.0},
-            "bad_splitter": {"type": "splitter", "fanout": 0},
-        }))
-        with pytest.raises(LibraryError) as excinfo:
-            load_component_library(path)
+    def test_invalid_entries_all_reported(self):
+        doc = json.loads(reference_scenario_path().read_text())
+        doc["components"]["bad_laser"] = {
+            "type": "laser", "output_power_w": -1.0, "rin_db_hz": -160.0,
+            "wavelength_nm": 1550.0}
+        doc["components"]["bad_splitter"] = {"type": "splitter", "fanout": 0}
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(doc)
         text = str(excinfo.value)
-        assert "bad_laser" in text and "bad_splitter" in text
+        assert "bad_laser.output_power_w" in text
+        assert "bad_splitter.fanout" in text

@@ -27,9 +27,8 @@ from photonlink.linkbudget import (
     noise_figure_db,
     optical_ledger,
     phase_noise_degradation_db,
-    pulse_skew_s,
+    propagation_delay_s,
     rf_gain_db,
-    rise_fall_time_s,
     rise_time_s,
     rss_jitter_s,
     sfdr_db,
@@ -384,6 +383,13 @@ class TestCrosstalk:
             power_sum_dbc([-30.0, -30.0]), abs=1e-9)
 
 
+def skew_against(reference, path):
+    """``path``'s pulse skew as the CLI computes it: its delay less the
+    reference path's, through ``analyze_path``."""
+    return analyze_path(path, Modulation.DIRECT, CONFIG,
+                        reference_delay_s=propagation_delay_s(reference)).pulse_skew_s
+
+
 class TestTimingFigures:
     def test_rise_time_reference_points(self):
         assert rise_time_s(35e6) == pytest.approx(10e-9)
@@ -397,8 +403,8 @@ class TestTimingFigures:
                          mk_mux(loss=0.0), mk_mux(loss=0.0),
                          mk_pd(bandwidth=9e9))
         assert effective_bandwidth_hz(path, CONFIG) == 9e9
-        t_rise, t_fall = rise_fall_time_s(path, CONFIG)
-        assert t_rise == t_fall == pytest.approx(0.35 / 9e9)
+        metrics = analyze_path(path, Modulation.DIRECT, CONFIG)
+        assert metrics.rise_time_s == metrics.fall_time_s == pytest.approx(0.35 / 9e9)
 
     def test_skew_reference_delta(self):
         """Oracle: 1.468 m index * 1 m / c = 4.89672e-9 s."""
@@ -406,7 +412,7 @@ class TestTimingFigures:
                           mk_fiber(length=5.0), mk_mux(loss=0.0), mk_pd())
         long = make_path(mk_laser(), mk_mod_direct(), mk_mux(loss=0.0),
                          mk_fiber(length=6.0), mk_mux(loss=0.0), mk_pd())
-        assert pulse_skew_s([short, long]) == pytest.approx(
+        assert skew_against(short, long) == pytest.approx(
             4.896720917508872e-09, abs=1e-18)
 
     def test_skew_ignores_common_length(self):
@@ -420,11 +426,11 @@ class TestTimingFigures:
                       mk_fiber(length=extra + 100.0), mk_mux(loss=0.0), mk_pd())
             for extra in (3.0, 8.0)
         ]
-        assert pulse_skew_s(paths) == pytest.approx(pulse_skew_s(shifted))
+        assert skew_against(*paths) == pytest.approx(skew_against(*shifted))
 
     def test_equal_paths_have_zero_skew(self):
         path = lossless_path()
-        assert pulse_skew_s([path, path]) == 0.0
+        assert skew_against(path, path) == 0.0
 
     def test_jitter_root_sum_square(self):
         assert rss_jitter_s([2e-12]) == pytest.approx(2e-12)
@@ -442,15 +448,15 @@ class TestTimingFigures:
 
 
 class TestAnalyzePath:
-    def test_composition_matches_reference_library(self, reference_components_file):
-        """Path built from the bundled seven-entry library; oracle value is the
-        direct evaluation 20log10(0.3 * 10^(-10.0206/10) * 0.8)."""
-        from photonlink.components import load_component_library
-        library = load_component_library(reference_components_file)
+    def test_composition_matches_reference_library(self):
+        """Path of desk-scale reference parts (2 dB VBG mux and demux, 1:4
+        lossless splitter); oracle value is the direct evaluation
+        20log10(0.3 * 10^(-10.0206/10) * 0.8)."""
+        mux = mk_mux(loss=2.0, adj=35.0, nonadj=50.0)
         path = make_path(
-            library["analog_laser"], library["dm_modulator"],
-            library["wdm_mux"], library["fanout_splitter"],
-            library["wdm_mux"], library["analog_detector"],
+            mk_laser(power_w=0.1, rin=-160.0, nm=1550.0, slope=0.3),
+            mk_mod_direct(bandwidth=20e9), mux, mk_splitter(fanout=4, excess=0.0),
+            mux, mk_pd(resp=0.8, sat=24.0, dark=1e-8, sensitivity=-30.0),
         )
         config = dataclasses.replace(CONFIG, edfa_autogain=False)
         metrics = analyze_path(path, Modulation.DIRECT, config)
@@ -504,27 +510,6 @@ def test_worst_case_keeps_flags_in_order_of_first_appearance():
     bundles = [dataclasses.replace(base, flags=flags)
                for flags in (("b", "a"), ("c", "b"), (), ("a", "d", "c", "e"))]
     assert worst_case(bundles).flags == ("b", "a", "c", "d", "e")
-
-
-class TestSharedAmplifierSettings:
-    def test_shared_amplifier_takes_the_worst_leg(self):
-        """Asymmetric drop legs: the junction-box amplifier must cover the
-        lossiest path, leaving shorter legs slightly hot rather than starved."""
-        from photonlink.linkbudget import apply_edfa_gains, topology_edfa_gains
-        from photonlink.topology import build_forward_network, enumerate_paths
-        from conftest import (forward_fixture_bindings, forward_fixture_channels,
-                              forward_fixture_library)
-        library = forward_fixture_library()
-        library["drop"] = mk_fiber(length=2.0, attenuation=500.0)  # 1 dB
-        topology = build_forward_network(
-            2, forward_fixture_channels(), library, forward_fixture_bindings())
-        paths = enumerate_paths(topology)
-        per_path = [max(edfa_autogain(p).gains_db.values()) for p in paths]
-        shared = topology_edfa_gains(paths)
-        assert shared["fojb.edfa"] == pytest.approx(max(per_path))
-        for path in paths:
-            ledger = optical_ledger(apply_edfa_gains(path, shared))
-            assert ledger.end_dbm >= ledger.start_dbm - 1e-9
 
 
 def test_per_modulation_intercept_map():

@@ -231,17 +231,40 @@ class TestCommandLine:
         ("analysis", "temperature_k", math.inf, []),
         ("analysis", "iip3_dbm", {"dm": math.nan}, []),
         ("adc", "bits_per_sample", 10 ** 400, []),
-    ], ids=["bandwidth-nan", "temperature-inf", "iip3-nan", "bits-overflow"])
+        ("lo1_laser", "output_power_w", 10 ** 400, []),
+    ], ids=["bandwidth-nan", "temperature-inf", "iip3-nan", "bits-overflow",
+            "components"])
     def test_non_finite_number_exits_two(self, tmp_path, capsys, raw_reference,
                                          section, key, value, extra):
         doc = copy.deepcopy(raw_reference)
-        sections = {"analysis": doc["analysis"], "adc": doc["digital"]["adc"]}
+        sections = {"analysis": doc["analysis"], "adc": doc["digital"]["adc"],
+                    "lo1_laser": doc["components"]["lo1_laser"]}
         if value is not None:
             sections[section][key] = value
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         assert main(["analyze", "--scenario", str(path), *extra]) == EXIT_INPUT
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("analysis", "phase_noise_profile", [[1e2, 1e308]],
+         "analysis.phase_noise_profile[0]"),
+        ("lo1_laser", "slope_efficiency_w_per_a", 1e308, "lo1_laser"),
+        ("lo1_laser", "output_power_w", 1e308, "lo1_laser"),
+    ], ids=["phase-noise-level", "slope-efficiency", "output-power"])
+    def test_absurd_finite_value_exits_two(self, tmp_path, capsys, raw_reference,
+                                           section, key, value, named):
+        """Finite inputs that overflow the link arithmetic (or turned into a
+        NaN in the report) are input errors that name where they come from."""
+        doc = copy.deepcopy(raw_reference)
+        sections = {"analysis": doc["analysis"],
+                    "lo1_laser": doc["components"]["lo1_laser"]}
+        sections[section][key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--scenario", str(path)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert named in err and not out
 
     @pytest.mark.parametrize("n_dtrm", [10 ** 400, MAX_N_DTRM + 4],
                              ids=["huge", "cap-plus-four"])

@@ -28,7 +28,7 @@ from photonlink.topology import (
     adjacency_dump,
     build_forward_network,
     build_return_network,
-    co_propagating,
+    co_propagating_at,
     enumerate_paths,
     return_groups,
     validate_topology,
@@ -96,7 +96,8 @@ class TestForwardBuild:
         assert len(paths) == 3 * 2
         clock_paths = [p for p in paths if p.channel == "clk"]
         # the clock lane only propagates clock channels
-        assert all(co_propagating(topology, p) == ("clk",) for p in clock_paths)
+        assert all(co_propagating_at(topology, p.channel, p.elements[-1].node)[0]
+                   == ("clk",) for p in clock_paths)
 
 
 class TestReturnBuild:
@@ -302,7 +303,8 @@ class TestEnumeration:
     def test_co_propagating_set(self):
         topology = build_reference_forward(n=2)
         path = enumerate_paths(topology)[0]
-        assert co_propagating(topology, path) == ("alpha", "bravo", "clk")
+        assert co_propagating_at(topology, path.channel, path.elements[-1].node)[0] \
+            == ("alpha", "bravo", "clk")
 
 
 def test_adjacency_dump_mentions_every_edge():
