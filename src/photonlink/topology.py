@@ -161,27 +161,22 @@ class OpticalTopology:
         object.__setattr__(self, "_by_id", {n.id: n for n in reversed(self.nodes)})
         object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
         object.__setattr__(self, "_in", {k: tuple(v) for k, v in into.items()})
-        # Component names by spec type by node id; equal parts share one dict.
-        shared: dict[tuple[str, ...], dict[type, tuple[str, ...]]] = {}
-        typed: dict[str, dict[type, tuple[str, ...]]] = {}
+        # Component names by spec type, one entry per distinct components tuple.
+        typed: dict[tuple[str, ...], dict[type, tuple[str, ...]]] = {}
         # Groups may share laser names, so a channel's source is the first
         # transmitter in node order that holds its laser and launches it.
         sources: dict[str, Node] = {}
         for n in self.nodes:
-            buckets = shared.get(n.components)
-            if buckets is None:
-                lists: dict[type, list[str]] = {}
+            if n.components not in typed:
+                buckets: dict[type, list[str]] = {}
                 for name in n.components:
-                    lists.setdefault(type(self.library.get(name)), []).append(name)
-                buckets = shared[n.components] = {
-                    t: tuple(v) for t, v in lists.items()}
-            typed.setdefault(n.id, buckets)
+                    buckets.setdefault(type(self.library.get(name)), []).append(name)
+                typed[n.components] = {t: tuple(v) for t, v in buckets.items()}
             if n.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC):
                 for e in self.outgoing(n.id):
                     for ch in e.channels:
                         if ch not in sources and self.channel_lasers.get(ch) in n.components:
                             sources[ch] = n
-        object.__setattr__(self, "_shared", shared)
         object.__setattr__(self, "_typed", typed)
         object.__setattr__(self, "_sources", sources)
         # Edge trails per channel, walked on first use (_reachable_terminals),
@@ -194,11 +189,8 @@ class OpticalTopology:
         return self._by_id[node_id]
 
     def components_of(self, node: Node, spec_type: type) -> tuple[str, ...]:
-        """Names in ``node.components`` whose library spec is a ``spec_type``;
-        a node that lost its id to an earlier duplicate goes by its parts."""
-        if self._by_id.get(node.id) is node:
-            return self._typed[node.id].get(spec_type, ())
-        return self._shared[node.components].get(spec_type, ())
+        """Names in ``node.components`` whose library spec is a ``spec_type``."""
+        return self._typed[node.components].get(spec_type, ())
 
     def source(self, channel: str) -> Node | None:
         """The transmitter that launches ``channel``, if any."""

@@ -182,7 +182,7 @@ class RequirementSet:
             value = getattr(self, name)
             if not is_finite_number(value):
                 issues.append(f"requirements.{name}: must be finite, got {value!r}")
-        if self.nf_degradation_strict_db > self.nf_degradation_relaxed_db:
+        if not issues and self.nf_degradation_strict_db > self.nf_degradation_relaxed_db:
             issues.append("requirements: strict NF-degradation bound exceeds the "
                           "relaxed bound")
         return issues

@@ -1,6 +1,7 @@
 """Design-space feasibility, ordinal scoring, compliance and recommendation."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -119,6 +120,14 @@ class TestCompliance:
         assert by_name(passing)["nf_degradation_relaxed"] is True
         assert by_name(failing)["nf_degradation_strict"] is False
         assert by_name(failing)["nf_degradation_relaxed"] is True
+
+    @pytest.mark.parametrize("field", ["nf_degradation_strict_db",
+                                       "nf_degradation_relaxed_db"])
+    @pytest.mark.parametrize("value", [None, math.nan, 10 ** 400],
+                             ids=["null", "nan", "huge-int"])
+    def test_bad_nf_bound_is_listed_not_raised(self, field, value):
+        problems = RequirementSet(**{field: value}).problems()
+        assert problems == [f"requirements.{field}: must be finite, got {value!r}"]
 
     def test_exactly_one_db_passes_strict(self):
         report = check_requirements(make_metrics(nf_degradation_db=1.0),
