@@ -184,11 +184,6 @@ def _analyze_variant(scenario: Scenario, variant: DesignVariant,
 def run(command: str, scenario: Scenario) -> Report:
     """Execute one CLI command against a parsed scenario and build its report."""
     return_topology = _return_topology(scenario)
-    digital_groups = ()
-    if return_topology is not None and scenario.digital_link is not None:
-        digital_groups = check_group_capacity(
-            return_topology, scenario.digital_link, scenario.adc_stream,
-            bar_bytes_per_8ch=scenario.requirements.throughput_bar_bytes_per_s)
 
     if command == "validate":
         variant = scenario.selected_variants()[0]
@@ -217,6 +212,12 @@ def run(command: str, scenario: Scenario) -> Report:
         variants = tuple(v for v, feasible in enumerate_variants() if feasible)
     else:
         raise PhotonlinkError(f"unknown command {command!r}")
+
+    digital_groups = ()
+    if return_topology is not None and scenario.digital_link is not None:
+        digital_groups = check_group_capacity(
+            return_topology, scenario.digital_link, scenario.adc_stream,
+            bar_bytes_per_8ch=scenario.requirements.throughput_bar_bytes_per_s)
 
     summaries: list[TopologySummary] = []
     results: list[VariantResult] = []

@@ -32,6 +32,7 @@ from .topology import (
 from .units import (
     BOLTZMANN_J_PER_K,
     ELEMENTARY_CHARGE_C,
+    NOISE_REFERENCE_TEMPERATURE_K,
     PLANCK_J_S,
     SPEED_OF_LIGHT_M_S,
     THERMAL_FLOOR_DBM_PER_HZ,
@@ -399,15 +400,17 @@ def _noise_figure_db(path: SignalPath, ledger: OpticalLedger, gain_db: float,
     detector = _detector_of(path)
     laser = _laser_of(path)
     load = config.load_resistance_ohm
-    kt = BOLTZMANN_J_PER_K * config.temperature_k
+    # The noise figure is referred to a source at T0; the load's own
+    # thermal noise is at the analysis temperature.
+    kt0 = BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMPERATURE_K
+    thermal = kt0 * (gain_lin + config.temperature_k / NOISE_REFERENCE_TEMPERATURE_K)
 
     detector_power_w = dbm_to_watts(ledger.end_dbm)
     photocurrent = detector.responsivity_a_per_w * detector_power_w
     if photocurrent <= 0:
-        return math.inf, NoiseBreakdown(kt * (1.0 + gain_lin), 0.0, 0.0, 0.0)
+        return math.inf, NoiseBreakdown(thermal, 0.0, 0.0, 0.0)
     dc_current = photocurrent + detector.dark_current_a
 
-    thermal = kt * (1.0 + gain_lin)
     shot = 2.0 * ELEMENTARY_CHARGE_C * dc_current * load
     rin = db_to_linear(laser.rin_db_hz) * photocurrent ** 2 * load
 
@@ -422,7 +425,7 @@ def _noise_figure_db(path: SignalPath, ledger: OpticalLedger, gain_db: float,
     ase = ase_rin * photocurrent ** 2 * load
 
     breakdown = NoiseBreakdown(thermal, shot, rin, ase)
-    raw = 10.0 * math.log10(breakdown.total_w_hz / (gain_lin * kt))
+    raw = 10.0 * math.log10(breakdown.total_w_hz / (gain_lin * kt0))
     return max(raw, NOISE_FIGURE_FLOOR_DB), breakdown
 
 

@@ -530,111 +530,32 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
                 passed.add(name)
             issues.extend(report.violations)
 
-    # Per-edge wavelength bookkeeping.
-    lo, hi = WDM_BAND_NM
+    # Per-edge wavelength bookkeeping, once per (fiber, channel set): the
+    # checks read nothing else of an edge.
+    edge_classes: dict[tuple, list[tuple[str, str]]] = {}
     for e in topology.edges:
-        label = f"{e.source}->{e.target}"
-        if e.channels and e.fiber is None:
-            bad(label, "fiber", "edge carries channels but has no fiber")
-        if e.fiber is not None and not isinstance(topology.library.get(e.fiber), FiberSpec):
-            bad(label, "fiber", f"fiber {e.fiber!r} missing from library or wrong type")
-        carried = sorted(e.channels)
-        wavelengths = []
-        for ch in carried:
-            nm = topology.wavelength_plan.get(ch)
-            if nm is None:
-                bad(label, "channels", f"channel {ch!r} missing from wavelength plan")
-                continue
-            wavelengths.append((nm, ch))
-            if not lo <= nm <= hi:
-                bad(label, "channels",
-                    f"channel {ch!r} at {nm} nm outside [{lo:.0f}, {hi:.0f}] nm")
-        wavelengths.sort()
-        for (nm_a, ch_a), (nm_b, ch_b) in zip(wavelengths, wavelengths[1:]):
-            gap = nm_b - nm_a
-            if nm_a == nm_b:
-                bad(label, "channels",
-                    f"wavelength collision: {ch_a!r} and {ch_b!r} both at {nm_a} nm")
-            elif gap < topology.min_channel_spacing_nm and not math.isclose(
-                    gap, topology.min_channel_spacing_nm, rel_tol=1e-9):
-                bad(label, "channels",
-                    f"channels {ch_a!r}/{ch_b!r} spaced {gap:.3f} nm "
-                    f"< minimum {topology.min_channel_spacing_nm} nm")
+        key = (e.fiber, e.channels)
+        found = edge_classes.get(key)
+        if found is None:
+            found = edge_classes[key] = _edge_checks(topology, e.fiber, e.channels)
+        for field_name, message in found:
+            bad(f"{e.source}->{e.target}", field_name, message)
 
-    # Node composition rules.
+    # Node composition rules, once per node class: the kind, the parts and
+    # the (lane, channel set) of each edge out and in are all they read.
+    node_classes: dict[tuple, list[tuple[str, str]]] = {}
     for node in topology.nodes:
-        lasers = topology.components_of(node, LaserSpec)
-        modulators = topology.components_of(node, ModulatorSpec)
-        muxes = topology.components_of(node, MuxDemuxSpec)
-        edfas = topology.components_of(node, EdfaSpec)
-        splitters = topology.components_of(node, SplitterSpec)
-        detectors = topology.components_of(node, PhotodetectorSpec)
         out_edges = topology.outgoing(node.id)
         in_edges = topology.incoming(node.id)
-        out_lanes = sorted({e.lane for e in out_edges if e.channels})
-        in_lanes = sorted({e.lane for e in in_edges if e.channels})
-
-        if node.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC):
-            if not lasers:
-                bad(node.id, "components", "transmitter chip needs at least one laser")
-            if len(modulators) != len(lasers):
-                bad(node.id, "components",
-                    f"lasers and modulators must pair up "
-                    f"({len(lasers)} lasers, {len(modulators)} modulators)")
-            expected_mux = max(1, len(out_lanes))
-            if len(muxes) != expected_mux:
-                bad(node.id, "components",
-                    f"expected {expected_mux} mux(es) for {expected_mux} outgoing "
-                    f"lane(s), found {len(muxes)}")
-            if node.kind is NodeKind.OTXC and len(edfas) > expected_mux:
-                bad(node.id, "components",
-                    "transmitter chip carries more boosters than fibers")
-        elif node.kind is NodeKind.FOJB:
-            expected = max(1, len(out_lanes))
-            if len(splitters) != expected:
-                bad(node.id, "components",
-                    f"junction box needs one splitter per lane "
-                    f"({len(splitters)} found, {expected} expected)")
-            if len(edfas) != expected:
-                bad(node.id, "components",
-                    f"junction box needs one amplifier per lane "
-                    f"({len(edfas)} found, {expected} expected)")
-            for lane in out_lanes or [0]:
-                legs = sum(1 for e in out_edges if e.channels and e.lane == lane)
-                for name in splitters:
-                    spec = topology.library[name]
-                    if spec.fanout != legs:
-                        bad(node.id, "fanout",
-                            f"splitter fanout {spec.fanout} != {legs} outgoing "
-                            f"edges on lane {lane}")
-        elif node.kind is NodeKind.ORXC:
-            expected = max(1, len(in_lanes))
-            if len(muxes) != expected:
-                bad(node.id, "components",
-                    f"receiver chip needs one demux per incoming lane "
-                    f"({len(muxes)} found, {expected} expected)")
-            if not detectors:
-                bad(node.id, "components", "receiver chip needs at least one detector")
-            arriving: set[str] = set()
-            for e in in_edges:
-                arriving.update(e.channels)
-            for want in (DetectorKind.ANALOG, DetectorKind.DIGITAL):
-                need = sum(1 for ch in arriving if topology.channel_kinds.get(ch) is want)
-                have = sum(1 for name in detectors
-                           if topology.library[name].kind is want)
-                if have < need:
-                    bad(node.id, "components",
-                        f"{need} {want.value} channel(s) arrive but only {have} "
-                        f"{want.value} detector(s) fitted")
-            for ch in arriving:
-                bound = topology.channel_detectors.get(ch)
-                spec = topology.library.get(bound) if bound else None
-                want = topology.channel_kinds.get(ch)
-                if isinstance(spec, PhotodetectorSpec) and want is not None \
-                        and spec.kind is not want:
-                    bad(node.id, "components",
-                        f"{want.value} channel {ch!r} terminated on a "
-                        f"{spec.kind.value} detector")
+        key = (node.kind, node.components,
+               tuple([(e.lane, e.channels) for e in out_edges]),
+               tuple([(e.lane, e.channels) for e in in_edges]))
+        found = node_classes.get(key)
+        if found is None:
+            found = node_classes[key] = _node_checks(topology, node, out_edges,
+                                                     in_edges)
+        for field_name, message in found:
+            bad(node.id, field_name, message)
 
     # Structural chain checks per direction.
     kind_counts: dict[NodeKind, int] = {}
@@ -666,6 +587,118 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
+def _edge_checks(topology: OpticalTopology, fiber: str | None,
+                 channels: frozenset[str]) -> list[tuple[str, str]]:
+    """(field, message) of each wavelength-bookkeeping violation on an edge
+    with this fiber and channel set."""
+    found: list[tuple[str, str]] = []
+    lo, hi = WDM_BAND_NM
+    if channels and fiber is None:
+        found.append(("fiber", "edge carries channels but has no fiber"))
+    if fiber is not None and not isinstance(topology.library.get(fiber), FiberSpec):
+        found.append(("fiber", f"fiber {fiber!r} missing from library or wrong type"))
+    wavelengths = []
+    for ch in sorted(channels):
+        nm = topology.wavelength_plan.get(ch)
+        if nm is None:
+            found.append(("channels", f"channel {ch!r} missing from wavelength plan"))
+            continue
+        wavelengths.append((nm, ch))
+        if not lo <= nm <= hi:
+            found.append(("channels",
+                          f"channel {ch!r} at {nm} nm outside [{lo:.0f}, {hi:.0f}] nm"))
+    wavelengths.sort()
+    for (nm_a, ch_a), (nm_b, ch_b) in zip(wavelengths, wavelengths[1:]):
+        gap = nm_b - nm_a
+        if nm_a == nm_b:
+            found.append(("channels",
+                          f"wavelength collision: {ch_a!r} and {ch_b!r} both at {nm_a} nm"))
+        elif gap < topology.min_channel_spacing_nm and not math.isclose(
+                gap, topology.min_channel_spacing_nm, rel_tol=1e-9):
+            found.append(("channels",
+                          f"channels {ch_a!r}/{ch_b!r} spaced {gap:.3f} nm "
+                          f"< minimum {topology.min_channel_spacing_nm} nm"))
+    return found
+
+
+def _node_checks(topology: OpticalTopology, node: Node,
+                 out_edges: tuple[FiberEdge, ...],
+                 in_edges: tuple[FiberEdge, ...]) -> list[tuple[str, str]]:
+    """(field, message) of each composition-rule violation at ``node``."""
+    found: list[tuple[str, str]] = []
+    lasers = topology.components_of(node, LaserSpec)
+    modulators = topology.components_of(node, ModulatorSpec)
+    muxes = topology.components_of(node, MuxDemuxSpec)
+    edfas = topology.components_of(node, EdfaSpec)
+    splitters = topology.components_of(node, SplitterSpec)
+    detectors = topology.components_of(node, PhotodetectorSpec)
+    out_lanes = sorted({e.lane for e in out_edges if e.channels})
+    in_lanes = sorted({e.lane for e in in_edges if e.channels})
+
+    if node.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC):
+        if not lasers:
+            found.append(("components", "transmitter chip needs at least one laser"))
+        if len(modulators) != len(lasers):
+            found.append(("components",
+                          f"lasers and modulators must pair up "
+                          f"({len(lasers)} lasers, {len(modulators)} modulators)"))
+        expected_mux = max(1, len(out_lanes))
+        if len(muxes) != expected_mux:
+            found.append(("components",
+                          f"expected {expected_mux} mux(es) for {expected_mux} outgoing "
+                          f"lane(s), found {len(muxes)}"))
+        if node.kind is NodeKind.OTXC and len(edfas) > expected_mux:
+            found.append(("components",
+                          "transmitter chip carries more boosters than fibers"))
+    elif node.kind is NodeKind.FOJB:
+        expected = max(1, len(out_lanes))
+        if len(splitters) != expected:
+            found.append(("components",
+                          f"junction box needs one splitter per lane "
+                          f"({len(splitters)} found, {expected} expected)"))
+        if len(edfas) != expected:
+            found.append(("components",
+                          f"junction box needs one amplifier per lane "
+                          f"({len(edfas)} found, {expected} expected)"))
+        for lane in out_lanes or [0]:
+            legs = sum(1 for e in out_edges if e.channels and e.lane == lane)
+            for name in splitters:
+                spec = topology.library[name]
+                if spec.fanout != legs:
+                    found.append(("fanout",
+                                  f"splitter fanout {spec.fanout} != {legs} outgoing "
+                                  f"edges on lane {lane}"))
+    elif node.kind is NodeKind.ORXC:
+        expected = max(1, len(in_lanes))
+        if len(muxes) != expected:
+            found.append(("components",
+                          f"receiver chip needs one demux per incoming lane "
+                          f"({len(muxes)} found, {expected} expected)"))
+        if not detectors:
+            found.append(("components", "receiver chip needs at least one detector"))
+        arriving: set[str] = set()
+        for e in in_edges:
+            arriving.update(e.channels)
+        for want in (DetectorKind.ANALOG, DetectorKind.DIGITAL):
+            need = sum(1 for ch in arriving if topology.channel_kinds.get(ch) is want)
+            have = sum(1 for name in detectors
+                       if topology.library[name].kind is want)
+            if have < need:
+                found.append(("components",
+                              f"{need} {want.value} channel(s) arrive but only {have} "
+                              f"{want.value} detector(s) fitted"))
+        for ch in arriving:
+            bound = topology.channel_detectors.get(ch)
+            spec = topology.library.get(bound) if bound else None
+            want = topology.channel_kinds.get(ch)
+            if isinstance(spec, PhotodetectorSpec) and want is not None \
+                    and spec.kind is not want:
+                found.append(("components",
+                              f"{want.value} channel {ch!r} terminated on a "
+                              f"{spec.kind.value} detector"))
+    return found
+
+
 def _reachable_terminals(topology: OpticalTopology,
                          channel: str) -> tuple[tuple[FiberEdge, ...], ...]:
     """All edge trails that carry the channel from its source to a receiver
@@ -684,7 +717,9 @@ def _walk_trails(topology: OpticalTopology,
     trails: list[tuple[FiberEdge, ...]] = []
 
     def walk(node_id: str, trail: tuple[FiberEdge, ...]) -> None:
-        if topology.node(node_id).kind is NodeKind.ORXC:
+        # An edge to an unknown node ends its trail; validation lists it.
+        node = topology._by_id.get(node_id)
+        if node is not None and node.kind is NodeKind.ORXC:
             trails.append(trail)
             return
         for edge in topology.outgoing(node_id):
@@ -844,15 +879,20 @@ def co_propagating_at(topology: OpticalTopology, channel: str,
 
 
 def adjacency_dump(topology: OpticalTopology) -> list[str]:
-    """Plain-text adjacency listing for inspection via the CLI."""
+    """Plain-text adjacency listing for inspection via the CLI. Each distinct
+    channel set is listed once."""
     lines = []
+    listed: dict[frozenset[str], str] = {}
     for node in topology.nodes:
         out = topology.outgoing(node.id)
         if not out:
             lines.append(f"{node.id} [{node.kind.value}]")
             continue
         for edge in out:
-            carried = ",".join(sorted(edge.channels)) if edge.channels else "-"
+            carried = listed.get(edge.channels)
+            if carried is None:
+                carried = listed[edge.channels] = (
+                    ",".join(sorted(edge.channels)) if edge.channels else "-")
             fiber = edge.fiber if edge.fiber else "direct"
             lane = f" lane={edge.lane}" if edge.lane else ""
             lines.append(

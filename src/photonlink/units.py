@@ -14,6 +14,9 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 # conventional round number so noise floors read as -174 + NF + 10log10(B).
 THERMAL_FLOOR_DBM_PER_HZ = -174.0
 
+# Standard noise temperature T0 to which noise figures are referred (IEEE).
+NOISE_REFERENCE_TEMPERATURE_K = 290.0
+
 
 def db_to_linear(value_db: float) -> float:
     """Power ratio from dB."""

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -25,18 +26,26 @@ from photonlink.components import (
     MuxDemuxSpec,
     PhotodetectorSpec,
     SplitterSpec,
+    ValidationReport,
+    Violation,
+    WDM_BAND_NM,
+    validate_component,
 )
 from photonlink.data import reference_scenario_path
 from photonlink.report import METRIC_COLUMNS, _json_payload
 from photonlink.scenario import parse_scenario
 from photonlink.topology import (
+    CHANNELS_PER_RETURN_GROUP,
     ChannelPlan,
     Direction,
     ElementKind,
     ForwardBindings,
+    NodeKind,
     PathElement,
     ReturnBindings,
     SignalPath,
+    _has_cycle,
+    _reachable_terminals,
 )
 
 
@@ -243,6 +252,180 @@ def analysis_class(path, topology) -> tuple:
     return (path.channel,
             tuple((e.kind, e.component) for e in path.elements),
             sharing)
+
+
+def per_member_validation(topology) -> ValidationReport:
+    """Per-member oracle of ``validate_topology``: the composition rules run
+    at every node and the wavelength bookkeeping at every edge, as they did
+    before the checks were keyed by node and edge class."""
+    issues: list[Violation] = []
+
+    def bad(subject: str, field_name: str, message: str) -> None:
+        issues.append(Violation(subject, field_name, message))
+
+    known = topology._by_id
+    if len(known) != len(topology.nodes):
+        bad("topology", "nodes", "duplicate node ids")
+    for e in topology.edges:
+        if e.source not in known or e.target not in known:
+            bad(f"{e.source}->{e.target}", "edge", "references unknown node")
+
+    if _has_cycle(topology):
+        bad("topology", "edges", "graph contains a cycle")
+
+    # Component resolution and per-component invariants. A part that passes
+    # once passes everywhere; one that fails is reported at every node.
+    plan_lasers = set(topology.channel_lasers.values())
+    passed: set[str] = set()
+    for node in topology.nodes:
+        for name in node.components:
+            if name in passed:
+                continue
+            spec = topology.library.get(name)
+            if spec is None:
+                bad(node.id, "components", f"unknown component {name!r}")
+                continue
+            in_plan = isinstance(spec, LaserSpec) and name in plan_lasers
+            report = validate_component(spec, name=f"{node.id}:{name}",
+                                        in_wdm_plan=in_plan)
+            if report.ok:
+                passed.add(name)
+            issues.extend(report.violations)
+
+    # Per-edge wavelength bookkeeping.
+    lo, hi = WDM_BAND_NM
+    for e in topology.edges:
+        label = f"{e.source}->{e.target}"
+        if e.channels and e.fiber is None:
+            bad(label, "fiber", "edge carries channels but has no fiber")
+        if e.fiber is not None and not isinstance(topology.library.get(e.fiber), FiberSpec):
+            bad(label, "fiber", f"fiber {e.fiber!r} missing from library or wrong type")
+        carried = sorted(e.channels)
+        wavelengths = []
+        for ch in carried:
+            nm = topology.wavelength_plan.get(ch)
+            if nm is None:
+                bad(label, "channels", f"channel {ch!r} missing from wavelength plan")
+                continue
+            wavelengths.append((nm, ch))
+            if not lo <= nm <= hi:
+                bad(label, "channels",
+                    f"channel {ch!r} at {nm} nm outside [{lo:.0f}, {hi:.0f}] nm")
+        wavelengths.sort()
+        for (nm_a, ch_a), (nm_b, ch_b) in zip(wavelengths, wavelengths[1:]):
+            gap = nm_b - nm_a
+            if nm_a == nm_b:
+                bad(label, "channels",
+                    f"wavelength collision: {ch_a!r} and {ch_b!r} both at {nm_a} nm")
+            elif gap < topology.min_channel_spacing_nm and not math.isclose(
+                    gap, topology.min_channel_spacing_nm, rel_tol=1e-9):
+                bad(label, "channels",
+                    f"channels {ch_a!r}/{ch_b!r} spaced {gap:.3f} nm "
+                    f"< minimum {topology.min_channel_spacing_nm} nm")
+
+    # Node composition rules.
+    for node in topology.nodes:
+        lasers = topology.components_of(node, LaserSpec)
+        modulators = topology.components_of(node, ModulatorSpec)
+        muxes = topology.components_of(node, MuxDemuxSpec)
+        edfas = topology.components_of(node, EdfaSpec)
+        splitters = topology.components_of(node, SplitterSpec)
+        detectors = topology.components_of(node, PhotodetectorSpec)
+        out_edges = topology.outgoing(node.id)
+        in_edges = topology.incoming(node.id)
+        out_lanes = sorted({e.lane for e in out_edges if e.channels})
+        in_lanes = sorted({e.lane for e in in_edges if e.channels})
+
+        if node.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC):
+            if not lasers:
+                bad(node.id, "components", "transmitter chip needs at least one laser")
+            if len(modulators) != len(lasers):
+                bad(node.id, "components",
+                    f"lasers and modulators must pair up "
+                    f"({len(lasers)} lasers, {len(modulators)} modulators)")
+            expected_mux = max(1, len(out_lanes))
+            if len(muxes) != expected_mux:
+                bad(node.id, "components",
+                    f"expected {expected_mux} mux(es) for {expected_mux} outgoing "
+                    f"lane(s), found {len(muxes)}")
+            if node.kind is NodeKind.OTXC and len(edfas) > expected_mux:
+                bad(node.id, "components",
+                    "transmitter chip carries more boosters than fibers")
+        elif node.kind is NodeKind.FOJB:
+            expected = max(1, len(out_lanes))
+            if len(splitters) != expected:
+                bad(node.id, "components",
+                    f"junction box needs one splitter per lane "
+                    f"({len(splitters)} found, {expected} expected)")
+            if len(edfas) != expected:
+                bad(node.id, "components",
+                    f"junction box needs one amplifier per lane "
+                    f"({len(edfas)} found, {expected} expected)")
+            for lane in out_lanes or [0]:
+                legs = sum(1 for e in out_edges if e.channels and e.lane == lane)
+                for name in splitters:
+                    spec = topology.library[name]
+                    if spec.fanout != legs:
+                        bad(node.id, "fanout",
+                            f"splitter fanout {spec.fanout} != {legs} outgoing "
+                            f"edges on lane {lane}")
+        elif node.kind is NodeKind.ORXC:
+            expected = max(1, len(in_lanes))
+            if len(muxes) != expected:
+                bad(node.id, "components",
+                    f"receiver chip needs one demux per incoming lane "
+                    f"({len(muxes)} found, {expected} expected)")
+            if not detectors:
+                bad(node.id, "components", "receiver chip needs at least one detector")
+            arriving: set[str] = set()
+            for e in in_edges:
+                arriving.update(e.channels)
+            for want in (DetectorKind.ANALOG, DetectorKind.DIGITAL):
+                need = sum(1 for ch in arriving if topology.channel_kinds.get(ch) is want)
+                have = sum(1 for name in detectors
+                           if topology.library[name].kind is want)
+                if have < need:
+                    bad(node.id, "components",
+                        f"{need} {want.value} channel(s) arrive but only {have} "
+                        f"{want.value} detector(s) fitted")
+            for ch in arriving:
+                bound = topology.channel_detectors.get(ch)
+                spec = topology.library.get(bound) if bound else None
+                want = topology.channel_kinds.get(ch)
+                if isinstance(spec, PhotodetectorSpec) and want is not None \
+                        and spec.kind is not want:
+                    bad(node.id, "components",
+                        f"{want.value} channel {ch!r} terminated on a "
+                        f"{spec.kind.value} detector")
+
+    # Structural chain checks per direction.
+    kind_counts: dict[NodeKind, int] = {}
+    for node in topology.nodes:
+        kind_counts[node.kind] = kind_counts.get(node.kind, 0) + 1
+    if topology.direction is Direction.FORWARD:
+        for kind, want in ((NodeKind.EXCITER, 1), (NodeKind.OTXC, 1),
+                           (NodeKind.FOJB, 1), (NodeKind.ORXC, topology.n_dtrm),
+                           (NodeKind.DTRM, topology.n_dtrm)):
+            if kind_counts.get(kind, 0) != want:
+                bad("topology", "nodes",
+                    f"expected {want} {kind.value} node(s), found "
+                    f"{kind_counts.get(kind, 0)}")
+        for ch in sorted(topology.wavelength_plan):
+            reached = _reachable_terminals(topology, ch)
+            if len(reached) != topology.n_dtrm:
+                bad("topology", "channels",
+                    f"channel {ch!r} reaches {len(reached)} of "
+                    f"{topology.n_dtrm} modules")
+    else:
+        n_groups = topology.n_dtrm // CHANNELS_PER_RETURN_GROUP
+        if kind_counts.get(NodeKind.DIGITAL_OTXC, 0) != n_groups:
+            bad("topology", "nodes",
+                f"expected {n_groups} digital transmitter group(s), found "
+                f"{kind_counts.get(NodeKind.DIGITAL_OTXC, 0)}")
+        if kind_counts.get(NodeKind.DBFU, 0) != 1:
+            bad("topology", "nodes", "expected exactly one beam-former node")
+
+    return ValidationReport(tuple(issues))
 
 
 def class_partition(paths, key) -> list[list[int]]:

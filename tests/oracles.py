@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 
 BOLTZMANN = 1.380649e-23
+ELEMENTARY_CHARGE = 1.602176634e-19
+T0_K = 290.0
 
 
 def brute_force_cascade_nf_db(stages_lin: list[tuple[float, float]],
@@ -32,6 +34,23 @@ def brute_force_cascade_nf_db(stages_lin: list[tuple[float, float]],
             added *= downstream_gain
         output_noise += added
     return 10.0 * math.log10(output_noise / (total_gain * kt))
+
+
+def link_noise_figure_db(gain_lin: float, temperature_k: float,
+                         photocurrent_a: float, dark_current_a: float,
+                         load_ohm: float, rin_db_hz: float) -> float:
+    """Noise figure of an unamplified direct-detection link, IEEE definition.
+
+    F is the total output noise density over the part that a matched source
+    at T0 = 290 K puts out through the link gain, k*T0*G. The other output
+    terms are the load resistor's own noise at its physical temperature,
+    k*T; shot noise, 2q(I + I_dark)R; and laser RIN, RIN*I^2*R.
+    """
+    source = BOLTZMANN * T0_K * gain_lin
+    load = BOLTZMANN * temperature_k
+    shot = 2.0 * ELEMENTARY_CHARGE * (photocurrent_a + dark_current_a) * load_ohm
+    rin = 10.0 ** (rin_db_hz / 10.0) * photocurrent_a ** 2 * load_ohm
+    return 10.0 * math.log10((source + load + shot + rin) / source)
 
 
 def power_sum_dbc(levels_dbc: list[float]) -> float:

@@ -51,7 +51,11 @@ from conftest import (
     mk_pd,
     mk_splitter,
 )
-from oracles import brute_force_cascade_nf_db, power_sum_dbc
+from oracles import (
+    brute_force_cascade_nf_db,
+    link_noise_figure_db,
+    power_sum_dbc,
+)
 
 CONFIG = AnalysisConfig(iip3_dbm=20.0)
 
@@ -270,6 +274,30 @@ class TestNoiseFigure:
         assert parts.total_w_hz == pytest.approx(
             parts.thermal_w_hz + parts.shot_w_hz + parts.rin_w_hz
             + parts.ase_w_hz)
+
+
+    @pytest.mark.parametrize("temperature_k", [2900.0, 29000.0])
+    def test_noise_figure_is_referred_to_t0(self, temperature_k):
+        """A hotter load adds noise, so the noise figure, referred to a
+        source at T0 = 290 K, rises with the analysis temperature."""
+        path = make_path(mk_laser(power_w=0.01, rin=-155.0, slope=0.3),
+                         mk_mod_direct(), mk_mux(loss=3.0), mk_mux(loss=0.0),
+                         mk_pd(resp=0.8, dark=1e-8))
+        transmission = db_to_linear(-3.0)
+        photocurrent = 0.8 * 0.01 * transmission
+        gain = (0.3 * transmission * 0.8) ** 2
+
+        def both(t):
+            config = dataclasses.replace(CONFIG, temperature_k=t)
+            engine, _ = noise_figure_db(path, Modulation.DIRECT, config)
+            return engine, link_noise_figure_db(gain, t, photocurrent, 1e-8,
+                                                50.0, -155.0)
+
+        room, room_oracle = both(290.0)
+        hot, hot_oracle = both(temperature_k)
+        assert room == pytest.approx(room_oracle, abs=1e-9)
+        assert hot == pytest.approx(hot_oracle, abs=1e-9)
+        assert hot > room
 
 
 class TestFriisCascade:

@@ -73,3 +73,18 @@ def test_workload_report_digest(tmp_path, name):
                      "--out", str(out)])
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WORKLOAD_DIGESTS[name]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_validate_sizes_no_return_group(tmp_path, monkeypatch, fmt):
+    """The validate report carries no group capacity, so validate never
+    computes it: with the check made to raise, its bytes are unchanged."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate computed the return-group capacity")
+
+    monkeypatch.setattr(cli, "check_group_capacity", refuse)
+    out = tmp_path / f"validate.{fmt}"
+    code = cli.main(["validate", "--scenario", str(reference_scenario_path()),
+                     "--variant", "all", "--format", fmt, "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS["validate", fmt]

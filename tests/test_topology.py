@@ -218,6 +218,19 @@ class TestValidation:
         assert len(calls) == len(distinct) - 1 + 16
         assert sum(name.endswith(":pd_digital") for name in calls) == 16
 
+    def test_channel_edge_to_unknown_node_is_listed_not_raised(self):
+        """The reach walk ends a trail at an unknown node instead of raising
+        KeyError, so validation lists the edge and enumeration refuses."""
+        topology = build_reference_forward(n=4)
+        mutated = dataclasses.replace(topology, edges=tuple(
+            dataclasses.replace(e, target="ghost") if e.target == "orxc02" else e
+            for e in topology.edges))
+        messages = validate_topology(mutated).messages()
+        assert "fojb->ghost.edge: references unknown node" in messages
+        assert "topology.channels: channel 'alpha' reaches 3 of 4 modules" in messages
+        with pytest.raises(TopologyError):
+            enumerate_paths(mutated)
+
     def test_enumerate_refuses_invalid_topology(self):
         topology = build_reference_forward(n=4)
         mutated = dataclasses.replace(topology, edges=topology.edges[:-3])

@@ -1,0 +1,265 @@
+"""Class-keyed topology validation against the per-member oracle.
+
+``validate_topology`` runs the composition rules once per node class and the
+wavelength bookkeeping once per edge class, and lists each class's
+violations at every member. ``per_member_validation`` in conftest runs them
+at every node and edge. The two must agree in content and order on the
+reference networks and on seeded faults injected at some receiver chips or
+edges only.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from photonlink import cli
+from photonlink import topology as topology_module
+from photonlink.components import DetectorKind
+from photonlink.data import reference_scenario_path
+from photonlink.scenario import parse_scenario
+from photonlink.topology import (
+    FiberEdge,
+    NodeKind,
+    adjacency_dump,
+    build_forward_network,
+    build_return_network,
+    validate_topology,
+)
+
+from conftest import (
+    forward_fixture_bindings,
+    forward_fixture_channels,
+    forward_fixture_library,
+    mk_pd,
+    per_member_validation,
+    return_fixture_bindings,
+    return_fixture_library,
+)
+
+
+def assert_matches_per_member(topology):
+    want = per_member_validation(topology).violations
+    assert validate_topology(topology).violations == want
+    return want
+
+
+def forward(n, **kwargs):
+    return build_forward_network(
+        n, forward_fixture_channels(), forward_fixture_library(),
+        forward_fixture_bindings(**kwargs.pop("bindings", {})), **kwargs)
+
+
+def backward(n):
+    return build_return_network(n, return_fixture_library(),
+                                return_fixture_bindings())
+
+
+def test_reference_scenario_networks():
+    scenario = parse_scenario(reference_scenario_path())
+    for variant in scenario.selected_variants():
+        assert assert_matches_per_member(cli._forward_topology(scenario, variant)) == ()
+    assert assert_matches_per_member(cli._return_topology(scenario)) == ()
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_fixture_networks(n):
+    for topology in (forward(n), forward(n, shared_fiber=False),
+                     forward(n, bindings={"otxc_edfa": "edfa"}), backward(n)):
+        assert assert_matches_per_member(topology) == ()
+
+
+# Seeded faults, each applied to a random share of the receiver chips or of
+# the edges that feed them. Each takes and returns the topology.
+
+def _some(rng, items):
+    items = list(items)
+    return set(rng.sample(items, rng.randint(1, max(1, len(items) // 2))))
+
+
+def _receivers(topology):
+    return [n for n in topology.nodes if n.kind is NodeKind.ORXC]
+
+
+def _feeds(topology):
+    """Channel-carrying edges into receiver chips."""
+    ids = {n.id for n in _receivers(topology)}
+    return [e for e in topology.edges if e.target in ids and e.channels]
+
+
+def _with_nodes(topology, victims, change):
+    return dataclasses.replace(topology, nodes=tuple(
+        change(n) if n in victims else n for n in topology.nodes))
+
+
+def _with_edges(topology, victims, change):
+    return dataclasses.replace(topology, edges=tuple(
+        change(e) if e in victims else e for e in topology.edges))
+
+
+def drop_or_duplicate_part(topology, rng):
+    """A receiver chip loses or gains one of its parts: a demux or a
+    detector."""
+    name = rng.choice(sorted(set(_receivers(topology)[0].components)))
+    drop = rng.random() < 0.5
+
+    def change(node):
+        parts = list(node.components)
+        if drop and name in parts:
+            parts.remove(name)
+        elif not drop:
+            parts.insert(rng.randrange(len(parts) + 1), name)
+        return dataclasses.replace(node, components=tuple(parts))
+
+    return _with_nodes(topology, _some(rng, _receivers(topology)), change)
+
+
+def wrong_kind_detector(topology, rng):
+    """A receiver chip fits a detector of the other kind in place of one of
+    its detectors."""
+    library = dict(topology.library)
+    library["pd_swapped_analog"] = mk_pd(kind=DetectorKind.ANALOG)
+    library["pd_swapped_digital"] = mk_pd(kind=DetectorKind.DIGITAL)
+    name = rng.choice(sorted(set(topology.channel_detectors.values())))
+    other = ("pd_swapped_digital" if library[name].kind is DetectorKind.ANALOG
+             else "pd_swapped_analog")
+
+    def change(node):
+        parts = tuple(other if part == name else part for part in node.components)
+        return dataclasses.replace(node, components=parts)
+
+    topology = dataclasses.replace(topology, library=library)
+    return _with_nodes(topology, _some(rng, _receivers(topology)), change)
+
+
+def fanout_mismatch(topology, rng):
+    """Some legs into receiver chips are dropped or doubled, so the splitter
+    fanout no longer matches them."""
+    victims = _some(rng, _feeds(topology))
+    if rng.random() < 0.5:
+        return dataclasses.replace(topology, edges=tuple(
+            e for e in topology.edges if e not in victims))
+    return dataclasses.replace(topology, edges=topology.edges + tuple(
+        dataclasses.replace(e) for e in topology.edges if e in victims))
+
+
+def missing_fiber(topology, rng):
+    """A channel-carrying edge without a fiber."""
+    return _with_edges(topology, _some(rng, _feeds(topology)),
+                       lambda e: dataclasses.replace(e, fiber=None))
+
+
+def stray_wavelength(topology, rng):
+    """Some edges carry one more channel: off-band, too close to or at the
+    wavelength of a planned one, or missing from the plan."""
+    plan = dict(topology.wavelength_plan)
+    kinds = dict(topology.channel_kinds)
+    anchor = plan[rng.choice(sorted(plan))]
+    placement = rng.choice(("off-band", "too-close", "collision", "unplanned"))
+    if placement != "unplanned":
+        plan["stray"] = {"off-band": rng.choice((1260.0, 1700.0)),
+                         "too-close": anchor + 0.3,
+                         "collision": anchor}[placement]
+    if rng.random() < 0.5:
+        kinds["stray"] = rng.choice((DetectorKind.ANALOG, DetectorKind.DIGITAL))
+    topology = dataclasses.replace(topology, wavelength_plan=plan,
+                                   channel_kinds=kinds)
+    return _with_edges(topology, _some(rng, _feeds(topology)),
+                       lambda e: dataclasses.replace(e, channels=e.channels | {"stray"}))
+
+
+def dangling_edge(topology, rng):
+    """An edge out of a receiver chip, or one of its feeds, ends at a node
+    that does not exist."""
+    if rng.random() < 0.5:
+        return _with_edges(topology, _some(rng, _feeds(topology)),
+                           lambda e: dataclasses.replace(e, target="ghost"))
+    extra = tuple(FiberEdge(n.id, "ghost", None)
+                  for n in _some(rng, _receivers(topology)))
+    return dataclasses.replace(topology, edges=topology.edges + extra)
+
+
+FAULTS = (drop_or_duplicate_part, wrong_kind_detector, fanout_mismatch,
+          missing_fiber, stray_wavelength, dangling_edge)
+
+
+def _base(rng):
+    n = rng.choice((8, 64))
+    shape = rng.choice(("shared", "split", "boosted", "return"))
+    if shape == "return":
+        return backward(n)
+    if shape == "split":
+        return forward(n, shared_fiber=False)
+    if shape == "boosted":
+        return forward(n, bindings={"otxc_edfa": "edfa"})
+    return forward(n)
+
+
+@pytest.mark.parametrize("batch", range(8))
+def test_injected_faults_match_per_member(batch):
+    """30 seeded cases per batch, 240 in all, of one to three faults each."""
+    rng = random.Random(9000 + batch)
+    flagged = 0
+    for case in range(30):
+        topology = _base(rng)
+        for fault in rng.sample(FAULTS, rng.randint(1, 3)):
+            topology = fault(topology, rng)
+        want = per_member_validation(topology).violations
+        got = validate_topology(topology).violations
+        assert got == want, f"batch {batch} case {case}"
+        flagged += bool(want)
+    assert flagged >= 25
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=[f.__name__ for f in FAULTS])
+def test_each_fault_is_listed(fault):
+    """Each fault alone, at N=64, gives violations, and some receiver chip
+    is not among their subjects."""
+    rng = random.Random(fault.__name__)
+    topology = fault(forward(64), rng)
+    want = assert_matches_per_member(topology)
+    assert want
+    assert {n.id for n in _receivers(topology)} - {v.subject for v in want}
+
+
+@pytest.mark.parametrize("shared_fiber", [True, False])
+def test_checks_run_once_per_class(monkeypatch, shared_fiber):
+    """The forward network has one node class per kind and one edge class
+    per (fiber, channel set), whatever N; the adjacency listing formats each
+    distinct channel set once."""
+    counts = {}
+    for name in ("_node_checks", "_edge_checks"):
+        real = getattr(topology_module, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(topology_module, name, counting)
+
+    seen = {}
+    for n in (64, 1024):
+        topology = forward(n, shared_fiber=shared_fiber)
+        counts.update(_node_checks=0, _edge_checks=0)
+        assert validate_topology(topology).ok
+        seen[n] = dict(counts)
+        assert counts["_node_checks"] == len({node.kind for node in topology.nodes})
+        assert counts["_edge_checks"] == len({(e.fiber, e.channels)
+                                              for e in topology.edges})
+    assert seen[64] == seen[1024]
+
+    class Counted(frozenset):
+        walks = 0
+
+        def __iter__(self):
+            Counted.walks += 1
+            return super().__iter__()
+
+    # Every edge gets its own set object, so only equal values can share.
+    topology = forward(1024, shared_fiber=shared_fiber)
+    counted = dataclasses.replace(topology, edges=tuple(
+        dataclasses.replace(e, channels=Counted(e.channels))
+        for e in topology.edges))
+    Counted.walks = 0
+    assert adjacency_dump(counted) == adjacency_dump(topology)
+    assert Counted.walks == len({e.channels for e in topology.edges if e.channels})
