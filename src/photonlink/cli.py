@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .errors import PhotonlinkError
@@ -150,8 +151,24 @@ def _worst_case(results: list[PathResult]) -> LinkMetrics:
                    flags=flags)
 
 
-def _analyze_variant(scenario: Scenario, variant: DesignVariant,
-                     digital_groups) -> tuple[VariantResult, TopologySummary]:
+class _ForwardAnalysis(NamedTuple):
+    """What one forward network gives every variant that builds it."""
+
+    paths: tuple[PathResult, ...]
+    worst: LinkMetrics
+    wavelengths: tuple[float, ...]
+    summary: TopologySummary
+
+
+def _network_key(scenario: Scenario, variant: DesignVariant) -> tuple:
+    """All that ``_analyze_forward`` reads of ``variant``: variants with
+    equal keys (si and hip of one modulation and grating, or gratings bound
+    to the same parts) get the same forward analysis."""
+    return scenario.forward_bindings(variant), variant.modulation
+
+
+def _analyze_forward(scenario: Scenario,
+                     variant: DesignVariant) -> _ForwardAnalysis:
     topology = _forward_topology(scenario, variant)
     paths = enumerate_paths(topology)
     results = _analyze_classes(topology, paths, variant.modulation,
@@ -160,25 +177,40 @@ def _analyze_variant(scenario: Scenario, variant: DesignVariant,
               if topology.channel_kinds[r.path.channel] is DetectorKind.ANALOG]
     # Requirement checks apply to the RF (analog) distribution paths; the
     # forward clock channels are reported but not held to the RF bounds.
-    worst = _worst_case(analog or results)
-    wavelengths = sorted(topology.wavelength_plan.values())
+    return _ForwardAnalysis(
+        paths=tuple(results),
+        worst=_worst_case(analog or results),
+        wavelengths=tuple(sorted(topology.wavelength_plan.values())),
+        summary=_summary(topology, len(paths)),
+    )
+
+
+def _variant_result(scenario: Scenario, variant: DesignVariant,
+                    forward: _ForwardAnalysis, digital_groups) -> VariantResult:
     compliance = check_requirements(
-        worst,
+        forward.worst,
         scenario.requirements,
         variant=variant,
-        wavelengths_nm=wavelengths,
+        wavelengths_nm=forward.wavelengths,
         digital_groups=digital_groups,
         analysis_bandwidth_hz=scenario.analysis.bandwidth_hz,
     )
-    result = VariantResult(
+    return VariantResult(
         label=variant.label,
         feasible=True,
         score=score_variant(variant),
-        paths=tuple(results),
-        worst=worst,
+        paths=forward.paths,
+        worst=forward.worst,
         compliance=compliance,
     )
-    return result, _summary(topology, len(paths))
+
+
+def _analyze_variant(scenario: Scenario, variant: DesignVariant,
+                     digital_groups) -> tuple[VariantResult, TopologySummary]:
+    """One variant on its own forward network, shared with no other."""
+    forward = _analyze_forward(scenario, variant)
+    return (_variant_result(scenario, variant, forward, digital_groups),
+            forward.summary)
 
 
 def run(command: str, scenario: Scenario) -> Report:
@@ -219,13 +251,18 @@ def run(command: str, scenario: Scenario) -> Report:
             return_topology, scenario.digital_link, scenario.adc_stream,
             bar_bytes_per_8ch=scenario.requirements.throughput_bar_bytes_per_s)
 
-    summaries: list[TopologySummary] = []
+    # Each distinct forward network is built, enumerated and analyzed once;
+    # its variants share the path results and differ only in compliance.
+    networks: dict[tuple, _ForwardAnalysis] = {}
     results: list[VariantResult] = []
     for variant in variants:
-        result, summary = _analyze_variant(scenario, variant, digital_groups)
-        results.append(result)
-        if not summaries:
-            summaries.append(summary)
+        key = _network_key(scenario, variant)
+        forward = networks.get(key)
+        if forward is None:
+            forward = networks[key] = _analyze_forward(scenario, variant)
+        results.append(_variant_result(scenario, variant, forward,
+                                       digital_groups))
+    summaries = [network.summary for network in networks.values()][:1]
     if return_topology is not None:
         return_paths = enumerate_paths(return_topology)
         summaries.append(_summary(return_topology, len(return_paths)))

@@ -687,7 +687,7 @@ def _node_checks(topology: OpticalTopology, node: Node,
                 found.append(("components",
                               f"{need} {want.value} channel(s) arrive but only {have} "
                               f"{want.value} detector(s) fitted"))
-        for ch in arriving:
+        for ch in sorted(arriving):
             bound = topology.channel_detectors.get(ch)
             spec = topology.library.get(bound) if bound else None
             want = topology.channel_kinds.get(ch)
@@ -762,11 +762,12 @@ def _launch(topology: OpticalTopology, channel: str,
     return elements
 
 
-def _hop(topology: OpticalTopology, channel: str, edge: FiberEdge,
+def _hop(topology: OpticalTopology, edge: FiberEdge,
          lane: int) -> list[PathElement]:
-    """The elements ``channel`` meets over one edge: its fiber, then the
-    junction box's amplifier and splitter or the receiver's demux and
-    detector. Node parts are picked on the launch ``lane``."""
+    """The elements a channel meets over one edge, up to a receiver's
+    detector: its fiber, then the junction box's amplifier and splitter or
+    the receiver's demux. None depends on the channel. Node parts are picked
+    on the launch ``lane``."""
     src, dst = edge.source, edge.target
     suffix = f".lane{lane}" if lane else ""
     elements = []
@@ -783,8 +784,6 @@ def _hop(topology: OpticalTopology, channel: str, edge: FiberEdge,
     elif node.kind is NodeKind.ORXC:
         elements.append(_element(topology, f"{dst}.demux{suffix}", ElementKind.DEMUX,
                                  _on_lane(topology, node, MuxDemuxSpec, lane), dst))
-        elements.append(_element(topology, f"{dst}.pd.{channel}", ElementKind.DETECTOR,
-                                 topology.channel_detectors[channel], dst))
     return elements
 
 
@@ -801,9 +800,10 @@ def enumerate_paths(topology: OpticalTopology) -> list[SignalPath]:
 
     The elements up to a trail's last edge (laser to splitter on the forward
     network) are built once per channel and shared by every destination that
-    reaches them; only the last edge's fiber, demux and detector are built
-    per path. Each path carries its analysis class key, and paths of one
-    class share one key object. The element order is checked once per
+    reaches them. The last edge's fiber and demux are built once per (edge,
+    lane) and shared by every channel that lands there; only the detector is
+    built per path. Each path carries its analysis class key, and paths of
+    one class share one key object. The element order is checked once per
     distinct kind sequence."""
     report = validate_topology(topology)
     if not report.ok:
@@ -812,8 +812,12 @@ def enumerate_paths(topology: OpticalTopology) -> list[SignalPath]:
     keys: dict[tuple, tuple] = {}
     legal: set[str] = set()
     destinations: dict[str, str] = {}
+    # (last edge, launch lane) -> its elements and their component names.
+    drops: dict[tuple[FiberEdge, int],
+                tuple[tuple[PathElement, ...], tuple[str, ...]]] = {}
     for channel in sorted(topology.wavelength_plan):
         wavelength = topology.wavelength_plan[channel]
+        detector = topology.channel_detectors[channel]
         prefixes: dict[tuple[FiberEdge, ...],
                        tuple[tuple[PathElement, ...], tuple]] = {}
         trails = sorted(_reachable_terminals(topology, channel),
@@ -825,17 +829,23 @@ def enumerate_paths(topology: OpticalTopology) -> list[SignalPath]:
             if prefix is None:
                 elements = _launch(topology, channel, trail[0])
                 for edge in head:
-                    elements += _hop(topology, channel, edge, lane)
+                    elements += _hop(topology, edge, lane)
                 prefix = prefixes[head] = (
                     tuple(elements),
                     tuple([(e.kind, e.component) for e in elements]))
             shared, signature = prefix
             last = trail[-1]
             terminal = last.target
-            hop = tuple(_hop(topology, channel, last, lane))
+            drop = drops.get((last, lane))
+            if drop is None:
+                elements = tuple(_hop(topology, last, lane))
+                drop = drops[last, lane] = (
+                    elements, tuple([e.component for e in elements]))
+            hop = drop[0] + (_element(topology, f"{terminal}.pd.{channel}",
+                                      ElementKind.DETECTOR, detector, terminal),)
             # The last hop ends at a receiver chip, so its kinds follow from
             # whether it has a fiber, and its component names fix the rest.
-            new = (channel, signature, tuple([e.component for e in hop]),
+            new = (channel, signature, drop[1] + (detector,),
                    co_propagating_at(topology, channel, terminal)[0])
             key = keys.setdefault(new, new)
             destination = destinations.get(terminal)

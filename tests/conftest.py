@@ -388,7 +388,7 @@ def per_member_validation(topology) -> ValidationReport:
                     bad(node.id, "components",
                         f"{need} {want.value} channel(s) arrive but only {have} "
                         f"{want.value} detector(s) fitted")
-            for ch in arriving:
+            for ch in sorted(arriving):
                 bound = topology.channel_detectors.get(ch)
                 spec = topology.library.get(bound) if bound else None
                 want = topology.channel_kinds.get(ch)

@@ -28,7 +28,7 @@ from photonlink.report import (
     render_json,
     render_text,
 )
-from photonlink.topology import ElementKind, enumerate_paths
+from photonlink.topology import ElementKind, NodeKind, enumerate_paths
 
 from conftest import per_path_payload, redrawn_scenario
 
@@ -200,8 +200,20 @@ def test_each_channel_prefix_is_built_once(reference_scenario, monkeypatch):
     assert all(len(p.elements) == prefix + suffix for p in paths)
     channels = len(topology.wavelength_plan)
     assert len(paths) == channels * reference_scenario.n_dtrm
-    assert len(built) == channels * prefix + len(paths) * suffix
-    first = {}
+    # The drop fiber and demux are built once per (last edge, lane); only
+    # the detector is built per path.
+    lane_of = {ch: e.lane for e in topology.edges for ch in e.channels}
+    drops = {(e, e.lane) for e in topology.edges if e.channels
+             and topology.node(e.target).kind is NodeKind.ORXC}
+    assert len(drops) == reference_scenario.n_dtrm
+    assert len(built) == channels * prefix + len(drops) * 2 + len(paths)
+    first, landed = {}, {}
     for path in paths:
         shared = first.setdefault(path.channel, path.elements[:prefix])
         assert all(a is b for a, b in zip(path.elements[:prefix], shared))
+        receiver = path.elements[-1].node
+        drop = landed.setdefault((receiver, lane_of[path.channel]),
+                                 path.elements[prefix:-1])
+        assert all(a is b for a, b in zip(path.elements[prefix:-1], drop))
+        assert path.elements[-1].element_id == f"{receiver}.pd.{path.channel}"
+    assert len(landed) == len(drops)

@@ -1,0 +1,149 @@
+"""One forward analysis per distinct forward network.
+
+``cli.run`` keys the forward pipeline by the variant's forward bindings and
+modulation, and every variant with the same key reuses one build,
+enumeration, class analysis and worst case. Each report here is built twice:
+by ``cli.run`` (shared) and by one fresh ``cli._analyze_variant`` per
+variant (unshared). The two must render to the same bytes in every format.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from photonlink import cli
+from photonlink.report import render_csv, render_json, render_text
+from photonlink.scenario import parse_scenario
+from photonlink.topology import Direction
+from photonlink.tradeoff import VariantOutcome, enumerate_variants, recommend
+
+from conftest import benchmark_workloads, redrawn_scenario, workload_document
+
+
+def unshared_report(command, scenario, shared):
+    """``shared``, the report of ``cli.run(command, scenario)``, with every
+    variant analyzed on its own forward network."""
+    if command == "validate":
+        # No variants: the validate report has only the one route.
+        return shared
+    if command == "analyze":
+        variants = scenario.selected_variants()
+    else:
+        variants = tuple(v for v, feasible in enumerate_variants() if feasible)
+    analyzed = [cli._analyze_variant(scenario, v, shared.digital_groups)
+                for v in variants]
+    results = tuple(result for result, _ in analyzed)
+    recommendation = None
+    if command == "tradeoff":
+        recommendation = recommend([
+            VariantOutcome(v.compliance.variant, v.score, v.compliance)
+            for v in results])
+    return dataclasses.replace(
+        shared, variants=results, recommendation=recommendation,
+        topology_summaries=(analyzed[0][1], *shared.topology_summaries[1:]))
+
+
+def assert_same_text(got, want):
+    """``got == want``, failing with the first differing line only: a diff
+    of two whole reports is too slow to print."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for number, (a, b) in enumerate(zip(got_lines, want_lines), start=1):
+        if a != b:
+            pytest.fail(f"line {number} differs: {a!r} != {b!r}")
+    pytest.fail(f"{len(got_lines)} lines != {len(want_lines)} lines")
+
+
+def assert_routes_agree(command, scenario):
+    shared = cli.run(command, scenario)
+    unshared = unshared_report(command, scenario, shared)
+    for render in (render_json, render_csv, render_text):
+        assert_same_text(render(shared), render(unshared))
+    return shared
+
+
+@pytest.mark.parametrize("command", ["analyze", "tradeoff"])
+def test_reference_scenario(reference_scenario, command):
+    report = assert_routes_agree(command, reference_scenario)
+    assert len(report.variants) == 6
+
+
+@pytest.mark.parametrize("name", sorted(benchmark_workloads().WORKLOADS))
+def test_benchmark_workloads(name):
+    workload = benchmark_workloads().WORKLOADS[name]
+    document = workload_document(name, 1)
+    if "--variant" in workload.cli_args:
+        document["variant"] = workload.cli_args[
+            workload.cli_args.index("--variant") + 1]
+    assert_routes_agree(workload.cli_args[0], parse_scenario(document))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_randomized_libraries(reference_scenario, seed):
+    scenario = redrawn_scenario(reference_scenario, random.Random(seed))
+    # The return network needs whole groups of four modules.
+    scenario = dataclasses.replace(
+        scenario, return_enabled=scenario.n_dtrm % 4 == 0)
+    assert_routes_agree("tradeoff", scenario)
+
+
+@pytest.fixture
+def forward_work(monkeypatch):
+    """Forward topologies built and enumerated through the CLI's namespace."""
+    built, enumerated = [], []
+    build, enumerate_ = cli.build_forward_network, cli.enumerate_paths
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    def counting_enumerate(topology):
+        if topology.direction is Direction.FORWARD:
+            enumerated.append(topology)
+        return enumerate_(topology)
+
+    monkeypatch.setattr(cli, "build_forward_network", counting_build)
+    monkeypatch.setattr(cli, "enumerate_paths", counting_enumerate)
+    return built, enumerated
+
+
+def distinct_networks(scenario, report):
+    variants = [v.compliance.variant for v in report.variants]
+    return {cli._network_key(scenario, v) for v in variants}
+
+
+def test_reference_builds_each_network_once(reference_scenario, forward_work):
+    built, enumerated = forward_work
+    report = cli.run("tradeoff", reference_scenario)
+    assert len(report.variants) == 6
+    assert len(distinct_networks(reference_scenario, report)) == 4
+    assert len(built) == len(enumerated) == 4
+    # Variants share a path tuple exactly when they bind the same network.
+    for a in report.variants:
+        for b in report.variants:
+            same = (cli._network_key(reference_scenario, a.compliance.variant)
+                    == cli._network_key(reference_scenario, b.compliance.variant))
+            assert (a.paths is b.paths) == same, (a.label, b.label)
+            assert (a.worst is b.worst) == same, (a.label, b.label)
+
+
+def test_gratings_bound_to_the_same_parts_share(reference_scenario,
+                                                forward_work):
+    built, enumerated = forward_work
+    scenario = dataclasses.replace(
+        reference_scenario,
+        mux_by_grating={g: reference_scenario.mux_by_grating["vbg"]
+                        for g in ("vbg", "awg")},
+        demux_by_grating={g: reference_scenario.demux_by_grating["vbg"]
+                          for g in ("vbg", "awg")})
+    report = cli.run("tradeoff", scenario)
+    assert len(distinct_networks(scenario, report)) == 2
+    assert len(built) == len(enumerated) == 2
+    by_modulation = {}
+    for variant in report.variants:
+        modulation = variant.compliance.variant.modulation
+        assert by_modulation.setdefault(modulation, variant.paths) is variant.paths
+    assert len(by_modulation) == 2
+    assert_routes_agree("tradeoff", scenario)

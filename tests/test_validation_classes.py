@@ -9,7 +9,12 @@ edges only.
 """
 
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +268,24 @@ def test_checks_run_once_per_class(monkeypatch, shared_fiber):
     Counted.walks = 0
     assert adjacency_dump(counted) == adjacency_dump(topology)
     assert Counted.walks == len({e.channels for e in topology.edges if e.channels})
+
+
+def test_wrong_kind_detector_messages_ignore_the_hash_seed(tmp_path):
+    """Every analog channel on a digital detector: the messages list the
+    channels in name order, so the report is the same under any hash seed."""
+    document = json.loads(reference_scenario_path().read_text())
+    document["topology"]["bindings"]["analog_detector"] = "clock_pd"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(document))
+    src = Path(topology_module.__file__).resolve().parents[1]
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "photonlink.cli", "validate",
+             "--scenario", str(scenario), "--format", "text"],
+            env=env, capture_output=True)
+        assert done.returncode == cli.EXIT_INPUT, done.stderr
+        outputs.append(done.stdout)
+    assert b"analog channel 'cal1' terminated on a digital detector" in outputs[0]
+    assert outputs[0] == outputs[1] == outputs[2]
