@@ -122,13 +122,15 @@ class AutogainResult:
 
 @dataclass(frozen=True)
 class LinkMetrics:
+    """One path's link budget. A link's SNR degradation is its noise figure,
+    and the first-order model's fall time is its rise time, so neither has a
+    field of its own."""
+
     rf_gain_db: float
     noise_figure_db: float
-    snr_degradation_db: float
     sfdr_db: float
     effective_bandwidth_hz: float
     rise_time_s: float
-    fall_time_s: float
     pulse_skew_s: float
     timing_jitter_rms_s: float
     detector_power_dbm: float
@@ -525,7 +527,8 @@ def analyze_path(
     reference_delay_s: float | None = None,
 ) -> LinkMetrics:
     """Full metric bundle for one path; internally consistent by construction
-    (ledger conservation, SNR degradation equal to the noise figure).
+    (ledger conservation; the SFDR, NF degradation and phase-noise figures
+    all use the one noise figure).
 
     Inputs that take the arithmetic out of floating-point range (an overflow,
     a vanishing gain, a NaN) raise AnalysisError naming the path's parts."""
@@ -572,11 +575,9 @@ def _analyze_path(path: SignalPath, modulation: Modulation, config: AnalysisConf
     return LinkMetrics(
         rf_gain_db=gain,
         noise_figure_db=nf,
-        snr_degradation_db=nf,
         sfdr_db=dynamic_range,
         effective_bandwidth_hz=bandwidth,
         rise_time_s=t_rise,
-        fall_time_s=t_rise,
         pulse_skew_s=skew,
         timing_jitter_rms_s=jitter,
         detector_power_dbm=ledger.end_dbm,
@@ -636,11 +637,9 @@ def worst_case(metrics: Sequence[LinkMetrics]) -> LinkMetrics:
     return LinkMetrics(
         rf_gain_db=min(m.rf_gain_db for m in metrics),
         noise_figure_db=anchor.noise_figure_db,
-        snr_degradation_db=anchor.noise_figure_db,
         sfdr_db=min(m.sfdr_db for m in metrics),
         effective_bandwidth_hz=min(m.effective_bandwidth_hz for m in metrics),
         rise_time_s=max(m.rise_time_s for m in metrics),
-        fall_time_s=max(m.fall_time_s for m in metrics),
         pulse_skew_s=max(m.pulse_skew_s for m in metrics),
         timing_jitter_rms_s=max(m.timing_jitter_rms_s for m in metrics),
         detector_power_dbm=max(m.detector_power_dbm for m in metrics),

@@ -18,20 +18,18 @@ from .linkbudget import LinkMetrics, relabeled
 from .topology import Direction, SignalPath
 from .tradeoff import ComplianceReport, OrdinalScore, Recommendation
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 # Scalar metric columns serialized per path; key name carries the unit.
 METRIC_COLUMNS: tuple[tuple[str, str], ...] = (
     ("rf_gain_db", "dB"),
     ("noise_figure_db", "dB"),
-    ("snr_degradation_db", "dB"),
     ("sfdr_db", "dB"),
     ("nf_degradation_db", "dB"),
     ("phase_noise_degradation_db", "dB"),
     ("crosstalk_db", "dB"),
     ("effective_bandwidth_hz", "Hz"),
     ("rise_time_s", "s"),
-    ("fall_time_s", "s"),
     ("pulse_skew_s", "s"),
     ("timing_jitter_rms_s", "s"),
     ("detector_power_dbm", "dBm"),
@@ -404,12 +402,8 @@ def _json_payload(report: Report) -> dict:
 
 
 def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
+    if not math.isfinite(value):
+        raise ValueError(f"the non-finite number {value!r} has no JSON form")
     return float.__repr__(value)
 
 
@@ -436,15 +430,17 @@ class _Slot:
 
 
 def _dump_json(obj: object) -> str:
-    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False)``.
 
     The standard library falls back to its pure-Python encoder whenever
     ``indent`` is set; this writer emits each key with its scalar value as
     one chunk and joins the chunks once. It accepts dicts with ``str`` keys,
     lists, str, int, float, bool and None by exact type, and raises
-    ``TypeError`` on anything else. A ``PathResult`` is written as the JSON
-    object of its ``metrics``: its class's block is written once per indent
-    as a template, and each path fills in its own element ids and flags.
+    ``TypeError`` on anything else. A NaN or an infinity raises
+    ``ValueError``: JSON has no token for it. A ``PathResult`` is written as
+    the JSON object of its ``metrics``: its class's block is written once per
+    indent as a template, and each path fills in its own element ids and flags.
     """
     chunks: list = []
     append = chunks.append

@@ -459,6 +459,18 @@ def workload_document(name: str, seed: int) -> dict:
                                    workloads.load_reference(ROOT))
 
 
+def assert_same_text(got, want):
+    """``got == want``, failing with the first differing line only: a diff
+    of two whole reports is too slow to print."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for number, (a, b) in enumerate(zip(got_lines, want_lines), start=1):
+        if a != b:
+            pytest.fail(f"line {number} differs: {a!r} != {b!r}")
+    pytest.fail(f"{len(got_lines)} lines != {len(want_lines)} lines")
+
+
 def metrics_json(metrics) -> dict:
     """The report's JSON object of one metrics bundle, built field by field."""
     payload = {name: getattr(metrics, name) for name, _ in METRIC_COLUMNS}

@@ -4,8 +4,9 @@ A path's result holds its class's metrics and relabels its ledger only when
 ``metrics`` is read. Every report here is written twice: by the writers,
 which read the class metrics and stamp each path's ids and flags into a
 template, and by an oracle from each path's materialized ``pr.metrics``. The
-two must be equal to the byte, and the variant's worst case must equal
-``worst_case`` of the materialized metrics under exact ``==``."""
+two must be equal to the byte, or both refuse a value JSON cannot carry, and
+the variant's worst case must equal ``worst_case`` of the materialized
+metrics under exact ``==``."""
 
 import csv
 import dataclasses
@@ -19,6 +20,7 @@ import pytest
 
 from photonlink import cli, linkbudget, topology as topology_module
 from photonlink.components import DetectorKind
+from photonlink.data import reference_scenario_path
 from photonlink.linkbudget import worst_case
 from photonlink.report import (
     METRIC_COLUMNS,
@@ -30,7 +32,7 @@ from photonlink.report import (
 )
 from photonlink.topology import ElementKind, NodeKind, enumerate_paths
 
-from conftest import per_path_payload, redrawn_scenario
+from conftest import assert_same_text, per_path_payload, redrawn_scenario
 
 
 def per_path_csv(report) -> str:
@@ -61,10 +63,16 @@ def assert_renders_per_path(report, analog_channels):
         analog = [pr for pr in variant.paths if pr.path.channel in analog_channels]
         eager = worst_case([pr.metrics for pr in analog or variant.paths])
         assert variant.worst == eager, variant.label
-    expected = json.dumps(per_path_payload(report), indent=2, sort_keys=True)
-    assert render_json(report) == expected + "\n"
-    assert render_csv(report) == per_path_csv(report)
-    assert render_text(report) == render_text(materialized(report))
+    try:
+        expected = json.dumps(per_path_payload(report), indent=2,
+                              sort_keys=True, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ValueError):
+            render_json(report)
+    else:
+        assert_same_text(render_json(report), expected + "\n")
+    assert_same_text(render_csv(report), per_path_csv(report))
+    assert_same_text(render_text(report), render_text(materialized(report)))
 
 
 def analog_ids(scenario):
@@ -129,22 +137,30 @@ def test_detector_saturation_flags_each_path(reference_scenario):
     assert_renders_per_path(report, analog_ids(scenario))
 
 
-def test_dead_link(reference_scenario):
+def test_dead_link(reference_scenario, monkeypatch, capsys):
+    """A dead link's infinite noise figure has no JSON form: the JSON writer
+    and ``cli.main`` refuse the report, the text and CSV writers write it."""
     report = cli.run("analyze", reference_scenario)
     first = report.variants[0]
     analog_channels = analog_ids(reference_scenario)
     victim = next(pr.class_metrics for pr in first.paths
                   if pr.path.channel in analog_channels)
-    dead = dataclasses.replace(victim, noise_figure_db=math.inf,
-                               snr_degradation_db=math.inf)
+    dead = dataclasses.replace(victim, noise_figure_db=math.inf)
     paths = tuple(PathResult(pr.path, dead, pr.flags)
                   if pr.class_metrics is victim else pr for pr in first.paths)
     analog = [pr for pr in paths if pr.path.channel in analog_channels]
     first = dataclasses.replace(first, paths=paths, worst=cli._worst_case(analog))
     report = dataclasses.replace(report, variants=(first, *report.variants[1:]))
     assert first.worst.noise_figure_db == math.inf
-    assert '"noise_figure_db": Infinity,' in render_json(report)
     assert_renders_per_path(report, analog_channels)
+
+    monkeypatch.setattr(cli, "run", lambda *_: report)
+    code = cli.main(["analyze", "--scenario", str(reference_scenario_path()),
+                     "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_escaped_channel_ids(reference_scenario):

@@ -1,6 +1,6 @@
 """The JSON report writer against its oracle, the standard library's
-``json.dumps(obj, indent=2, sort_keys=True)``: a seeded random corpus, the
-values it refuses, and the reference reports it renders."""
+``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``: a seeded
+random corpus, the values it refuses, and the reference reports it renders."""
 
 import dataclasses
 import json
@@ -10,19 +10,32 @@ import random
 import pytest
 
 from photonlink import cli
+from photonlink.data import reference_scenario_path
 from photonlink.report import _dump_json, _fmt_si, render_json
 
 from conftest import per_path_payload
 
 
 def oracle(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+def assert_matches_oracle(obj):
+    """The writer writes the oracle's bytes, or both raise ``ValueError``."""
+    try:
+        expected = oracle(obj)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _dump_json(obj)
+    else:
+        assert _dump_json(obj) == expected
 
 
 SPECIAL_FLOATS = (
-    math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
     1e16, 0.1 + 0.2, 1e-7, 1e300, -1.5, 123456789.0,
 )
+NON_FINITE = (math.inf, -math.inf, math.nan)
 SPECIAL_INTS = (0, 1, -1, 2**63, -(2**63) - 1, 2**64 + 7, 10**30)
 # Non-ASCII (in and beyond the BMP), control characters, quote, backslash,
 # the line separators JavaScript rejects, and a lone surrogate.
@@ -38,7 +51,7 @@ def random_text(rng: random.Random) -> str:
 def random_scalar(rng: random.Random):
     kind = rng.randrange(7)
     if kind == 0:
-        return rng.choice(SPECIAL_FLOATS)
+        return rng.choice(SPECIAL_FLOATS + NON_FINITE)
     if kind == 1:
         return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 300)
     if kind == 2:
@@ -84,8 +97,22 @@ def test_fixed_corpus_matches_the_standard_library(obj):
 def test_random_corpus_matches_the_standard_library(seed):
     rng = random.Random(seed)
     for _ in range(60):
-        obj = random_value(rng, 0)
-        assert _dump_json(obj) == oracle(obj)
+        assert_matches_oracle(random_value(rng, 0))
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("wrap", [
+    lambda v: v,
+    lambda v: [1.0, v],
+    lambda v: {"a": 1.0, "b": v},
+    lambda v: {"a": [{}, {"b": [v]}]},
+], ids=["bare", "list", "dict", "nested"])
+def test_non_finite_floats_are_refused(value, wrap):
+    obj = wrap(value)
+    with pytest.raises(ValueError):
+        oracle(obj)
+    with pytest.raises(ValueError):
+        _dump_json(obj)
 
 
 class Loud:
@@ -132,19 +159,26 @@ def test_reference_reports_match_the_standard_library(reference_scenario,
     assert render_json(report) == oracle(per_path_payload(report)) + "\n"
 
 
-def test_dead_link_noise_figure_is_written_as_infinity(reference_scenario):
+def test_dead_link_noise_figure_is_refused(reference_scenario, tmp_path,
+                                           monkeypatch, capsys):
     report = cli.run("tradeoff", reference_scenario)
     first = report.variants[0]
     dead = dataclasses.replace(
         first, worst=dataclasses.replace(first.worst, noise_figure_db=math.inf))
     report = dataclasses.replace(report, variants=(dead, *report.variants[1:]))
 
-    text = render_json(report)
-    assert text == oracle(per_path_payload(report)) + "\n"
-    worst_block = text.split('"worst_case": {', 1)[1].split("\n      }", 1)[0]
-    assert '\n        "noise_figure_db": Infinity,\n' in worst_block
-    parsed = json.loads(text)["variants"][0]["worst_case"]["noise_figure_db"]
-    assert parsed == math.inf
+    with pytest.raises(ValueError):
+        oracle(per_path_payload(report))
+    with pytest.raises(ValueError):
+        render_json(report)
+    monkeypatch.setattr(cli, "run", lambda *_: report)
+    out = tmp_path / "report.json"
+    code = cli.main(["tradeoff", "--scenario", str(reference_scenario_path()),
+                     "--format", "json", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "-inf")])

@@ -106,7 +106,7 @@ class TestEmission:
         original = report.variants[0].paths[0].metrics
         assert first["rf_gain_db"] == original.rf_gain_db
         assert first["noise_figure_db"] == original.noise_figure_db
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
 
     def test_csv_row_count_contract(self, reference_scenario):
         report = run("analyze", reference_scenario)

@@ -18,7 +18,12 @@ from photonlink.scenario import parse_scenario
 from photonlink.topology import Direction
 from photonlink.tradeoff import VariantOutcome, enumerate_variants, recommend
 
-from conftest import benchmark_workloads, redrawn_scenario, workload_document
+from conftest import (
+    assert_same_text,
+    benchmark_workloads,
+    redrawn_scenario,
+    workload_document,
+)
 
 
 def unshared_report(command, scenario, shared):
@@ -42,18 +47,6 @@ def unshared_report(command, scenario, shared):
     return dataclasses.replace(
         shared, variants=results, recommendation=recommendation,
         topology_summaries=(analyzed[0][1], *shared.topology_summaries[1:]))
-
-
-def assert_same_text(got, want):
-    """``got == want``, failing with the first differing line only: a diff
-    of two whole reports is too slow to print."""
-    if got == want:
-        return
-    got_lines, want_lines = got.splitlines(), want.splitlines()
-    for number, (a, b) in enumerate(zip(got_lines, want_lines), start=1):
-        if a != b:
-            pytest.fail(f"line {number} differs: {a!r} != {b!r}")
-    pytest.fail(f"{len(got_lines)} lines != {len(want_lines)} lines")
 
 
 def assert_routes_agree(command, scenario):
