@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -299,20 +302,54 @@ def exit_code(report: Report) -> int:
 
 def emit_report(report: Report, fmt: str, out: str | None,
                 *, color: bool | None = None) -> None:
-    """Write the report in the requested format to a file or stdout."""
-    if fmt == "json":
-        text = render_json(report)
-    elif fmt == "csv":
-        text = render_csv(report)
+    """Write the report in the requested format to the file ``out``, or to
+    stdout when ``out`` is None or "-", whole or not at all.
+
+    The writer streams the report into a temporary file. For a regular file
+    ``out``, or a name not yet taken, that file is made beside it (through
+    any symlink) and ``os.replace`` moves it onto ``out``. For stdout, a
+    device or a pipe, it is an anonymous file whose text is then copied to
+    the output. Neither happens unless the writer returns, so a refused
+    report leaves ``out`` as it was and puts nothing on stdout, and the
+    temporary file is removed either way. The report's line ends are
+    written as the writer makes them, on every platform."""
+    target = None if out is None or out == "-" else Path(os.path.realpath(out))
+    if target is not None and (target.is_file() or not target.exists()):
+        temporary = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            # Made as open() makes a file: mode 0o666 less the umask.
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as exc:
+            # The message names the file asked for, not the temporary one.
+            raise OSError(exc.errno, exc.strerror, out) from None
+        sink = open(fd, "w", encoding="utf-8", newline="")
     else:
-        if color is None:
-            color = (out is None and sys.stdout.isatty()
-                     and not os.environ.get("PHOTONLINK_NO_COLOR"))
-        text = render_text(report, color=color)
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        temporary = None
+        sink = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    try:
+        with sink:
+            # Looked up at call time, so that a wrapper put on a writer's
+            # name in this module wraps all of the formatting and writing.
+            if fmt == "json":
+                render_json(report, sink)
+            elif fmt == "csv":
+                render_csv(report, sink)
+            else:
+                if color is None:
+                    color = (out is None and sys.stdout.isatty()
+                             and not os.environ.get("PHOTONLINK_NO_COLOR"))
+                render_text(report, sink, color=color)
+            if temporary is None:
+                sink.seek(0)
+                with (nullcontext(sys.stdout) if target is None else
+                      open(target, "w", encoding="utf-8", newline="")) as stream:
+                    shutil.copyfileobj(sink, stream)
+        if temporary is not None:
+            os.replace(temporary, target)
+    except BaseException:
+        if temporary is not None:
+            temporary.unlink(missing_ok=True)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,10 @@
 """Report assembly and emission.
 
-A Report is a plain data bundle; the three emitters (aligned text, versioned
-JSON, per-metric CSV) are pure functions of it, so the same scenario always
-produces byte-identical files.
+A Report is a plain data bundle; the three writers (aligned text, versioned
+JSON, per-metric CSV) write it to a text stream as they format it, a path or
+a bounded batch at a time, so the report never exists as one string. Each is
+a pure function of the report, so the same scenario always produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -10,8 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from typing import TextIO
 
 from .digitalpath import GroupCapacity
 from .linkbudget import LinkMetrics, relabeled
@@ -35,6 +40,10 @@ METRIC_COLUMNS: tuple[tuple[str, str], ...] = (
     ("detector_power_dbm", "dBm"),
     ("detector_saturation_margin_db", "dB"),
 )
+
+# Lines of text, and chunks of JSON, that a writer joins into one write.
+_TEXT_BATCH = 256
+_JSON_BATCH = 2048
 
 _GREEN = "\x1b[32m"
 _RED = "\x1b[31m"
@@ -128,33 +137,86 @@ def _fmt_si(value: float | None) -> str:
     return f"{value:.6g}"
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
+def _widths(headers: list[str], rows: Iterable[Sequence[str]]) -> list[int]:
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
-    sep = "  ".join("-" * w for w in widths).rstrip()
-    out = [line, sep]
-    for row in rows:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return out
+    return widths
 
 
-def render_text(report: Report, *, color: bool = False) -> str:
+def _row(cells: Sequence[str], widths: list[int]) -> str:
+    return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+
+def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
+    widths = _widths(headers, rows)
+    return [_row(headers, widths), _row(["-" * w for w in widths], widths),
+            *(_row(row, widths) for row in rows)]
+
+
+_PATH_HEADERS = ["path", "gain [dB]", "NF [dB]", "SFDR [dB]", "XT [dB]",
+                 "t_rise [s]", "jitter [s]", "P_det [dBm]"]
+
+
+def _path_table(paths: tuple[PathResult, ...]) -> Iterator[str]:
+    """The lines ``_table`` makes of the paths' rows. A class's cells are
+    formatted and aligned once; a path's line is its padded id and them.
+    No cell is blank, so the line's ``rstrip`` never reaches the id."""
+    cells: dict[int, list[str]] = {}
+    for pr in paths:
+        m = pr.class_metrics
+        if id(m) not in cells:
+            cells[id(m)] = [
+                _fmt(m.rf_gain_db, 2),
+                _fmt(m.noise_figure_db, 2),
+                _fmt(m.sfdr_db, 2),
+                _fmt(m.crosstalk_db, 2),
+                _fmt_si(m.rise_time_s),
+                _fmt_si(m.timing_jitter_rms_s),
+                _fmt(m.detector_power_dbm, 2),
+            ]
+    widths = _widths(_PATH_HEADERS, (["", *row] for row in cells.values()))
+    widths[0] = max(widths[0], *(len(pr.path.path_id) for pr in paths))
+    yield _row(_PATH_HEADERS, widths)
+    yield _row(["-" * w for w in widths], widths)
+    tails = {key: _row(row, widths[1:]) for key, row in cells.items()}
+    for pr in paths:
+        yield f"{pr.path.path_id.ljust(widths[0])}  {tails[id(pr.class_metrics)]}"
+
+
+def render_text(report: Report, out: TextIO, *, color: bool = False) -> None:
+    """Write the aligned text report to ``out``, a batch of lines at a time.
+
+    The report ends in one newline after its last visible character: the
+    trailing whitespace of what is written is held back until more text
+    follows it, and dropped at the end."""
+    held = ""
+    lines = _text_lines(report, color)
+    while batch := list(islice(lines, _TEXT_BATCH)):
+        text = "\n".join(batch) + "\n"
+        body = text.rstrip()
+        if body:
+            out.write(held + body)
+            held = text[len(body):]
+        else:
+            held += text
+    out.write("\n")
+
+
+def _text_lines(report: Report, color: bool) -> Iterator[str]:
     def verdict(ok: bool) -> str:
         word = "PASS" if ok else "FAIL"
         if not color:
             return word
         return f"{_GREEN}{word}{_RESET}" if ok else f"{_RED}{word}{_RESET}"
 
-    lines: list[str] = []
-    lines.append(f"photonlink {report.tool_version} - {report.command} report")
-    lines.append(f"scenario: {report.scenario_name}")
-    lines.append(f"fingerprint: {report.scenario_fingerprint}")
-    lines.append("")
+    yield f"photonlink {report.tool_version} - {report.command} report"
+    yield f"scenario: {report.scenario_name}"
+    yield f"fingerprint: {report.scenario_fingerprint}"
+    yield ""
 
-    lines.append("== Topology ==")
+    yield "== Topology =="
     rows = []
     for summary in report.topology_summaries:
         rows.append([
@@ -166,65 +228,47 @@ def render_text(report: Report, *, color: bool = False) -> str:
             str(summary.path_count),
             str(summary.group_count) if summary.group_count else "-",
         ])
-    lines.extend(_table(
+    yield from _table(
         ["direction", "nodes", "edges", "channels", "modules", "paths", "groups"],
-        rows))
-    lines.append("")
+        rows)
+    yield ""
 
     if report.validation_messages:
-        lines.append("== Validation violations ==")
+        yield "== Validation violations =="
         for message in report.validation_messages:
-            lines.append(f"  - {message}")
-        lines.append("")
+            yield f"  - {message}"
+        yield ""
     elif report.command == "validate":
-        lines.append("== Validation ==")
-        lines.append("  no violations")
-        lines.append("")
+        yield "== Validation =="
+        yield "  no violations"
+        yield ""
 
     if report.adjacency:
-        lines.append("== Adjacency ==")
+        yield "== Adjacency =="
         for row in report.adjacency:
-            lines.append(f"  {row}")
-        lines.append("")
+            yield f"  {row}"
+        yield ""
 
     for variant in report.variants:
-        lines.append(f"== Variant {variant.label} ==")
+        yield f"== Variant {variant.label} =="
         if variant.score is not None:
-            lines.append(
-                f"ordinal ranks (1=best): power {variant.score.power_rank}, "
-                f"size {variant.score.size_rank}, "
-                f"weight {variant.score.weight_rank}")
+            yield (f"ordinal ranks (1=best): power {variant.score.power_rank}, "
+                   f"size {variant.score.size_rank}, "
+                   f"weight {variant.score.weight_rank}")
         if variant.paths:
-            rows = []
-            for pr in variant.paths:
-                m = pr.class_metrics
-                rows.append([
-                    pr.path.path_id,
-                    _fmt(m.rf_gain_db, 2),
-                    _fmt(m.noise_figure_db, 2),
-                    _fmt(m.sfdr_db, 2),
-                    _fmt(m.crosstalk_db, 2),
-                    _fmt_si(m.rise_time_s),
-                    _fmt_si(m.timing_jitter_rms_s),
-                    _fmt(m.detector_power_dbm, 2),
-                ])
-            lines.extend(_table(
-                ["path", "gain [dB]", "NF [dB]", "SFDR [dB]", "XT [dB]",
-                 "t_rise [s]", "jitter [s]", "P_det [dBm]"],
-                rows))
+            yield from _path_table(variant.paths)
         if variant.worst is not None and variant.worst.optical_ledger.entries:
-            lines.append("")
-            lines.append("optical ledger (worst path):")
+            yield ""
+            yield "optical ledger (worst path):"
             for entry in variant.worst.optical_ledger.entries:
                 note = f"  ({entry.note})" if entry.note else ""
-                lines.append(
-                    f"  {entry.element_id:<28} {entry.delta_db:+8.3f} dB -> "
-                    f"{entry.power_dbm:8.3f} dBm{note}")
+                yield (f"  {entry.element_id:<28} {entry.delta_db:+8.3f} dB -> "
+                       f"{entry.power_dbm:8.3f} dBm{note}")
             for flag in variant.worst.optical_ledger.flags:
-                lines.append(f"  flag: {flag}")
+                yield f"  flag: {flag}"
         if variant.compliance is not None:
-            lines.append("")
-            lines.append("compliance:")
+            yield ""
+            yield "compliance:"
             rows = []
             for check in variant.compliance.checks:
                 rows.append([
@@ -235,14 +279,14 @@ def render_text(report: Report, *, color: bool = False) -> str:
                     _fmt_si(check.margin),
                     check.note,
                 ])
-            lines.extend(_table(
+            yield from _table(
                 ["requirement", "value", "bound", "verdict", "margin", "note"],
-                rows))
-            lines.append(f"variant verdict: {verdict(variant.compliance.verdict)}")
-        lines.append("")
+                rows)
+            yield f"variant verdict: {verdict(variant.compliance.verdict)}"
+        yield ""
 
     if report.digital_groups:
-        lines.append("== Digitized return capacity ==")
+        yield "== Digitized return capacity =="
         rows = []
         for group in report.digital_groups:
             rows.append([
@@ -257,15 +301,15 @@ def render_text(report: Report, *, color: bool = False) -> str:
                 _fmt_si(group.required_line_rate_bps) + "bit/s"
                 if group.required_line_rate_bps is not None else "-",
             ])
-        lines.extend(_table(
+        yield from _table(
             ["group", "channels", "payload", "bar", "margin", "verdict",
              "adc demand", "line rate needed"],
-            rows))
-        lines.append("")
+            rows)
+        yield ""
 
     if report.recommendation is not None:
         top = report.recommendation.ranking[0]
-        lines.append(f"== Recommendation: {top.variant.label} ==")
+        yield f"== Recommendation: {top.variant.label} =="
         rows = []
         for position, outcome in enumerate(report.recommendation.ranking, start=1):
             rows.append([
@@ -278,23 +322,22 @@ def render_text(report: Report, *, color: bool = False) -> str:
                 str(outcome.score.weight_rank),
                 verdict(outcome.compliance.verdict),
             ])
-        lines.extend(_table(
+        yield from _table(
             ["#", "variant", "requirements met", "power", "size", "weight",
              "verdict"],
-            rows))
-        lines.append("")
-        lines.append("rationale:")
+            rows)
+        yield ""
+        yield "rationale:"
         for reason in report.recommendation.rationale:
-            lines.append(f"  - {reason}")
+            yield f"  - {reason}"
         if report.recommendation.notes:
-            lines.append("notes:")
+            yield "notes:"
             for note in report.recommendation.notes:
-                lines.append(f"  - {note}")
-        lines.append("")
+                yield f"  - {note}"
+        yield ""
 
     for note in report.notes:
-        lines.append(f"note: {note}")
-    return "\n".join(lines).rstrip() + "\n"
+        yield f"note: {note}"
 
 
 def _metrics_dict(metrics: LinkMetrics, element_ids: list, flags: object) -> dict:
@@ -429,17 +472,18 @@ class _Slot:
         self.index = index
 
 
-def _dump_json(obj: object) -> str:
-    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False)``.
+def _dump_json(obj: object, out: TextIO) -> None:
+    """Write to ``out`` the text of ``json.dumps(obj, indent=2,
+    sort_keys=True, allow_nan=False)``.
 
     The standard library falls back to its pure-Python encoder whenever
     ``indent`` is set; this writer emits each key with its scalar value as
-    one chunk and joins the chunks once. It accepts dicts with ``str`` keys,
-    lists, str, int, float, bool and None by exact type, and raises
-    ``TypeError`` on anything else. A NaN or an infinity raises
-    ``ValueError``: JSON has no token for it. A ``PathResult`` is written as
-    the JSON object of its ``metrics``: its class's block is written once per
+    one chunk and writes the chunks a batch at a time. It accepts dicts with
+    ``str`` keys, lists, str, int, float, bool and None by exact type, and
+    raises ``TypeError`` on anything else. A NaN or an infinity raises
+    ``ValueError``: JSON has no token for it. What came before the refused
+    value may have been written by then. A ``PathResult`` is written as the
+    JSON object of its ``metrics``: its class's block is written once per
     indent as a template, and each path fills in its own element ids and flags.
     """
     chunks: list = []
@@ -482,11 +526,14 @@ def _dump_json(obj: object) -> str:
                 else:
                     append(separator + encode(item))
                 separator = "," + inner
+                if len(chunks) >= _JSON_BATCH:
+                    out.write("".join(chunks))
+                    chunks.clear()
             append(newline + "]")
         elif kind is PathResult:
             stamp(value, newline)
         elif kind is _Slot:
-            # Stays in `chunks` only until template() cuts it out.
+            # Only a template's parts hold a slot.
             append((value.index, newline))
         else:
             encode = scalar(kind)
@@ -496,21 +543,25 @@ def _dump_json(obj: object) -> str:
             append(encode(value))
 
     def template(metrics: LinkMetrics, newline: str) -> tuple[list[str], list[tuple]]:
-        start = len(chunks)
+        # The block is written into its own parts; `chunks` may be written
+        # out meanwhile, since all it holds comes before the block.
+        nonlocal append
+        parts: list = []
+        append = parts.append
         ids = [_Slot(i) for i in range(len(metrics.optical_ledger.entries))]
         write(_metrics_dict(metrics, ids, _Slot(None)), newline)
+        append = chunks.append
         texts: list[str] = []
         slots: list[tuple] = []
         run: list[str] = []
-        for chunk in chunks[start:]:
-            if type(chunk) is tuple:
+        for part in parts:
+            if type(part) is tuple:
                 texts.append("".join(run))
-                slots.append(chunk)
+                slots.append(part)
                 run = []
             else:
-                run.append(chunk)
+                run.append(part)
         texts.append("".join(run))
-        del chunks[start:]
         return texts, slots
 
     def stamp(result: PathResult, newline: str) -> None:
@@ -529,11 +580,12 @@ def _dump_json(obj: object) -> str:
         append(texts[-1])
 
     write(obj, "\n")
-    return "".join(chunks)
+    out.write("".join(chunks))
 
 
-def render_json(report: Report) -> str:
-    return _dump_json(_json_payload(report)) + "\n"
+def render_json(report: Report, out: TextIO) -> None:
+    _dump_json(_json_payload(report), out)
+    out.write("\n")
 
 
 class _Echo:
@@ -545,16 +597,17 @@ class _Echo:
         return text
 
 
-def render_csv(report: Report) -> str:
-    """One row per (path, metric); empty value means not evaluated.
+def render_csv(report: Report, out: TextIO) -> None:
+    """Write one row per (path, metric) to ``out``; an empty value means not
+    evaluated.
 
     The csv writer quotes each cell on its own, so a row is its path's four
     leading cells, a comma and its metric's three cells. The metric cells are
     formatted once per analysis class, and a path's rows are one join of its
-    leading cells with them."""
+    leading cells with them, written with one ``out.write``."""
     line = csv.writer(_Echo, lineterminator="\n").writerow
-    chunks = [line(["variant", "path_id", "channel", "destination",
-                    "metric", "unit", "value"])]
+    out.write(line(["variant", "path_id", "channel", "destination",
+                    "metric", "unit", "value"]))
     tails: dict[int, list[str]] = {}
     for variant in report.variants:
         for pr in variant.paths:
@@ -569,5 +622,4 @@ def render_csv(report: Report) -> str:
             path = pr.path
             head = line((variant.label, path.path_id, path.channel,
                          path.destination))[:-1]
-            chunks.append(head.join(tail))
-    return "".join(chunks)
+            out.write(head.join(tail))

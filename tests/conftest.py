@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib.util
+import io
 import math
 import sys
 from pathlib import Path
@@ -457,6 +458,14 @@ def workload_document(name: str, seed: int) -> dict:
     workloads = benchmark_workloads()
     return workloads.make_scenario(workloads.WORKLOADS[name], seed,
                                    workloads.load_reference(ROOT))
+
+
+def rendered(write, obj, **kwargs) -> str:
+    """What ``write``, a ``render_*`` writer or ``_dump_json``, writes of
+    ``obj``, collected in an ``io.StringIO``."""
+    buffer = io.StringIO()
+    write(obj, buffer, **kwargs)
+    return buffer.getvalue()
 
 
 def assert_same_text(got, want):

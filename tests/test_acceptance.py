@@ -54,6 +54,7 @@ from conftest import (
     mk_mux,
     mk_pd,
     mk_splitter,
+    rendered,
     return_fixture_bindings,
     return_fixture_library,
 )
@@ -126,8 +127,9 @@ def test_gate_3_feasibility_and_recommendation(reference_scenario):
         top = report.recommendation.ranking[0].variant
         assert top.modulation is Modulation.DIRECT
         assert top.grating.value == "vbg"
-        renders.append((render_text(report), render_json(report),
-                        render_csv(report)))
+        renders.append((rendered(render_text, report),
+                        rendered(render_json, report),
+                        rendered(render_csv, report)))
     assert all(r == renders[0] for r in renders[1:])
     gate("3 feasibility and recommendation (6/8 feasible, "
          f"top={top.label}, 10 byte-identical runs)")

@@ -32,7 +32,12 @@ from photonlink.report import (
 )
 from photonlink.topology import ElementKind, NodeKind, enumerate_paths
 
-from conftest import assert_same_text, per_path_payload, redrawn_scenario
+from conftest import (
+    assert_same_text,
+    per_path_payload,
+    redrawn_scenario,
+    rendered,
+)
 
 
 def per_path_csv(report) -> str:
@@ -68,11 +73,12 @@ def assert_renders_per_path(report, analog_channels):
                               sort_keys=True, allow_nan=False)
     except ValueError:
         with pytest.raises(ValueError):
-            render_json(report)
+            rendered(render_json, report)
     else:
-        assert_same_text(render_json(report), expected + "\n")
-    assert_same_text(render_csv(report), per_path_csv(report))
-    assert_same_text(render_text(report), render_text(materialized(report)))
+        assert_same_text(rendered(render_json, report), expected + "\n")
+    assert_same_text(rendered(render_csv, report), per_path_csv(report))
+    assert_same_text(rendered(render_text, report),
+                     rendered(render_text, materialized(report)))
 
 
 def analog_ids(scenario):
@@ -168,7 +174,7 @@ def test_escaped_channel_ids(reference_scenario):
         dataclasses.replace(ch, id=f'{ch.id} "é中\U0001f600"')
         for ch in reference_scenario.channels))
     report = variants_report(scenario, scenario.selected_variants()[:1])
-    text = render_json(report)
+    text = rendered(render_json, report)
     assert '\\"\\u00e9\\u4e2d\\ud83d\\ude00\\"' in text
     assert json.loads(text)["variants"][0]["paths"][0]["metrics"][
         "optical_ledger"][0]["element_id"].endswith('"é中\U0001f600"')
@@ -192,7 +198,7 @@ def test_only_the_worst_case_anchor_is_relabeled(reference_scenario, monkeypatch
 
     report = cli.run("tradeoff", reference_scenario)
     for render in (render_text, render_json, render_csv):
-        render(report)
+        rendered(render, report)
     assert 1 <= len(calls) <= len(report.variants)
 
 

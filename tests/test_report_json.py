@@ -13,7 +13,7 @@ from photonlink import cli
 from photonlink.data import reference_scenario_path
 from photonlink.report import _dump_json, _fmt_si, render_json
 
-from conftest import per_path_payload
+from conftest import per_path_payload, rendered
 
 
 def oracle(obj) -> str:
@@ -26,9 +26,9 @@ def assert_matches_oracle(obj):
         expected = oracle(obj)
     except ValueError:
         with pytest.raises(ValueError):
-            _dump_json(obj)
+            rendered(_dump_json, obj)
     else:
-        assert _dump_json(obj) == expected
+        assert rendered(_dump_json, obj) == expected
 
 
 SPECIAL_FLOATS = (
@@ -90,7 +90,7 @@ FIXED_CORPUS = (
 
 @pytest.mark.parametrize("obj", FIXED_CORPUS)
 def test_fixed_corpus_matches_the_standard_library(obj):
-    assert _dump_json(obj) == oracle(obj)
+    assert rendered(_dump_json, obj) == oracle(obj)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -112,7 +112,7 @@ def test_non_finite_floats_are_refused(value, wrap):
     with pytest.raises(ValueError):
         oracle(obj)
     with pytest.raises(ValueError):
-        _dump_json(obj)
+        rendered(_dump_json, obj)
 
 
 class Loud:
@@ -148,7 +148,7 @@ class Metres(float):
 def test_unhandled_values_raise_type_error(make):
     calls = []
     with pytest.raises(TypeError):
-        _dump_json(make(calls))
+        rendered(_dump_json, make(calls))
     assert calls == []
 
 
@@ -156,7 +156,7 @@ def test_unhandled_values_raise_type_error(make):
 def test_reference_reports_match_the_standard_library(reference_scenario,
                                                       command):
     report = cli.run(command, reference_scenario)
-    assert render_json(report) == oracle(per_path_payload(report)) + "\n"
+    assert rendered(render_json, report) == oracle(per_path_payload(report)) + "\n"
 
 
 def test_dead_link_noise_figure_is_refused(reference_scenario, tmp_path,
@@ -170,7 +170,7 @@ def test_dead_link_noise_figure_is_refused(reference_scenario, tmp_path,
     with pytest.raises(ValueError):
         oracle(per_path_payload(report))
     with pytest.raises(ValueError):
-        render_json(report)
+        rendered(render_json, report)
     monkeypatch.setattr(cli, "run", lambda *_: report)
     out = tmp_path / "report.json"
     code = cli.main(["tradeoff", "--scenario", str(reference_scenario_path()),

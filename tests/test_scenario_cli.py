@@ -14,6 +14,8 @@ from photonlink.errors import ScenarioError
 from photonlink.report import METRIC_COLUMNS, render_csv, render_json, render_text
 from photonlink.scenario import MAX_N_DTRM, parse_scenario, scenario_fingerprint
 
+from conftest import rendered
+
 
 @pytest.fixture(scope="module")
 def raw_reference():
@@ -101,7 +103,7 @@ class TestRun:
 class TestEmission:
     def test_json_round_trips_numerically(self, reference_scenario):
         report = run("analyze", reference_scenario)
-        payload = json.loads(render_json(report))
+        payload = json.loads(rendered(render_json, report))
         first = payload["variants"][0]["paths"][0]["metrics"]
         original = report.variants[0].paths[0].metrics
         assert first["rf_gain_db"] == original.rf_gain_db
@@ -110,12 +112,12 @@ class TestEmission:
 
     def test_csv_row_count_contract(self, reference_scenario):
         report = run("analyze", reference_scenario)
-        lines = render_csv(report).strip().splitlines()
+        lines = rendered(render_csv, report).strip().splitlines()
         paths = sum(len(v.paths) for v in report.variants)
         assert len(lines) == 1 + paths * len(METRIC_COLUMNS)
 
     def test_text_report_carries_units_in_headers(self, reference_scenario):
-        text = render_text(run("analyze", reference_scenario))
+        text = rendered(render_text, run("analyze", reference_scenario))
         for token in ("[dB]", "[dBm]", "[s]"):
             assert token in text
 
@@ -123,14 +125,16 @@ class TestEmission:
                                                              reference_scenario):
         first = run("tradeoff", reference_scenario)
         second = run("tradeoff", parse_scenario(reference_scenario_path()))
-        assert render_json(first) == render_json(second)
-        assert render_text(first) == render_text(second)
-        assert render_csv(first) == render_csv(second)
+        assert rendered(render_json, first) == rendered(render_json, second)
+        assert rendered(render_text, first) == rendered(render_text, second)
+        assert rendered(render_csv, first) == rendered(render_csv, second)
 
     def test_no_color_env_strips_ansi(self, reference_scenario):
-        text = render_text(run("analyze", reference_scenario), color=False)
+        text = rendered(render_text, run("analyze", reference_scenario),
+                        color=False)
         assert "\x1b[" not in text
-        colored = render_text(run("analyze", reference_scenario), color=True)
+        colored = rendered(render_text, run("analyze", reference_scenario),
+                           color=True)
         assert "\x1b[32m" in colored
 
 

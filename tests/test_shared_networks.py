@@ -22,6 +22,7 @@ from conftest import (
     assert_same_text,
     benchmark_workloads,
     redrawn_scenario,
+    rendered,
     workload_document,
 )
 
@@ -53,7 +54,8 @@ def assert_routes_agree(command, scenario):
     shared = cli.run(command, scenario)
     unshared = unshared_report(command, scenario, shared)
     for render in (render_json, render_csv, render_text):
-        assert_same_text(render(shared), render(unshared))
+        assert_same_text(rendered(render, shared),
+                         rendered(render, unshared))
     return shared
 
 
