@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import stat
 import sys
 import tempfile
 from contextlib import nullcontext
@@ -300,32 +301,67 @@ def exit_code(report: Report) -> int:
     return EXIT_OK
 
 
+def _file_beside(target: Path,
+                 st: os.stat_result | None) -> tuple[Path, int] | None:
+    """A new file beside ``target``, and a descriptor open for writing it,
+    for ``os.replace`` to move onto ``target``. ``st`` is the status of the
+    file ``target`` names, or None when there is none yet.
+
+    The new file gets the old file's mode, or what open() gives a new file.
+    None where moving it there would not look, to a reader of ``target``,
+    like writing ``target``: the file has other links, another owner or
+    group, or cannot be written; or where the directory refuses the file."""
+    if st is not None and (st.st_nlink != 1 or not os.access(target, os.W_OK)):
+        return None
+    temporary = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return None
+    if st is None:
+        return temporary, fd
+    try:
+        new = os.fstat(fd)
+        if (new.st_uid, new.st_gid) == (st.st_uid, st.st_gid):
+            os.chmod(temporary, stat.S_IMODE(st.st_mode))
+            return temporary, fd
+    except OSError:
+        pass
+    os.close(fd)
+    temporary.unlink()
+    return None
+
+
 def emit_report(report: Report, fmt: str, out: str | None,
                 *, color: bool | None = None) -> None:
     """Write the report in the requested format to the file ``out``, or to
     stdout when ``out`` is None or "-", whole or not at all.
 
-    The writer streams the report into a temporary file. For a regular file
-    ``out``, or a name not yet taken, that file is made beside it (through
-    any symlink) and ``os.replace`` moves it onto ``out``. For stdout, a
-    device or a pipe, it is an anonymous file whose text is then copied to
-    the output. Neither happens unless the writer returns, so a refused
-    report leaves ``out`` as it was and puts nothing on stdout, and the
-    temporary file is removed either way. The report's line ends are
-    written as the writer makes them, on every platform."""
-    target = None if out is None or out == "-" else Path(os.path.realpath(out))
-    if target is not None and (target.is_file() or not target.exists()):
-        temporary = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    The writer streams the report into a temporary file. Where ``out`` is a
+    regular file, or a name not yet taken, that file is made beside it (see
+    ``_file_beside``) and ``os.replace`` moves it onto ``out``. Otherwise,
+    for stdout, a device, a pipe or a file that cannot be replaced that
+    way, it is an anonymous file in the temporary directory, whose text is
+    then copied to the output. Neither happens unless the writer
+    returns, so a refused report leaves ``out`` as it was and puts nothing
+    on stdout, and the temporary file is removed either way. The report's
+    line ends are written as the writer makes them, on every platform."""
+    to_stdout = out is None or out == "-"
+    beside = None
+    if not to_stdout:
         try:
-            # Made as open() makes a file: mode 0o666 less the umask.
-            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except OSError as exc:
-            # The message names the file asked for, not the temporary one.
-            raise OSError(exc.errno, exc.strerror, out) from None
-        sink = open(fd, "w", encoding="utf-8", newline="")
-    else:
+            st = os.stat(out)
+        except FileNotFoundError:
+            st = None
+        if st is None or stat.S_ISREG(st.st_mode):
+            target = Path(os.path.realpath(out))
+            beside = _file_beside(target, st)
+    if beside is None:
         temporary = None
         sink = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    else:
+        temporary, fd = beside
+        sink = open(fd, "w", encoding="utf-8", newline="")
     try:
         with sink:
             # Looked up at call time, so that a wrapper put on a writer's
@@ -341,8 +377,8 @@ def emit_report(report: Report, fmt: str, out: str | None,
                 render_text(report, sink, color=color)
             if temporary is None:
                 sink.seek(0)
-                with (nullcontext(sys.stdout) if target is None else
-                      open(target, "w", encoding="utf-8", newline="")) as stream:
+                with (nullcontext(sys.stdout) if to_stdout else
+                      open(out, "w", encoding="utf-8", newline="")) as stream:
                     shutil.copyfileobj(sink, stream)
         if temporary is not None:
             os.replace(temporary, target)

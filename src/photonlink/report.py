@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -137,52 +137,17 @@ def _fmt_si(value: float | None) -> str:
     return f"{value:.6g}"
 
 
-def _widths(headers: list[str], rows: Iterable[Sequence[str]]) -> list[int]:
+def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    return widths
-
-
-def _row(cells: Sequence[str], widths: list[int]) -> str:
-    return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-
-
-def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = _widths(headers, rows)
-    return [_row(headers, widths), _row(["-" * w for w in widths], widths),
-            *(_row(row, widths) for row in rows)]
-
-
-_PATH_HEADERS = ["path", "gain [dB]", "NF [dB]", "SFDR [dB]", "XT [dB]",
-                 "t_rise [s]", "jitter [s]", "P_det [dBm]"]
-
-
-def _path_table(paths: tuple[PathResult, ...]) -> Iterator[str]:
-    """The lines ``_table`` makes of the paths' rows. A class's cells are
-    formatted and aligned once; a path's line is its padded id and them.
-    No cell is blank, so the line's ``rstrip`` never reaches the id."""
-    cells: dict[int, list[str]] = {}
-    for pr in paths:
-        m = pr.class_metrics
-        if id(m) not in cells:
-            cells[id(m)] = [
-                _fmt(m.rf_gain_db, 2),
-                _fmt(m.noise_figure_db, 2),
-                _fmt(m.sfdr_db, 2),
-                _fmt(m.crosstalk_db, 2),
-                _fmt_si(m.rise_time_s),
-                _fmt_si(m.timing_jitter_rms_s),
-                _fmt(m.detector_power_dbm, 2),
-            ]
-    widths = _widths(_PATH_HEADERS, (["", *row] for row in cells.values()))
-    widths[0] = max(widths[0], *(len(pr.path.path_id) for pr in paths))
-    yield _row(_PATH_HEADERS, widths)
-    yield _row(["-" * w for w in widths], widths)
-    tails = {key: _row(row, widths[1:]) for key, row in cells.items()}
-    for pr in paths:
-        yield f"{pr.path.path_id.ljust(widths[0])}  {tails[id(pr.class_metrics)]}"
+    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
+    sep = "  ".join("-" * w for w in widths).rstrip()
+    out = [line, sep]
+    for row in rows:
+        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return out
 
 
 def render_text(report: Report, out: TextIO, *, color: bool = False) -> None:
@@ -256,7 +221,23 @@ def _text_lines(report: Report, color: bool) -> Iterator[str]:
                    f"size {variant.score.size_rank}, "
                    f"weight {variant.score.weight_rank}")
         if variant.paths:
-            yield from _path_table(variant.paths)
+            rows = []
+            for pr in variant.paths:
+                m = pr.class_metrics
+                rows.append([
+                    pr.path.path_id,
+                    _fmt(m.rf_gain_db, 2),
+                    _fmt(m.noise_figure_db, 2),
+                    _fmt(m.sfdr_db, 2),
+                    _fmt(m.crosstalk_db, 2),
+                    _fmt_si(m.rise_time_s),
+                    _fmt_si(m.timing_jitter_rms_s),
+                    _fmt(m.detector_power_dbm, 2),
+                ])
+            yield from _table(
+                ["path", "gain [dB]", "NF [dB]", "SFDR [dB]", "XT [dB]",
+                 "t_rise [s]", "jitter [s]", "P_det [dBm]"],
+                rows)
         if variant.worst is not None and variant.worst.optical_ledger.entries:
             yield ""
             yield "optical ledger (worst path):"

@@ -10,6 +10,8 @@ import dataclasses
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -63,39 +65,132 @@ def test_stdout_and_out_carry_the_same_bytes(tmp_path, capsysbinary, command,
     assert capsysbinary.readouterr().out == out.read_bytes()
 
 
+def reference_text(capsysbinary):
+    """The reference ``analyze`` text report, as written to stdout."""
+    assert cli.main(["analyze", "--scenario",
+                     str(reference_scenario_path())]) == cli.EXIT_OK
+    return capsysbinary.readouterr().out
+
+
+def analyze_into(out):
+    return cli.main(["analyze", "--scenario", str(reference_scenario_path()),
+                     "--out", str(out)])
+
+
 def test_out_through_a_symlink_replaces_the_file_it_names(tmp_path,
                                                          capsysbinary):
-    args = ["analyze", "--scenario", str(reference_scenario_path())]
-    assert cli.main(args) == cli.EXIT_OK
-    expected = capsysbinary.readouterr().out
+    expected = reference_text(capsysbinary)
     real = tmp_path / "real.txt"
     real.write_bytes(b"an earlier report\n")
+    real.chmod(0o600)
     link = tmp_path / "link.txt"
     link.symlink_to(real)
-    umask = os.umask(0o027)
-    try:
-        assert cli.main([*args, "--out", str(link)]) == cli.EXIT_OK
-    finally:
-        os.umask(umask)
+    assert analyze_into(link) == cli.EXIT_OK
     assert link.is_symlink() and link.resolve() == real.resolve()
     assert real.read_bytes() == expected
-    # Made as open() makes a file.
-    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    # The replaced file keeps its mode.
+    assert stat.S_IMODE(real.stat().st_mode) == 0o600
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+
+def test_a_new_out_gets_the_mode_open_gives(tmp_path, capsysbinary):
+    expected = reference_text(capsysbinary)
+    out = tmp_path / "report.txt"
+    umask = os.umask(0o027)
+    try:
+        assert analyze_into(out) == cli.EXIT_OK
+    finally:
+        os.umask(umask)
+    assert out.read_bytes() == expected
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+def test_a_hard_linked_out_is_written_in_place(tmp_path, capsysbinary):
+    """Every name of a file with other links sees the report."""
+    expected = reference_text(capsysbinary)
+    out = tmp_path / "report.txt"
+    out.write_bytes(b"an earlier report\n")
+    other = tmp_path / "other.txt"
+    os.link(out, other)
+    inode = out.stat().st_ino
+    assert analyze_into(out) == cli.EXIT_OK
+    assert out.read_bytes() == expected and other.read_bytes() == expected
+    assert out.stat().st_ino == inode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["other.txt",
+                                                          "report.txt"]
+
+
+def test_an_out_with_no_room_for_a_file_beside_it_is_written_in_place(
+        tmp_path, capsysbinary):
+    """A name as long as the file system allows leaves none for the
+    temporary file's longer name; the report is written to it directly."""
+    expected = reference_text(capsysbinary)
+    out = tmp_path / ("r" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+    out.write_bytes(b"an earlier report\n")
+    inode = out.stat().st_ino
+    assert analyze_into(out) == cli.EXIT_OK
+    assert out.read_bytes() == expected
+    assert out.stat().st_ino == inode
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
+                    reason="giving a file to another user needs root")
+def test_an_out_owned_by_another_user_keeps_its_owner(tmp_path,
+                                                     capsysbinary):
+    expected = reference_text(capsysbinary)
+    out = tmp_path / "report.txt"
+    out.write_bytes(b"an earlier report\n")
+    os.chown(out, 65534, 65534)
+    assert analyze_into(out) == cli.EXIT_OK
+    assert out.read_bytes() == expected
+    assert (out.stat().st_uid, out.stat().st_gid) == (65534, 65534)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+def test_a_read_only_out_is_refused(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    out.write_bytes(b"an earlier report\n")
+    out.chmod(0o444)
+    if os.access(out, os.W_OK):
+        pytest.skip("this process may write any file")
+    assert analyze_into(out) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: [Errno 13] Permission denied: {str(out)!r}\n")
+    assert out.read_bytes() == b"an earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="no /dev/stdout on this platform")
+@pytest.mark.parametrize("fmt", sorted(WRITERS))
+def test_out_dev_stdout_writes_to_a_piped_stdout(capsysbinary, fmt):
+    """``--out /dev/stdout`` names the process's own stdout, here a pipe."""
+    args = ["tradeoff", "--scenario", str(reference_scenario_path()),
+            "--format", fmt]
+    assert cli.main(args) == cli.EXIT_OK
+    expected = capsysbinary.readouterr().out
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)),
+         os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "photonlink.cli", *args, "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=300)
+    assert (done.returncode, done.stderr) == (cli.EXIT_OK, b"")
+    assert done.stdout == expected
 
 
 def test_a_pipe_gets_the_finished_report(tmp_path, capsysbinary):
     """A pipe named by ``--out`` is written to, not replaced."""
-    args = ["analyze", "--scenario", str(reference_scenario_path())]
-    assert cli.main(args) == cli.EXIT_OK
-    expected = capsysbinary.readouterr().out
+    expected = reference_text(capsysbinary)
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
     got = []
     reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()),
                               daemon=True)
     reader.start()
-    assert cli.main([*args, "--out", str(pipe)]) == cli.EXIT_OK
+    assert analyze_into(pipe) == cli.EXIT_OK
     reader.join(timeout=60)
     assert not reader.is_alive()
     assert got == [expected]
