@@ -4,7 +4,10 @@ A Report is a plain data bundle; the three writers (aligned text, versioned
 JSON, per-metric CSV) write it to a text stream as they format it, a path or
 a bounded batch at a time, so the report never exists as one string. Each is
 a pure function of the report, so the same scenario always produces
-byte-identical files.
+byte-identical files. The JSON report is the standard library's
+``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` of its
+value: the library writes the frame and one object per analysis class, and
+each path is that object with its own strings stamped in.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,9 +45,8 @@ METRIC_COLUMNS: tuple[tuple[str, str], ...] = (
     ("detector_saturation_margin_db", "dB"),
 )
 
-# Lines of text, and chunks of JSON, that a writer joins into one write.
+# Lines of text that the text writer joins into one write.
 _TEXT_BATCH = 256
-_JSON_BATCH = 2048
 
 _GREEN = "\x1b[32m"
 _RED = "\x1b[31m"
@@ -321,9 +324,10 @@ def _text_lines(report: Report, color: bool) -> Iterator[str]:
         yield f"note: {note}"
 
 
-def _metrics_dict(metrics: LinkMetrics, element_ids: list, flags: object) -> dict:
+def _metrics_dict(metrics: LinkMetrics, element_ids: list[str],
+                  flags: list[str]) -> dict:
     """The JSON object of ``metrics`` with the given ledger element ids and
-    flags; a class template passes ``_Slot``s for both."""
+    flags."""
     payload = {name: getattr(metrics, name) for name, _ in METRIC_COLUMNS}
     payload["optical_ledger"] = [
         {"element_id": element_id, "delta_db": e.delta_db,
@@ -354,6 +358,8 @@ def _compliance_dict(compliance: ComplianceReport) -> dict:
 
 
 def _json_payload(report: Report) -> dict:
+    """The report's JSON value, with each ``VariantResult`` in place of its
+    paths list."""
     payload: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": {"name": "photonlink", "version": report.tool_version},
@@ -378,15 +384,7 @@ def _json_payload(report: Report) -> dict:
                     "size_rank": v.score.size_rank,
                     "weight_rank": v.score.weight_rank,
                 },
-                # _dump_json writes a PathResult as the path's metrics block.
-                "paths": [
-                    {"path_id": pr.path.path_id,
-                     "channel": pr.path.channel,
-                     "destination": pr.path.destination,
-                     "wavelength_nm": pr.path.wavelength_nm,
-                     "metrics": pr}
-                    for pr in v.paths
-                ],
+                "paths": v,
                 "worst_case": None if v.worst is None else _metrics_dict(
                     v.worst, [e.element_id for e in v.worst.optical_ledger.entries],
                     list(v.worst.flags)),
@@ -425,147 +423,83 @@ def _json_payload(report: Report) -> dict:
     return payload
 
 
-def _json_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"the non-finite number {value!r} has no JSON form")
-    return float.__repr__(value)
-
-
 _ESCAPE = json.encoder.encode_basestring_ascii
 
-# Exact type -> JSON token; dict and list are written by _dump_json itself.
-_JSON_SCALARS = {
-    str: _ESCAPE,
-    int: int.__repr__,
-    float: _json_float,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
+# A slot of a class template: a placeholder string "\x00<k>" as json.dumps
+# writes it. A template holds no text from the scenario, only numbers, fixed
+# ledger notes and placeholders, so this form in it can only be a slot.
+_SLOT = re.compile(r'"\\u0000(\d+)"')
+
+# The line break and indent of a path object, an item of a variant's "paths",
+# which is a member of an item of the report's "variants"; and the line that
+# closes a variant's "paths".
+_PATH_NEWLINE = "\n" + " " * 8
+_PATHS_END = "\n" + " " * 6 + "]"
 
 
-class _Slot:
-    """A value a class template leaves open: the element id of ledger entry
-    ``index``, or the flags list when ``index`` is None."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int | None) -> None:
-        self.index = index
+def _path_strings(result: PathResult) -> tuple[str, ...]:
+    """The strings of ``result``'s JSON object that its analysis class does
+    not fix; slot ``k`` of its template takes the ``k``-th."""
+    path = result.path
+    return (path.path_id, path.channel, path.destination, *result.flags,
+            *[e.element_id for e in path.elements])
 
 
-def _dump_json(obj: object, out: TextIO) -> None:
-    """Write to ``out`` the text of ``json.dumps(obj, indent=2,
-    sort_keys=True, allow_nan=False)``.
+def _path_template(result: PathResult) -> tuple[str, tuple[int, ...]]:
+    """The JSON object of ``result`` as a %-format with a ``%s`` for each
+    slot, and the index of each slot's string in ``_path_strings``.
 
-    The standard library falls back to its pure-Python encoder whenever
-    ``indent`` is set; this writer emits each key with its scalar value as
-    one chunk and writes the chunks a batch at a time. It accepts dicts with
-    ``str`` keys, lists, str, int, float, bool and None by exact type, and
-    raises ``TypeError`` on anything else. A NaN or an infinity raises
-    ``ValueError``: JSON has no token for it. What came before the refused
-    value may have been written by then. A ``PathResult`` is written as the
-    JSON object of its ``metrics``: its class's block is written once per
-    indent as a template, and each path fills in its own element ids and flags.
-    """
-    chunks: list = []
-    append = chunks.append
-    scalar = _JSON_SCALARS.get
-    # (id of the class metrics, newline) -> (texts, slots); the path's values
-    # go between consecutive texts.
-    templates: dict[tuple[int, str], tuple[list[str], list[tuple]]] = {}
-
-    def write(value: object, newline: str) -> None:
-        # `newline` is a line break plus the indent of the line `value` opens.
-        kind = type(value)
-        if kind is dict:
-            if not value:
-                append("{}")
-                return
-            inner = newline + "  "
-            separator = "{" + inner
-            for key, item in sorted(value.items()):
-                # _ESCAPE raises TypeError on a key that is not a str.
-                encode = scalar(type(item))
-                if encode is None:
-                    append(f"{separator}{_ESCAPE(key)}: ")
-                    write(item, inner)
-                else:
-                    append(f"{separator}{_ESCAPE(key)}: {encode(item)}")
-                separator = "," + inner
-            append(newline + "}")
-        elif kind is list:
-            if not value:
-                append("[]")
-                return
-            inner = newline + "  "
-            separator = "[" + inner
-            for item in value:
-                encode = scalar(type(item))
-                if encode is None:
-                    append(separator)
-                    write(item, inner)
-                else:
-                    append(separator + encode(item))
-                separator = "," + inner
-                if len(chunks) >= _JSON_BATCH:
-                    out.write("".join(chunks))
-                    chunks.clear()
-            append(newline + "]")
-        elif kind is PathResult:
-            stamp(value, newline)
-        elif kind is _Slot:
-            # Only a template's parts hold a slot.
-            append((value.index, newline))
-        else:
-            encode = scalar(kind)
-            if encode is None:
-                raise TypeError(
-                    f"Object of type {kind.__name__} is not JSON serializable")
-            append(encode(value))
-
-    def template(metrics: LinkMetrics, newline: str) -> tuple[list[str], list[tuple]]:
-        # The block is written into its own parts; `chunks` may be written
-        # out meanwhile, since all it holds comes before the block.
-        nonlocal append
-        parts: list = []
-        append = parts.append
-        ids = [_Slot(i) for i in range(len(metrics.optical_ledger.entries))]
-        write(_metrics_dict(metrics, ids, _Slot(None)), newline)
-        append = chunks.append
-        texts: list[str] = []
-        slots: list[tuple] = []
-        run: list[str] = []
-        for part in parts:
-            if type(part) is tuple:
-                texts.append("".join(run))
-                slots.append(part)
-                run = []
-            else:
-                run.append(part)
-        texts.append("".join(run))
-        return texts, slots
-
-    def stamp(result: PathResult, newline: str) -> None:
-        key = (id(result.class_metrics), newline)
-        found = templates.get(key)
-        if found is None:
-            found = templates[key] = template(result.class_metrics, newline)
-        texts, slots = found
-        elements = result.path.elements
-        for text, (index, inner) in zip(texts, slots):
-            append(text)
-            if index is None:
-                write(list(result.flags), inner)
-            else:
-                append(_ESCAPE(elements[index].element_id))
-        append(texts[-1])
-
-    write(obj, "\n")
-    out.write("".join(chunks))
+    One ``json.dumps`` writes the object with a placeholder for each of the
+    path's strings. The template serves every path of the class with as many
+    flags."""
+    holes = [f"\x00{k}" for k in range(len(_path_strings(result)))]
+    flags_end = 3 + len(result.flags)
+    obj = {"path_id": holes[0], "channel": holes[1], "destination": holes[2],
+           "wavelength_nm": result.path.wavelength_nm,
+           "metrics": _metrics_dict(result.class_metrics, holes[flags_end:],
+                                    holes[3:flags_end])}
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    parts = _SLOT.split(text.replace("%", "%%").replace("\n", _PATH_NEWLINE))
+    return "%s".join(parts[0::2]), tuple(map(int, parts[1::2]))
 
 
 def render_json(report: Report, out: TextIO) -> None:
-    _dump_json(_json_payload(report), out)
+    """Write ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
+    of the report's JSON value and a newline to ``out``, a chunk at a time.
+
+    The standard library's encoder writes everything but the variants'
+    paths. It cannot encode a ``VariantResult``, so it hands each to
+    ``default`` just before it yields the chunk of what ``default`` returns.
+    ``default`` holds the variant back and returns "", and the variant's
+    paths list goes in place of that chunk: each path is its class template
+    stamped with its own strings. A NaN or an infinity raises ``ValueError``;
+    what came before it may have been written by then.
+    """
+    held: list[VariantResult] = []
+
+    def hold(variant: VariantResult) -> str:
+        held.append(variant)
+        return ""
+
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False,
+                               default=hold)
+    templates: dict[tuple[int, int], tuple[str, tuple[int, ...]]] = {}
+    for chunk in encoder.iterencode(_json_payload(report)):
+        if held:
+            chunk = "[]"
+            separator = "["
+            for result in held.pop().paths:
+                key = (id(result.class_metrics), len(result.flags))
+                template = templates.get(key)
+                if template is None:
+                    template = templates[key] = _path_template(result)
+                text, slots = template
+                strings = _path_strings(result)
+                out.write(separator + _PATH_NEWLINE
+                          + text % tuple([_ESCAPE(strings[k]) for k in slots]))
+                separator = ","
+                chunk = _PATHS_END
+        out.write(chunk)
     out.write("\n")
 
 

@@ -27,6 +27,7 @@ from .digitalpath import AdcStreamSpec, DigitalLinkSpec, LineEncoding
 from .errors import LibraryError, ScenarioError
 from .linkbudget import AnalysisConfig
 from .topology import (
+    CHANNELS_PER_RETURN_GROUP,
     ChannelPlan,
     DEFAULT_CHANNEL_SPACING_NM,
     ForwardBindings,
@@ -457,8 +458,10 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
                                               default=True)
             lasers_raw = raw_return.get("lasers")
             lasers: list[str] = []
-            if not isinstance(lasers_raw, list) or len(lasers_raw) != 4:
-                problems.add(f"{where}.lasers: must list exactly 4 component names")
+            if not isinstance(lasers_raw, list) \
+                    or len(lasers_raw) != CHANNELS_PER_RETURN_GROUP:
+                problems.add(f"{where}.lasers: must list exactly "
+                             f"{CHANNELS_PER_RETURN_GROUP} component names")
             else:
                 for i, entry in enumerate(lasers_raw):
                     if not isinstance(entry, str) or entry not in library:
@@ -477,10 +480,11 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
             if fiber is not None and fiber not in library:
                 problems.add(f"{where}.fiber: unknown component {fiber!r}")
                 fiber = None
-            if return_enabled and n_dtrm % 4 != 0:
-                problems.add("topology.n_dtrm: must be divisible by 4 when the "
-                             "return chain is enabled")
-            if len(lasers) == 4 and all(names.values()):
+            if return_enabled and n_dtrm % CHANNELS_PER_RETURN_GROUP != 0:
+                problems.add(f"topology.n_dtrm: must be divisible by "
+                             f"{CHANNELS_PER_RETURN_GROUP} when the return "
+                             "chain is enabled")
+            if len(lasers) == CHANNELS_PER_RETURN_GROUP and all(names.values()):
                 return_bindings = ReturnBindings(
                     lasers=tuple(lasers),
                     modulator=names["modulator"],

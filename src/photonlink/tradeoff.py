@@ -9,7 +9,7 @@ compliance first, then power, size and weight ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -305,9 +305,17 @@ def check_requirements(
 
     if digital_groups:
         worst_margin = min(g.margin_bytes_per_s for g in digital_groups)
-        checks.append(_check_at_least(
+        check = _check_at_least(
             "return_throughput", worst_margin, 0.0, "byte/s",
-            "worst group margin vs the scaled payload bar"))
+            "worst group margin vs the scaled payload bar")
+        # A group whose ADC demand exceeds its payload fails whatever its
+        # margin over the bar.
+        failing = [g.group_id for g in digital_groups if not g.passed]
+        if failing:
+            check = replace(check, passed=False, note=(
+                f"{len(failing)} of {len(digital_groups)} groups fail, "
+                f"first {failing[0]}"))
+        checks.append(check)
     else:
         checks.append(RequirementCheck(
             "return_throughput", None, ">= bar", "byte/s", False, None,

@@ -461,8 +461,8 @@ def workload_document(name: str, seed: int) -> dict:
 
 
 def rendered(write, obj, **kwargs) -> str:
-    """What ``write``, a ``render_*`` writer or ``_dump_json``, writes of
-    ``obj``, collected in an ``io.StringIO``."""
+    """What ``write``, one of the ``render_*`` writers, writes of ``obj``,
+    collected in an ``io.StringIO``."""
     buffer = io.StringIO()
     write(obj, buffer, **kwargs)
     return buffer.getvalue()
@@ -495,13 +495,17 @@ def metrics_json(metrics) -> dict:
 
 
 def per_path_payload(report) -> dict:
-    """The JSON payload of ``report`` with every path's metrics and every
+    """The JSON payload of ``report`` with every path's object and every
     worst case built from the materialized metrics, path by path: the oracle
     of the class-stamped writer."""
     payload = _json_payload(report)
     for variant, entry in zip(report.variants, payload["variants"]):
-        for result, path_entry in zip(variant.paths, entry["paths"], strict=True):
-            path_entry["metrics"] = metrics_json(result.metrics)
+        entry["paths"] = [
+            {"path_id": result.path.path_id, "channel": result.path.channel,
+             "destination": result.path.destination,
+             "wavelength_nm": result.path.wavelength_nm,
+             "metrics": metrics_json(result.metrics)}
+            for result in variant.paths]
         if variant.worst is not None:
             entry["worst_case"] = metrics_json(variant.worst)
     return payload

@@ -170,15 +170,27 @@ def test_dead_link(reference_scenario, monkeypatch, capsys):
 
 
 def test_escaped_channel_ids(reference_scenario):
-    scenario = dataclasses.replace(reference_scenario, channels=tuple(
-        dataclasses.replace(ch, id=f'{ch.id} "é中\U0001f600"')
-        for ch in reference_scenario.channels))
-    report = variants_report(scenario, scenario.selected_variants()[:1])
-    text = rendered(render_json, report)
-    assert '\\"\\u00e9\\u4e2d\\ud83d\\ude00\\"' in text
-    assert json.loads(text)["variants"][0]["paths"][0]["metrics"][
-        "optical_ledger"][0]["element_id"].endswith('"é中\U0001f600"')
-    assert_renders_per_path(report, analog_ids(scenario))
+    inputs = [
+        ([f'{ch.id} "é中\U0001f600"' for ch in reference_scenario.channels],
+         '\\"\\u00e9\\u4e2d\\ud83d\\ude00\\"'),
+        # NUL and ids spelled like a class template's slots, characters that
+        # JSON escapes, a line separator and a lone surrogate.
+        (["\x00", "\x00c", "\x000", "\x00f", "\\", "\x1f", "\u2028", "\ud800"],
+         '"channel": "\\u00000"'),
+    ]
+    for ids, escaped in inputs:
+        scenario = dataclasses.replace(reference_scenario, channels=tuple(
+            dataclasses.replace(ch, id=new_id)
+            for ch, new_id in zip(reference_scenario.channels, ids, strict=True)))
+        report = variants_report(scenario, scenario.selected_variants()[:1])
+        text = rendered(render_json, report)
+        assert escaped in text
+        paths = json.loads(text)["variants"][0]["paths"]
+        assert {p["channel"] for p in paths} == set(ids)
+        for p in paths:
+            detector = p["metrics"]["optical_ledger"][-1]["element_id"]
+            assert detector.endswith(".pd." + p["channel"])
+        assert_renders_per_path(report, analog_ids(scenario))
 
 
 def test_only_the_worst_case_anchor_is_relabeled(reference_scenario, monkeypatch):

@@ -185,6 +185,20 @@ class TestCommandLine:
         assert proc.returncode == EXIT_INPUT
         assert "outside [1300, 1650] nm" in proc.stdout
 
+    def test_return_throughput_fails_with_its_groups(self, tmp_path,
+                                                      raw_reference):
+        # A 20x faster ADC demands 4.8 GB/s of each group's 312.5 MB/s.
+        doc = copy.deepcopy(raw_reference)
+        doc["digital"]["adc"]["sample_rate_sps"] *= 20
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        proc = self.run_cli("analyze", "--scenario", str(path))
+        assert proc.returncode == EXIT_COMPLIANCE, proc.stderr
+        row = next(line for line in proc.stdout.splitlines()
+                   if line.startswith("return_throughput"))
+        assert "FAIL" in row and "first dotxc01" in row
+        assert "variant verdict: FAIL" in proc.stdout
+
     def test_unwritable_output_path_exits_two(self, tmp_path):
         proc = self.run_cli("analyze",
                             "--scenario", str(reference_scenario_path()),
