@@ -1,7 +1,7 @@
 """The JSON report writer against its oracle, the standard library's
 ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)`` of the
-path-by-path payload: the reference reports it renders and the dead link it
-refuses."""
+path-by-path payload: the reference reports it renders and the NaNs and
+infinities it refuses."""
 
 import dataclasses
 import json
@@ -11,7 +11,7 @@ import pytest
 
 from photonlink import cli
 from photonlink.data import reference_scenario_path
-from photonlink.report import _fmt_si, render_json
+from photonlink.report import PathResult, _fmt_si, render_json
 
 from conftest import per_path_payload, rendered
 
@@ -25,6 +25,58 @@ def test_reference_reports_match_the_standard_library(reference_scenario,
                                                       command):
     report = cli.run(command, reference_scenario)
     assert rendered(render_json, report) == oracle(per_path_payload(report)) + "\n"
+
+
+def _with_worst(report, **fields):
+    """``report`` with its first variant's worst case changed."""
+    first = report.variants[0]
+    worst = dataclasses.replace(first.worst, **fields)
+    return dataclasses.replace(report, variants=(
+        dataclasses.replace(first, worst=worst), *report.variants[1:]))
+
+
+def _bare(report, value):
+    # A number member of a frame object: the worst case's RF gain.
+    return _with_worst(report, rf_gain_db=value)
+
+
+def _in_list(report, value):
+    # A number in a frame list: the last entry of the worst case's ledger.
+    ledger = report.variants[0].worst.optical_ledger
+    *kept, last = ledger.entries
+    entries = (*kept, dataclasses.replace(last, power_dbm=value))
+    return _with_worst(report, optical_ledger=dataclasses.replace(
+        ledger, entries=entries))
+
+
+def _in_dict(report, value):
+    # A number of a digital group, an object of the frame's "digital_groups".
+    group, *rest = report.digital_groups
+    return dataclasses.replace(report, digital_groups=(
+        dataclasses.replace(group, margin_bytes_per_s=value), *rest))
+
+
+def _nested(report, value):
+    # A number of a path's class metrics: it sits in a class template.
+    first = report.variants[0]
+    result, *rest = first.paths
+    dead = dataclasses.replace(result.class_metrics, sfdr_db=value)
+    paths = (PathResult(result.path, dead, result.flags), *rest)
+    return dataclasses.replace(report, variants=(
+        dataclasses.replace(first, paths=tuple(paths)), *report.variants[1:]))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("wrap", [_bare, _in_list, _in_dict, _nested],
+                         ids=["bare", "list", "dict", "nested"])
+def test_non_finite_floats_are_refused(reference_scenario, value, wrap):
+    """A NaN or an infinity has no strict JSON form wherever it sits: the
+    oracle and ``render_json`` both raise ``ValueError``."""
+    report = wrap(cli.run("tradeoff", reference_scenario), value)
+    with pytest.raises(ValueError):
+        oracle(per_path_payload(report))
+    with pytest.raises(ValueError):
+        rendered(render_json, report)
 
 
 def test_dead_link_noise_figure_is_refused(reference_scenario, tmp_path,
