@@ -57,7 +57,6 @@ from .topology import (
 )
 from .tradeoff import (
     DesignVariant,
-    VariantOutcome,
     check_requirements,
     enumerate_variants,
     recommend,
@@ -194,27 +193,17 @@ def _variant_result(scenario: Scenario, variant: DesignVariant,
     compliance = check_requirements(
         forward.worst,
         scenario.requirements,
-        variant=variant,
         wavelengths_nm=forward.wavelengths,
         digital_groups=digital_groups,
         analysis_bandwidth_hz=scenario.analysis.bandwidth_hz,
     )
     return VariantResult(
-        label=variant.label,
-        feasible=True,
+        variant=variant,
         score=score_variant(variant),
+        compliance=compliance,
         paths=forward.paths,
         worst=forward.worst,
-        compliance=compliance,
     )
-
-
-def _analyze_variant(scenario: Scenario, variant: DesignVariant,
-                     digital_groups) -> tuple[VariantResult, TopologySummary]:
-    """One variant on its own forward network, shared with no other."""
-    forward = _analyze_forward(scenario, variant)
-    return (_variant_result(scenario, variant, forward, digital_groups),
-            forward.summary)
 
 
 def run(command: str, scenario: Scenario) -> Report:
@@ -222,7 +211,7 @@ def run(command: str, scenario: Scenario) -> Report:
     return_topology = _return_topology(scenario)
 
     if command == "validate":
-        variant = scenario.selected_variants()[0]
+        variant = scenario.variants[0]
         forward = _forward_topology(scenario, variant)
         messages = list(validate_topology(forward).messages())
         summaries = [_summary(forward, 0)]
@@ -243,7 +232,7 @@ def run(command: str, scenario: Scenario) -> Report:
         )
 
     if command == "analyze":
-        variants = scenario.selected_variants()
+        variants = scenario.variants
     elif command == "tradeoff":
         variants = tuple(v for v, feasible in enumerate_variants() if feasible)
     else:
@@ -274,9 +263,7 @@ def run(command: str, scenario: Scenario) -> Report:
     recommendation = None
     notes: list[str] = []
     if command == "tradeoff":
-        outcomes = [VariantOutcome(v.compliance.variant, v.score, v.compliance)
-                    for v in results]
-        recommendation = recommend(outcomes)
+        recommendation = recommend(results)
         infeasible = [v.label for v, ok in enumerate_variants() if not ok]
         notes.append("infeasible variants: " + ", ".join(infeasible))
 
@@ -332,8 +319,7 @@ def _file_beside(target: Path,
     return None
 
 
-def emit_report(report: Report, fmt: str, out: str | None,
-                *, color: bool | None = None) -> None:
+def emit_report(report: Report, fmt: str, out: str | None) -> None:
     """Write the report in the requested format to the file ``out``, or to
     stdout when ``out`` is None or "-", whole or not at all.
 
@@ -345,7 +331,9 @@ def emit_report(report: Report, fmt: str, out: str | None,
     then copied to the output. Neither happens unless the writer
     returns, so a refused report leaves ``out`` as it was and puts nothing
     on stdout, and the temporary file is removed either way. The report's
-    line ends are written as the writer makes them, on every platform."""
+    line ends are written as the writer makes them, on every platform. Text
+    is coloured when stdout is a terminal and ``out`` is stdout, unless
+    PHOTONLINK_NO_COLOR is set."""
     to_stdout = out is None or out == "-"
     beside = None
     if not to_stdout:
@@ -371,10 +359,9 @@ def emit_report(report: Report, fmt: str, out: str | None,
             elif fmt == "csv":
                 render_csv(report, sink)
             else:
-                if color is None:
-                    color = (out is None and sys.stdout.isatty()
-                             and not os.environ.get("PHOTONLINK_NO_COLOR"))
-                render_text(report, sink, color=color)
+                render_text(report, sink, color=(
+                    to_stdout and sys.stdout.isatty()
+                    and not os.environ.get("PHOTONLINK_NO_COLOR")))
             if temporary is None:
                 sink.seek(0)
                 with (nullcontext(sys.stdout) if to_stdout else

@@ -25,7 +25,7 @@ from typing import TextIO
 from .digitalpath import GroupCapacity
 from .linkbudget import LinkMetrics, relabeled
 from .topology import Direction, SignalPath
-from .tradeoff import ComplianceReport, OrdinalScore, Recommendation
+from .tradeoff import ComplianceReport, Recommendation, VariantOutcome, is_feasible
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -80,13 +80,12 @@ class PathResult:
 
 
 @dataclass(frozen=True)
-class VariantResult:
-    label: str
-    feasible: bool
-    score: OrdinalScore | None
+class VariantResult(VariantOutcome):
+    """A variant's ranking outcome, with the results of its forward network's
+    paths and their worst case."""
+
     paths: tuple[PathResult, ...]
-    worst: LinkMetrics | None
-    compliance: ComplianceReport | None
+    worst: LinkMetrics
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,7 @@ class Report:
 
     @property
     def has_compliance_failures(self) -> bool:
-        return any(v.compliance is not None and not v.compliance.verdict
-                   for v in self.variants)
+        return any(not v.compliance.verdict for v in self.variants)
 
 
 def _fmt(value: float | None, digits: int = 3) -> str:
@@ -218,11 +216,10 @@ def _text_lines(report: Report, color: bool) -> Iterator[str]:
         yield ""
 
     for variant in report.variants:
-        yield f"== Variant {variant.label} =="
-        if variant.score is not None:
-            yield (f"ordinal ranks (1=best): power {variant.score.power_rank}, "
-                   f"size {variant.score.size_rank}, "
-                   f"weight {variant.score.weight_rank}")
+        yield f"== Variant {variant.variant.label} =="
+        yield (f"ordinal ranks (1=best): power {variant.score.power_rank}, "
+               f"size {variant.score.size_rank}, "
+               f"weight {variant.score.weight_rank}")
         if variant.paths:
             rows = []
             for pr in variant.paths:
@@ -241,7 +238,7 @@ def _text_lines(report: Report, color: bool) -> Iterator[str]:
                 ["path", "gain [dB]", "NF [dB]", "SFDR [dB]", "XT [dB]",
                  "t_rise [s]", "jitter [s]", "P_det [dBm]"],
                 rows)
-        if variant.worst is not None and variant.worst.optical_ledger.entries:
+        if variant.worst.optical_ledger.entries:
             yield ""
             yield "optical ledger (worst path):"
             for entry in variant.worst.optical_ledger.entries:
@@ -250,23 +247,22 @@ def _text_lines(report: Report, color: bool) -> Iterator[str]:
                        f"{entry.power_dbm:8.3f} dBm{note}")
             for flag in variant.worst.optical_ledger.flags:
                 yield f"  flag: {flag}"
-        if variant.compliance is not None:
-            yield ""
-            yield "compliance:"
-            rows = []
-            for check in variant.compliance.checks:
-                rows.append([
-                    check.requirement,
-                    _fmt_si(check.value),
-                    f"{check.bound} {check.unit}",
-                    verdict(check.passed),
-                    _fmt_si(check.margin),
-                    check.note,
-                ])
-            yield from _table(
-                ["requirement", "value", "bound", "verdict", "margin", "note"],
-                rows)
-            yield f"variant verdict: {verdict(variant.compliance.verdict)}"
+        yield ""
+        yield "compliance:"
+        rows = []
+        for check in variant.compliance.checks:
+            rows.append([
+                check.requirement,
+                _fmt_si(check.value),
+                f"{check.bound} {check.unit}",
+                verdict(check.passed),
+                _fmt_si(check.margin),
+                check.note,
+            ])
+        yield from _table(
+            ["requirement", "value", "bound", "verdict", "margin", "note"],
+            rows)
+        yield f"variant verdict: {verdict(variant.compliance.verdict)}"
         yield ""
 
     if report.digital_groups:
@@ -377,19 +373,18 @@ def _json_payload(report: Report) -> dict:
         "adjacency": list(report.adjacency),
         "variants": [
             {
-                "variant": v.label,
-                "feasible": v.feasible,
-                "score": None if v.score is None else {
+                "variant": v.variant.label,
+                "feasible": is_feasible(v.variant),
+                "score": {
                     "power_rank": v.score.power_rank,
                     "size_rank": v.score.size_rank,
                     "weight_rank": v.score.weight_rank,
                 },
                 "paths": v,
-                "worst_case": None if v.worst is None else _metrics_dict(
+                "worst_case": _metrics_dict(
                     v.worst, [e.element_id for e in v.worst.optical_ledger.entries],
                     list(v.worst.flags)),
-                "compliance": None if v.compliance is None
-                else _compliance_dict(v.compliance),
+                "compliance": _compliance_dict(v.compliance),
             }
             for v in report.variants
         ],
@@ -535,6 +530,6 @@ def render_csv(report: Report, out: TextIO) -> None:
                     for name, unit in METRIC_COLUMNS
                     for value in (getattr(metrics, name),))]
             path = pr.path
-            head = line((variant.label, path.path_id, path.channel,
+            head = line((variant.variant.label, path.path_id, path.channel,
                          path.destination))[:-1]
             out.write(head.join(tail))

@@ -66,7 +66,9 @@ class Scenario:
     digital_link: DigitalLinkSpec | None
     adc_stream: AdcStreamSpec | None
     requirements: RequirementSet
-    variant_selection: str
+    # The variants that ``analyze`` reports, in ``ALL_VARIANTS`` order: the
+    # six feasible ones for "all", else the one the scenario names.
+    variants: tuple[DesignVariant, ...]
 
     def forward_bindings(self, variant: DesignVariant) -> ForwardBindings:
         return ForwardBindings(
@@ -81,11 +83,6 @@ class Scenario:
             drop_fiber=self.drop_fiber,
             otxc_edfa=self.otxc_edfa,
         )
-
-    def selected_variants(self) -> tuple[DesignVariant, ...]:
-        if self.variant_selection == "all":
-            return tuple(v for v in ALL_VARIANTS if is_feasible(v))
-        return (DesignVariant.from_label(self.variant_selection),)
 
 
 def scenario_fingerprint(raw: Mapping[str, Any]) -> str:
@@ -512,15 +509,15 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         requirements_raw = {}
     requirements = _parse_requirements(requirements_raw, problems)
 
-    variant = raw.get("variant", "all")
-    if not isinstance(variant, str):
+    label = raw.get("variant", "all")
+    variants = tuple(v for v in ALL_VARIANTS if is_feasible(v))
+    if not isinstance(label, str):
         problems.add("scenario.variant: must be a string")
-        variant = "all"
-    elif variant != "all":
+    elif label != "all":
         try:
-            chosen = DesignVariant.from_label(variant)
-            if not is_feasible(chosen):
-                problems.add(f"scenario.variant: {variant!r} is infeasible "
+            variants = (DesignVariant.from_label(label),)
+            if not is_feasible(variants[0]):
+                problems.add(f"scenario.variant: {label!r} is infeasible "
                              "(Bragg gratings are not realizable in silicon)")
         except ValueError as exc:
             problems.add(f"scenario.variant: {exc}")
@@ -552,5 +549,5 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         digital_link=digital_link,
         adc_stream=adc_stream,
         requirements=requirements,
-        variant_selection=variant.lower() if isinstance(variant, str) else "all",
+        variants=variants,
     )

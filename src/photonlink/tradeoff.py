@@ -201,7 +201,6 @@ class RequirementCheck:
 
 @dataclass(frozen=True)
 class ComplianceReport:
-    variant: DesignVariant | None
     checks: tuple[RequirementCheck, ...]
 
     @property
@@ -236,7 +235,6 @@ def check_requirements(
     metrics: LinkMetrics,
     requirements: RequirementSet,
     *,
-    variant: DesignVariant | None = None,
     wavelengths_nm: Sequence[float] = (),
     digital_groups: Sequence[GroupCapacity] = (),
     analysis_bandwidth_hz: float | None = None,
@@ -321,7 +319,7 @@ def check_requirements(
             "return_throughput", None, ">= bar", "byte/s", False, None,
             "not evaluated"))
 
-    return ComplianceReport(variant=variant, checks=tuple(checks))
+    return ComplianceReport(tuple(checks))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from photonlink import cli
 from photonlink.components import (
     DetectorKind,
     EdfaSpec,
@@ -253,6 +254,15 @@ def analysis_class(path, topology) -> tuple:
     return (path.channel,
             tuple((e.kind, e.component) for e in path.elements),
             sharing)
+
+
+def analyze_variant(scenario, variant, digital_groups):
+    """Per-variant route of ``cli.run``: ``variant`` analyzed on its own
+    forward network, shared with no other. Returns its result and the
+    network's summary."""
+    forward = cli._analyze_forward(scenario, variant)
+    return (cli._variant_result(scenario, variant, forward, digital_groups),
+            forward.summary)
 
 
 def per_member_validation(topology) -> ValidationReport:

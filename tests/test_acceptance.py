@@ -78,11 +78,11 @@ def test_gate_1_sfdr_reproduction(reference_scenario):
 
     em = DesignVariant.from_label("emxvbgxhip")
     report = run("analyze", dataclasses.replace(
-        reference_scenario, variant_selection=em.label))
+        reference_scenario, variants=(em,)))
     worst = report.variants[0].worst
     injected = dataclasses.replace(worst, noise_figure_db=30.0, sfdr_db=value)
     compliance = check_requirements(
-        injected, reference_scenario.requirements, variant=em,
+        injected, reference_scenario.requirements,
         wavelengths_nm=[1550.0], digital_groups=report.digital_groups,
         analysis_bandwidth_hz=config.bandwidth_hz)
     sfdr_row = next(c for c in compliance.checks if c.requirement == "sfdr")
@@ -96,7 +96,8 @@ def test_gate_2_nf_degradation_classification(reference_scenario):
     """Injected degradations 0.9 / 1.8 dB classify (strict PASS, relaxed PASS)
     and (strict FAIL, relaxed PASS); the 1.0 dB boundary is inclusive-pass."""
     report = run("analyze", dataclasses.replace(
-        reference_scenario, variant_selection="dmxvbgxhip"))
+        reference_scenario,
+        variants=(DesignVariant.from_label("dmxvbgxhip"),)))
     worst = report.variants[0].worst
     requirements = RequirementSet()
 

@@ -62,7 +62,7 @@ def assert_matches_per_path(scenario, variant, topology=None):
 
 def test_reference_scenario_all_variants(reference_scenario, analyze_calls):
     scenario = reference_scenario
-    variants = scenario.selected_variants()
+    variants = scenario.variants
     assert len(variants) == 6
     for variant in variants:
         analyze_calls.clear()
@@ -86,7 +86,7 @@ def test_cli_run_analyzes_once_per_class(reference_scenario, analyze_calls):
 def test_randomized_libraries(reference_scenario, seed):
     rng = random.Random(seed)
     scenario = redrawn_scenario(reference_scenario, rng)
-    variants = scenario.selected_variants()
+    variants = scenario.variants
     for variant in rng.sample(variants, 2):
         assert_matches_per_path(scenario, variant)
 
@@ -98,7 +98,7 @@ def swapped_drop_fiber(scenario):
     library["spare_drop"] = dataclasses.replace(
         library[scenario.drop_fiber], length_m=2500.0)
     scenario = dataclasses.replace(scenario, library=library)
-    variant = scenario.selected_variants()[0]
+    variant = scenario.variants[0]
     built = cli._forward_topology(scenario, variant)
     victim = next(e for e in built.edges if e.target == "orxc03")
     topology = dataclasses.replace(built, edges=tuple(
@@ -141,7 +141,7 @@ def test_swapped_drop_fiber_splits_its_destination(reference_scenario,
 
 def test_detector_saturation_flags_name_each_path(reference_scenario):
     scenario = saturated_detectors(reference_scenario)
-    variant = scenario.selected_variants()[0]
+    variant = scenario.variants[0]
     paths, metrics = assert_matches_per_path(scenario, variant)
 
     for path, m in zip(paths, metrics):
@@ -181,7 +181,7 @@ def assert_variants_partition(scenario, variants):
 
 
 def test_partition_reference_variants(reference_scenario):
-    variants = reference_scenario.selected_variants()
+    variants = reference_scenario.variants
     assert len(variants) == 6
     for variant in variants:
         paths, classes = assert_partition_matches(
@@ -196,7 +196,7 @@ def test_partition_reference_variants(reference_scenario):
 @pytest.mark.parametrize("seed", range(8))
 def test_partition_randomized_libraries(reference_scenario, seed):
     scenario = redrawn_scenario(reference_scenario, random.Random(seed))
-    assert_variants_partition(scenario, scenario.selected_variants())
+    assert_variants_partition(scenario, scenario.variants)
 
 
 def test_partition_swapped_drop_fiber(reference_scenario):
@@ -207,7 +207,7 @@ def test_partition_swapped_drop_fiber(reference_scenario):
 
 def test_partition_saturated_detectors(reference_scenario):
     scenario = saturated_detectors(reference_scenario)
-    assert_variants_partition(scenario, scenario.selected_variants())
+    assert_variants_partition(scenario, scenario.variants)
 
 
 def test_partition_split_lanes_many_channels():
@@ -218,7 +218,7 @@ def test_partition_split_lanes_many_channels():
     document["variant"] = "all"
     scenario = parse_scenario(document)
     assert not scenario.shared_fiber and len(scenario.channels) >= 40
-    variants = scenario.selected_variants()
+    variants = scenario.variants
     assert len(variants) == 6
     for variant in variants:
         paths, classes = assert_partition_matches(
@@ -243,7 +243,7 @@ def test_element_order_is_checked_once_per_kind_sequence(reference_scenario,
     for scenario in [reference_scenario] + [
             redrawn_scenario(reference_scenario, rng) for _ in range(4)]:
         topologies += [cli._forward_topology(scenario, variant)
-                       for variant in scenario.selected_variants()]
+                       for variant in scenario.variants]
     sequences = set()
     for topology in topologies:
         checked.clear()
@@ -265,7 +265,7 @@ def test_each_prefix_of_a_class_flags_its_own_elements(reference_scenario):
     library[scenario.fojb_edfa] = dataclasses.replace(
         library[scenario.fojb_edfa], saturation_output_power_dbm=-10.0)
     scenario = dataclasses.replace(scenario, library=library)
-    variant = scenario.selected_variants()[0]
+    variant = scenario.variants[0]
     topology = cli._forward_topology(scenario, variant)
     paths = enumerate_paths(topology)
     shared = len(paths[0].class_key[1])
@@ -290,7 +290,7 @@ def test_partition_channel_moved_to_the_other_lane(reference_scenario):
     # digital channels, and the other analog channels lose it, so every
     # channel's path to orxc03 forms a class of its own.
     scenario = dataclasses.replace(reference_scenario, shared_fiber=False)
-    variant = scenario.selected_variants()[0]
+    variant = scenario.variants[0]
     built = cli._forward_topology(scenario, variant)
     moved = sorted(built.edges[1].channels)[0]
     assert built.edges[1].lane == 0

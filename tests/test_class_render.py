@@ -33,6 +33,7 @@ from photonlink.report import (
 from photonlink.topology import ElementKind, NodeKind, enumerate_paths
 
 from conftest import (
+    analyze_variant,
     assert_same_text,
     per_path_payload,
     redrawn_scenario,
@@ -49,7 +50,7 @@ def per_path_csv(report) -> str:
         for pr in variant.paths:
             for name, unit in METRIC_COLUMNS:
                 value = getattr(pr.metrics, name)
-                writer.writerow([variant.label, pr.path.path_id, pr.path.channel,
+                writer.writerow([variant.variant.label, pr.path.path_id, pr.path.channel,
                                  pr.path.destination, name, unit,
                                  "" if value is None else repr(value)])
     return buffer.getvalue()
@@ -67,7 +68,7 @@ def assert_renders_per_path(report, analog_channels):
     for variant in report.variants:
         analog = [pr for pr in variant.paths if pr.path.channel in analog_channels]
         eager = worst_case([pr.metrics for pr in analog or variant.paths])
-        assert variant.worst == eager, variant.label
+        assert variant.worst == eager, variant.variant.label
     try:
         expected = json.dumps(per_path_payload(report), indent=2,
                               sort_keys=True, allow_nan=False)
@@ -90,7 +91,7 @@ def variants_report(scenario, variants, topology=None, monkeypatch=None):
     ``topology``, every variant is analyzed on that network."""
     if topology is not None:
         monkeypatch.setattr(cli, "_forward_topology", lambda *_: topology)
-    results = [cli._analyze_variant(scenario, v, ())[0] for v in variants]
+    results = [analyze_variant(scenario, v, ())[0] for v in variants]
     return Report(command="analyze", tool_version="test",
                   scenario_name=scenario.name, scenario_fingerprint="0" * 64,
                   topology_summaries=(), variants=tuple(results))
@@ -107,7 +108,7 @@ def test_reference_runs(reference_scenario, command):
 def test_randomized_libraries(reference_scenario, seed):
     rng = random.Random(seed)
     scenario = redrawn_scenario(reference_scenario, rng)
-    report = variants_report(scenario, rng.sample(scenario.selected_variants(), 2))
+    report = variants_report(scenario, rng.sample(scenario.variants, 2))
     assert_renders_per_path(report, analog_ids(scenario))
 
 
@@ -116,7 +117,7 @@ def test_swapped_drop_fiber(reference_scenario, monkeypatch):
     library["spare_drop"] = dataclasses.replace(
         library[reference_scenario.drop_fiber], length_m=2500.0)
     scenario = dataclasses.replace(reference_scenario, library=library)
-    variant = scenario.selected_variants()[0]
+    variant = scenario.variants[0]
     built = cli._forward_topology(scenario, variant)
     victim = next(e for e in built.edges if e.target == "orxc03")
     swapped = dataclasses.replace(built, edges=tuple(
@@ -135,7 +136,7 @@ def test_detector_saturation_flags_each_path(reference_scenario):
         library[name] = dataclasses.replace(library[name],
                                             saturation_power_dbm=-40.0)
     scenario = dataclasses.replace(reference_scenario, library=library)
-    report = variants_report(scenario, scenario.selected_variants()[:2])
+    report = variants_report(scenario, scenario.variants[:2])
     for variant in report.variants:
         flags = [pr.flags for pr in variant.paths]
         assert all(len(f) == 1 for f in flags)
@@ -182,7 +183,7 @@ def test_escaped_channel_ids(reference_scenario):
         scenario = dataclasses.replace(reference_scenario, channels=tuple(
             dataclasses.replace(ch, id=new_id)
             for ch, new_id in zip(reference_scenario.channels, ids, strict=True)))
-        report = variants_report(scenario, scenario.selected_variants()[:1])
+        report = variants_report(scenario, scenario.variants[:1])
         text = rendered(render_json, report)
         assert escaped in text
         paths = json.loads(text)["variants"][0]["paths"]
@@ -215,7 +216,7 @@ def test_only_the_worst_case_anchor_is_relabeled(reference_scenario, monkeypatch
 
 
 def test_each_channel_prefix_is_built_once(reference_scenario, monkeypatch):
-    variant = reference_scenario.selected_variants()[0]
+    variant = reference_scenario.variants[0]
     topology = cli._forward_topology(reference_scenario, variant)
     built = []
     real = topology_module.PathElement

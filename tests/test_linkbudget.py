@@ -552,7 +552,7 @@ def reference_paths(reference_scenario):
     from photonlink.topology import build_forward_network, enumerate_paths
     scenario = reference_scenario
     out = []
-    for variant in scenario.selected_variants():
+    for variant in scenario.variants:
         topology = build_forward_network(
             scenario.n_dtrm, scenario.channels, scenario.library,
             scenario.forward_bindings(variant), shared_fiber=scenario.shared_fiber,

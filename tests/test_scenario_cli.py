@@ -1,6 +1,7 @@
 """Scenario parsing, CLI commands, exit codes and report emission."""
 
 import copy
+import io
 import json
 import math
 import subprocess
@@ -13,6 +14,7 @@ from photonlink.data import reference_scenario_path
 from photonlink.errors import ScenarioError
 from photonlink.report import METRIC_COLUMNS, render_csv, render_json, render_text
 from photonlink.scenario import MAX_N_DTRM, parse_scenario, scenario_fingerprint
+from photonlink.tradeoff import ALL_VARIANTS, DesignVariant, is_feasible
 
 from conftest import rendered
 
@@ -32,7 +34,8 @@ class TestParseScenario:
     def test_reference_parses(self, reference_scenario):
         assert reference_scenario.n_dtrm == 16
         assert len(reference_scenario.channels) == 8
-        assert reference_scenario.variant_selection == "all"
+        assert reference_scenario.variants == tuple(
+            v for v in ALL_VARIANTS if is_feasible(v))
         assert reference_scenario.return_enabled
 
     def test_unknown_component_reference_named(self, raw_reference):
@@ -86,6 +89,17 @@ class TestRun:
         assert top.label == "dmxvbgxhip"
         assert len(report.variants) == 6
 
+    def test_ranking_holds_the_reports_own_results(self, reference_scenario):
+        report = run("tradeoff", reference_scenario)
+        ranking = report.recommendation.ranking
+        assert len(ranking) == len(report.variants)
+        for outcome in ranking:
+            assert any(outcome is v for v in report.variants), outcome.variant
+        payload = json.loads(rendered(render_json, report))
+        for entry in payload["variants"]:
+            variant = DesignVariant.from_label(entry["variant"])
+            assert entry["feasible"] == is_feasible(variant)
+
     def test_validate_produces_adjacency_dump(self, reference_scenario):
         report = run("validate", reference_scenario)
         assert report.adjacency
@@ -136,6 +150,28 @@ class TestEmission:
         colored = rendered(render_text, run("analyze", reference_scenario),
                            color=True)
         assert "\x1b[32m" in colored
+
+    def test_dash_is_stdout(self, monkeypatch):
+        """``--out -`` prints what no ``--out`` prints: coloured on a terminal,
+        and plain under PHOTONLINK_NO_COLOR."""
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        def printed(*out):
+            monkeypatch.setattr(sys, "stdout", Terminal())
+            assert main(["analyze", "--scenario", str(reference_scenario_path()),
+                         *out]) == EXIT_OK
+            return sys.stdout.getvalue()
+
+        monkeypatch.delenv("PHOTONLINK_NO_COLOR", raising=False)
+        colored = printed()
+        assert "\x1b[32m" in colored
+        assert printed("--out", "-") == colored
+        monkeypatch.setenv("PHOTONLINK_NO_COLOR", "1")
+        plain = printed()
+        assert "\x1b[" not in plain
+        assert printed("--out", "-") == plain
 
 
 class TestCommandLine:

@@ -3,8 +3,8 @@
 ``cli.run`` keys the forward pipeline by the variant's forward bindings and
 modulation, and every variant with the same key reuses one build,
 enumeration, class analysis and worst case. Each report here is built twice:
-by ``cli.run`` (shared) and by one fresh ``cli._analyze_variant`` per
-variant (unshared). The two must render to the same bytes in every format.
+by ``cli.run`` (shared) and by one fresh ``analyze_variant`` (from
+``conftest``) per variant (unshared). The two must render to the same bytes in every format.
 """
 
 import dataclasses
@@ -16,9 +16,10 @@ from photonlink import cli
 from photonlink.report import render_csv, render_json, render_text
 from photonlink.scenario import parse_scenario
 from photonlink.topology import Direction
-from photonlink.tradeoff import VariantOutcome, enumerate_variants, recommend
+from photonlink.tradeoff import enumerate_variants, recommend
 
 from conftest import (
+    analyze_variant,
     assert_same_text,
     benchmark_workloads,
     redrawn_scenario,
@@ -34,17 +35,15 @@ def unshared_report(command, scenario, shared):
         # No variants: the validate report has only the one route.
         return shared
     if command == "analyze":
-        variants = scenario.selected_variants()
+        variants = scenario.variants
     else:
         variants = tuple(v for v, feasible in enumerate_variants() if feasible)
-    analyzed = [cli._analyze_variant(scenario, v, shared.digital_groups)
+    analyzed = [analyze_variant(scenario, v, shared.digital_groups)
                 for v in variants]
     results = tuple(result for result, _ in analyzed)
     recommendation = None
     if command == "tradeoff":
-        recommendation = recommend([
-            VariantOutcome(v.compliance.variant, v.score, v.compliance)
-            for v in results])
+        recommendation = recommend(results)
     return dataclasses.replace(
         shared, variants=results, recommendation=recommendation,
         topology_summaries=(analyzed[0][1], *shared.topology_summaries[1:]))
@@ -105,7 +104,7 @@ def forward_work(monkeypatch):
 
 
 def distinct_networks(scenario, report):
-    variants = [v.compliance.variant for v in report.variants]
+    variants = [v.variant for v in report.variants]
     return {cli._network_key(scenario, v) for v in variants}
 
 
@@ -118,10 +117,10 @@ def test_reference_builds_each_network_once(reference_scenario, forward_work):
     # Variants share a path tuple exactly when they bind the same network.
     for a in report.variants:
         for b in report.variants:
-            same = (cli._network_key(reference_scenario, a.compliance.variant)
-                    == cli._network_key(reference_scenario, b.compliance.variant))
-            assert (a.paths is b.paths) == same, (a.label, b.label)
-            assert (a.worst is b.worst) == same, (a.label, b.label)
+            same = (cli._network_key(reference_scenario, a.variant)
+                    == cli._network_key(reference_scenario, b.variant))
+            assert (a.paths is b.paths) == same, (a.variant, b.variant)
+            assert (a.worst is b.worst) == same, (a.variant, b.variant)
 
 
 def test_gratings_bound_to_the_same_parts_share(reference_scenario,
@@ -138,7 +137,7 @@ def test_gratings_bound_to_the_same_parts_share(reference_scenario,
     assert len(built) == len(enumerated) == 2
     by_modulation = {}
     for variant in report.variants:
-        modulation = variant.compliance.variant.modulation
+        modulation = variant.variant.modulation
         assert by_modulation.setdefault(modulation, variant.paths) is variant.paths
     assert len(by_modulation) == 2
     assert_routes_agree("tradeoff", scenario)

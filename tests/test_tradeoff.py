@@ -167,8 +167,7 @@ def outcome(v, passed_count, power, size, weight):
             requirement=f"r{i}", passed=i < passed_count)
         for i in range(9))
     compliance = dataclasses.replace(
-        check_requirements(make_metrics(), RequirementSet()),
-        variant=v, checks=checks)
+        check_requirements(make_metrics(), RequirementSet()), checks=checks)
     from photonlink.tradeoff import OrdinalScore
     return VariantOutcome(v, OrdinalScore(power, size, weight), compliance)
 

@@ -62,7 +62,7 @@ def backward(n):
 
 def test_reference_scenario_networks():
     scenario = parse_scenario(reference_scenario_path())
-    for variant in scenario.selected_variants():
+    for variant in scenario.variants:
         assert assert_matches_per_member(cli._forward_topology(scenario, variant)) == ()
     assert assert_matches_per_member(cli._return_topology(scenario)) == ()
 
