@@ -34,6 +34,7 @@ from .linkbudget import (
     worst_case,
 )
 from .report import (
+    ClassResult,
     PathResult,
     Report,
     TopologySummary,
@@ -46,8 +47,8 @@ from .scenario import Scenario, load_scenario_document, parse_scenario
 from .components import DetectorKind, Modulation
 from .topology import (
     OpticalTopology,
-    PathElement,
-    SignalPath,
+    PathClass,
+    PathMember,
     adjacency_dump,
     build_forward_network,
     build_return_network,
@@ -102,53 +103,43 @@ def _summary(topology: OpticalTopology, path_count: int) -> TopologySummary:
     )
 
 
-def _analyze_classes(topology: OpticalTopology, paths: list[SignalPath],
-                     modulation: Modulation,
-                     config: AnalysisConfig) -> list[PathResult]:
-    """One result per path, skew taken against the first. ``analyze_path``
-    runs once per analysis class (``SignalPath.class_key``); every member
-    holds the class's metrics and its own ledger flags, and relabels the
-    ledger only when it is read. The flags of a class's shared elements are
-    found once per prefix; the last hop's are found per path, and only when
-    the class has flags there, since every member breaches at the same
-    elements."""
-    reference_delay = propagation_delay_s(paths[0]) if paths else 0.0
-    by_class: dict[tuple, LinkMetrics] = {}
-    # Class key -> the first element of the prefix last seen in the class
-    # and the flags of that prefix's elements.
-    heads: dict[tuple, tuple[PathElement, tuple[str, ...]]] = {}
+def _analyze_classes(topology: OpticalTopology, members: list[PathMember],
+                     modulation: Modulation, config: AnalysisConfig
+                     ) -> tuple[list[ClassResult], list[PathResult]]:
+    """One result per class, in order of first member, and one per path.
+    ``analyze_path`` runs once per class, on its own path, with skew taken
+    against the first path. A class's prefix flags are found once, and a
+    member's last-hop flags only when the class has flags there, since
+    every member breaches at the same elements."""
+    reference_delay = propagation_delay_s(members[0].cls.path) if members else 0.0
+    # Class -> its result and the flags of its prefix.
+    classes: dict[PathClass, tuple[ClassResult, tuple[str, ...]]] = {}
     out = []
-    for path in paths:
-        key = path.class_key
-        metrics = by_class.get(key)
-        if metrics is None:
-            metrics = by_class[key] = analyze_path(
-                path, modulation, config,
-                topology=topology, reference_delay_s=reference_delay)
-        flags = ()
-        if metrics.flags:
-            shared = len(key[1])  # the shared elements' (kind, component)s
-            head = heads.get(key)
-            if head is None or head[0] is not path.elements[0]:
-                head = heads[key] = (path.elements[0],
-                                     own_flags(metrics, path, stop=shared))
-            flags = head[1]
-            if len(metrics.flags) > len(flags):
-                flags += own_flags(metrics, path, start=shared)
-        out.append(PathResult(path, metrics, flags))
-    return out
+    for member in members:
+        cls = member.cls
+        found = classes.get(cls)
+        if found is None:
+            metrics = analyze_path(cls.path, modulation, config, topology=topology,
+                                   reference_delay_s=reference_delay)
+            found = classes[cls] = (ClassResult(cls, metrics), own_flags(
+                metrics, cls.path, stop=len(cls.prefix)))
+        result, flags = found
+        if len(result.metrics.flags) > len(flags):
+            flags += own_flags(result.metrics, member.path, start=len(cls.prefix))
+        out.append(PathResult(member, result, flags))
+    return [result for result, _ in classes.values()], out
 
 
-def _worst_case(results: list[PathResult]) -> LinkMetrics:
-    """``worst_case`` of every result's ``metrics``, from one bundle per
-    class: the scalars are equal within a class, the flags are each path's
-    own, and only the anchor path's ledger is relabeled."""
-    firsts: dict[int, PathResult] = {}
-    for result in results:
-        firsts.setdefault(id(result.class_metrics), result)
-    worst = worst_case([r.class_metrics for r in firsts.values()])
+def _worst_case(classes: list[ClassResult],
+                results: list[PathResult]) -> LinkMetrics:
+    """``worst_case`` of every result's ``metrics``, where ``classes`` are
+    the results' classes in order of first member: the scalars are equal
+    within a class, the flags are each path's own, and only the anchor
+    path's ledger is relabeled."""
+    worst = worst_case([c.metrics for c in classes])
     # worst_case's anchor rule: the first path of largest noise figure.
-    anchor = max(firsts.values(), key=lambda r: r.class_metrics.noise_figure_db)
+    top = max(classes, key=lambda c: c.metrics.noise_figure_db)
+    anchor = next(r for r in results if r.class_result is top)
     flags = tuple(dict.fromkeys(f for r in results for f in r.flags))
     return replace(worst, optical_ledger=anchor.metrics.optical_ledger,
                    flags=flags)
@@ -173,18 +164,20 @@ def _network_key(scenario: Scenario, variant: DesignVariant) -> tuple:
 def _analyze_forward(scenario: Scenario,
                      variant: DesignVariant) -> _ForwardAnalysis:
     topology = _forward_topology(scenario, variant)
-    paths = enumerate_paths(topology)
-    results = _analyze_classes(topology, paths, variant.modulation,
-                               scenario.analysis)
-    analog = [r for r in results
-              if topology.channel_kinds[r.path.channel] is DetectorKind.ANALOG]
+    members = enumerate_paths(topology)
+    classes, results = _analyze_classes(topology, members, variant.modulation,
+                                        scenario.analysis)
     # Requirement checks apply to the RF (analog) distribution paths; the
     # forward clock channels are reported but not held to the RF bounds.
+    analog = {ch for ch, kind in topology.channel_kinds.items()
+              if kind is DetectorKind.ANALOG}
     return _ForwardAnalysis(
         paths=tuple(results),
-        worst=_worst_case(analog or results),
+        worst=_worst_case(
+            [c for c in classes if c.cls.path.channel in analog] or classes,
+            [r for r in results if r.member.cls.path.channel in analog] or results),
         wavelengths=tuple(sorted(topology.wavelength_plan.values())),
-        summary=_summary(topology, len(paths)),
+        summary=_summary(topology, len(members)),
     )
 
 

@@ -54,6 +54,8 @@ class DetectorKind(str, Enum):
 
 @dataclass(frozen=True)
 class LaserSpec:
+    """A laser source: output power, intensity noise, wavelength and slope."""
+
     output_power_w: float
     rin_db_hz: float
     wavelength_nm: float
@@ -63,6 +65,8 @@ class LaserSpec:
 
 @dataclass(frozen=True)
 class ModulatorSpec:
+    """A direct or external modulator and its electrical bandwidth."""
+
     scheme: Modulation
     bandwidth_hz: float
     v_pi_v: float | None = None
@@ -72,6 +76,8 @@ class ModulatorSpec:
 
 @dataclass(frozen=True)
 class MuxDemuxSpec:
+    """A wavelength multiplexer or demultiplexer grating and its isolations."""
+
     technology: GratingTech
     insertion_loss_db: float
     channel_spacing_nm: float
@@ -82,6 +88,8 @@ class MuxDemuxSpec:
 
 @dataclass(frozen=True)
 class EdfaSpec:
+    """An erbium-doped fiber amplifier: gain setting, ceiling, noise and saturation."""
+
     gain_db: float
     max_gain_db: float
     noise_figure_db: float
@@ -90,6 +98,8 @@ class EdfaSpec:
 
 @dataclass(frozen=True)
 class SplitterSpec:
+    """A 1:N optical power splitter."""
+
     fanout: int
     excess_loss_db: float = 0.0
 
@@ -101,6 +111,8 @@ class SplitterSpec:
 
 @dataclass(frozen=True)
 class FiberSpec:
+    """A fiber span: length, attenuation and group index."""
+
     length_m: float
     attenuation_db_per_km: float
     group_index: float = 1.468
@@ -112,6 +124,8 @@ class FiberSpec:
 
 @dataclass(frozen=True)
 class PhotodetectorSpec:
+    """A photodetector: responsivity, saturation, bandwidth and kind."""
+
     responsivity_a_per_w: float
     saturation_power_dbm: float
     bandwidth_hz: float
@@ -152,6 +166,8 @@ _ENUM_FIELDS = {
 
 @dataclass(frozen=True)
 class Violation:
+    """One validation finding: what, which field and why."""
+
     subject: str
     field: str
     message: str
@@ -162,6 +178,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The violations one validation found; none means it passed."""
+
     violations: tuple[Violation, ...] = ()
 
     @property

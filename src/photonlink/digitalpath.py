@@ -31,6 +31,8 @@ class LineEncoding(str, Enum):
 
 @dataclass(frozen=True)
 class DigitalLinkSpec:
+    """A digital return link: line rate, encoding and framing overhead."""
+
     line_rate_bps: float
     encoding: LineEncoding = LineEncoding.E8B10B
     framing_overhead: float = 0.0
@@ -38,6 +40,8 @@ class DigitalLinkSpec:
 
 @dataclass(frozen=True)
 class AdcStreamSpec:
+    """The sample stream of one receiver channel's ADC."""
+
     sample_rate_sps: float
     bits_per_sample: int
     complex_iq: bool = False
@@ -87,6 +91,8 @@ def required_line_rate_bps(stream: AdcStreamSpec, channels: int,
 
 @dataclass(frozen=True)
 class GroupCapacity:
+    """Throughput check of one digitized return group against its bar."""
+
     group_id: str
     channel_count: int
     payload_bytes_per_s: float

@@ -77,6 +77,8 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class LedgerEntry:
+    """One element's optical power change and the power after it."""
+
     element_id: str
     delta_db: float
     power_dbm: float
@@ -115,6 +117,8 @@ class NoiseBreakdown:
 
 @dataclass(frozen=True)
 class AutogainResult:
+    """Amplifier gains set by autogain, and the loss they leave uncovered."""
+
     gains_db: Mapping[str, float]
     shortfall_db: float
     notes: tuple[str, ...] = ()

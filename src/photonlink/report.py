@@ -24,7 +24,7 @@ from typing import TextIO
 
 from .digitalpath import GroupCapacity
 from .linkbudget import LinkMetrics, relabeled
-from .topology import Direction, SignalPath
+from .topology import Direction, PathClass, PathMember, SignalPath
 from .tradeoff import ComplianceReport, Recommendation, VariantOutcome, is_feasible
 
 REPORT_SCHEMA_VERSION = 2
@@ -55,6 +55,8 @@ _RESET = "\x1b[0m"
 
 @dataclass(frozen=True)
 class TopologySummary:
+    """Node, edge, channel and path counts of one network."""
+
     direction: Direction
     node_count: int
     edge_count: int
@@ -64,19 +66,57 @@ class TopologySummary:
     group_count: int = 0
 
 
+@dataclass(frozen=True, eq=False)
+class ClassResult:
+    """The metrics of one analysis class, from ``analyze_path`` on its own
+    path, and their JSON and CSV forms, made on first read."""
+
+    cls: PathClass
+    metrics: LinkMetrics
+
+    @cached_property
+    def json_template(self) -> tuple[str, tuple[int, ...]]:
+        """A member's JSON object, written by one ``json.dumps`` with a
+        placeholder for each of its path id, channel, destination, flags
+        (as many as ``metrics`` has) and element ids: a %-format with a
+        ``%s`` for each slot, and the index of each slot's string."""
+        flags = len(self.metrics.flags)
+        holes = [f"\x00{k}" for k in range(3 + flags + len(self.cls.path.elements))]
+        obj = {"path_id": holes[0], "channel": holes[1], "destination": holes[2],
+               "wavelength_nm": self.cls.path.wavelength_nm,
+               "metrics": _metrics_dict(self.metrics, holes[3 + flags:],
+                                        holes[3:3 + flags])}
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        parts = _SLOT.split(text.replace("%", "%%").replace("\n", _PATH_NEWLINE))
+        return "%s".join(parts[0::2]), tuple(map(int, parts[1::2]))
+
+    @cached_property
+    def csv_tail(self) -> list[str]:
+        """A member's CSV rows, split before each row's metric cells; a
+        leading empty string puts the path's cells before every row."""
+        return ["", *("," + _csv_line((name, unit, "" if value is None else repr(value)))
+                      for name, unit in METRIC_COLUMNS
+                      for value in (getattr(self.metrics, name),))]
+
+
 @dataclass(frozen=True)
 class PathResult:
-    """One path's result: the metrics of its analysis class, whose scalars it
-    shares, and its own ledger flags. Only the ledger's element ids differ
-    between members of a class; ``metrics`` restates them on first read."""
+    """One path's result: its member of an analysis class, the class's
+    result, whose scalars it shares, and its own ledger flags. Only the
+    ledger's element ids differ between members of a class; ``metrics``
+    restates them on first read, from ``path``, built on each read."""
 
-    path: SignalPath
-    class_metrics: LinkMetrics
+    member: PathMember
+    class_result: ClassResult
     flags: tuple[str, ...]
+
+    @property
+    def path(self) -> SignalPath:
+        return self.member.path
 
     @cached_property
     def metrics(self) -> LinkMetrics:
-        return relabeled(self.class_metrics, self.path)
+        return relabeled(self.class_result.metrics, self.path)
 
 
 @dataclass(frozen=True)
@@ -90,6 +130,8 @@ class VariantResult(VariantOutcome):
 
 @dataclass(frozen=True)
 class Report:
+    """Everything one CLI command reports, ready for any writer."""
+
     command: str
     tool_version: str
     scenario_name: str
@@ -223,9 +265,9 @@ def _text_lines(report: Report, color: bool) -> Iterator[str]:
         if variant.paths:
             rows = []
             for pr in variant.paths:
-                m = pr.class_metrics
+                m = pr.class_result.metrics
                 rows.append([
-                    pr.path.path_id,
+                    pr.member.path_id,
                     _fmt(m.rf_gain_db, 2),
                     _fmt(m.noise_figure_db, 2),
                     _fmt(m.sfdr_db, 2),
@@ -432,32 +474,6 @@ _PATH_NEWLINE = "\n" + " " * 8
 _PATHS_END = "\n" + " " * 6 + "]"
 
 
-def _path_strings(result: PathResult) -> tuple[str, ...]:
-    """The strings of ``result``'s JSON object that its analysis class does
-    not fix; slot ``k`` of its template takes the ``k``-th."""
-    path = result.path
-    return (path.path_id, path.channel, path.destination, *result.flags,
-            *[e.element_id for e in path.elements])
-
-
-def _path_template(result: PathResult) -> tuple[str, tuple[int, ...]]:
-    """The JSON object of ``result`` as a %-format with a ``%s`` for each
-    slot, and the index of each slot's string in ``_path_strings``.
-
-    One ``json.dumps`` writes the object with a placeholder for each of the
-    path's strings. The template serves every path of the class with as many
-    flags."""
-    holes = [f"\x00{k}" for k in range(len(_path_strings(result)))]
-    flags_end = 3 + len(result.flags)
-    obj = {"path_id": holes[0], "channel": holes[1], "destination": holes[2],
-           "wavelength_nm": result.path.wavelength_nm,
-           "metrics": _metrics_dict(result.class_metrics, holes[flags_end:],
-                                    holes[3:flags_end])}
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    parts = _SLOT.split(text.replace("%", "%%").replace("\n", _PATH_NEWLINE))
-    return "%s".join(parts[0::2]), tuple(map(int, parts[1::2]))
-
-
 def render_json(report: Report, out: TextIO) -> None:
     """Write ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
     of the report's JSON value and a newline to ``out``, a chunk at a time.
@@ -478,18 +494,17 @@ def render_json(report: Report, out: TextIO) -> None:
 
     encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False,
                                default=hold)
-    templates: dict[tuple[int, int], tuple[str, tuple[int, ...]]] = {}
     for chunk in encoder.iterencode(_json_payload(report)):
         if held:
             chunk = "[]"
             separator = "["
             for result in held.pop().paths:
-                key = (id(result.class_metrics), len(result.flags))
-                template = templates.get(key)
-                if template is None:
-                    template = templates[key] = _path_template(result)
-                text, slots = template
-                strings = _path_strings(result)
+                text, slots = result.class_result.json_template
+                member = result.member
+                strings = (member.path_id, member.cls.path.channel,
+                           member.destination, *result.flags,
+                           *[e.element_id for e in member.cls.prefix],
+                           *[e.element_id for e in member.hop], member.detector)
                 out.write(separator + _PATH_NEWLINE
                           + text % tuple([_ESCAPE(strings[k]) for k in slots]))
                 separator = ","
@@ -507,6 +522,10 @@ class _Echo:
         return text
 
 
+# Formats one CSV row and returns it as a line.
+_csv_line = csv.writer(_Echo, lineterminator="\n").writerow
+
+
 def render_csv(report: Report, out: TextIO) -> None:
     """Write one row per (path, metric) to ``out``; an empty value means not
     evaluated.
@@ -515,21 +534,12 @@ def render_csv(report: Report, out: TextIO) -> None:
     leading cells, a comma and its metric's three cells. The metric cells are
     formatted once per analysis class, and a path's rows are one join of its
     leading cells with them, written with one ``out.write``."""
-    line = csv.writer(_Echo, lineterminator="\n").writerow
-    out.write(line(["variant", "path_id", "channel", "destination",
-                    "metric", "unit", "value"]))
-    tails: dict[int, list[str]] = {}
+    out.write(_csv_line(["variant", "path_id", "channel", "destination",
+                         "metric", "unit", "value"]))
     for variant in report.variants:
+        label = variant.variant.label
         for pr in variant.paths:
-            metrics = pr.class_metrics
-            tail = tails.get(id(metrics))
-            if tail is None:
-                # A leading empty string puts the path's cells before every row.
-                tail = tails[id(metrics)] = ["", *(
-                    "," + line((name, unit, "" if value is None else repr(value)))
-                    for name, unit in METRIC_COLUMNS
-                    for value in (getattr(metrics, name),))]
-            path = pr.path
-            head = line((variant.variant.label, path.path_id, path.channel,
-                         path.destination))[:-1]
-            out.write(head.join(tail))
+            member = pr.member
+            head = _csv_line((label, member.path_id, member.cls.path.channel,
+                              member.destination))[:-1]
+            out.write(head.join(pr.class_result.csv_tail))

@@ -43,6 +43,8 @@ MAX_N_DTRM = 4096
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed, validated scenario file: parts, network, analysis and requirements."""
+
     name: str
     fingerprint: str
     library: Mapping[str, ComponentSpec]

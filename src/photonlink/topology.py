@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -90,6 +90,8 @@ class ChannelPlan:
 
 @dataclass(frozen=True)
 class Node:
+    """A node of the network graph and the component names it holds."""
+
     id: str
     kind: NodeKind
     components: tuple[str, ...] = ()
@@ -97,6 +99,8 @@ class Node:
 
 @dataclass(frozen=True)
 class FiberEdge:
+    """A directed hop between two nodes, its fiber and the channels it carries."""
+
     source: str
     target: str
     fiber: str | None
@@ -106,6 +110,8 @@ class FiberEdge:
 
 @dataclass(frozen=True)
 class PathElement:
+    """One component instance along a signal path, with its spec."""
+
     element_id: str
     kind: ElementKind
     component: str
@@ -122,11 +128,6 @@ class SignalPath:
     destination: str
     wavelength_nm: float
     elements: tuple[PathElement, ...]
-    # Set by enumerate_paths: paths of one topology with equal keys get equal
-    # metrics, element ids aside. The key is (channel, the (kind, component)
-    # sequence of the elements shared with the channel's other destinations,
-    # the last hop's component names, the co-propagating channels).
-    class_key: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def path_id(self) -> str:
@@ -136,8 +137,50 @@ class SignalPath:
         return "".join(_KIND_TOKENS[e.kind] for e in self.elements)
 
 
+@dataclass(frozen=True, eq=False)
+class PathClass:
+    """An analysis class: paths of one channel that share their elements up
+    to the last edge (``prefix``) and whose last hops have the same parts
+    and co-propagating channels, so their metrics are equal, element ids
+    aside. ``path`` is the first member's path; a class equals only itself."""
+
+    prefix: tuple[PathElement, ...]
+    path: SignalPath
+
+
+@dataclass(frozen=True)
+class PathMember:
+    """One path of a class: its destination, its last hop's fiber and demux
+    (shared by every path over that edge and lane) and its detector's id."""
+
+    cls: PathClass
+    destination: str
+    hop: tuple[PathElement, ...]
+    detector: str
+
+    @property
+    def path_id(self) -> str:
+        path = self.cls.path
+        return f"{path.direction.value}:{path.channel}->{self.destination}"
+
+    @property
+    def path(self) -> SignalPath:
+        """This path as a ``SignalPath``, built anew on each read. The
+        detector sits on the receiver chip, the node of the last hop's
+        demux."""
+        path = self.cls.path
+        last = path.elements[-1]
+        detector = PathElement(self.detector, last.kind, last.component,
+                               last.spec, self.hop[-1].node)
+        return SignalPath(path.channel, path.direction, self.destination,
+                          path.wavelength_nm,
+                          self.cls.prefix + self.hop + (detector,))
+
+
 @dataclass(frozen=True)
 class OpticalTopology:
+    """An immutable network graph with its component table and wavelength plan."""
+
     direction: Direction
     nodes: tuple[Node, ...]
     edges: tuple[FiberEdge, ...]
@@ -480,18 +523,26 @@ def return_groups(topology: OpticalTopology) -> list[tuple[str, tuple[str, ...]]
 
 
 def _has_cycle(topology: OpticalTopology) -> bool:
-    state: dict[str, int] = {}
-
-    def visit(node_id: str) -> bool:
-        state[node_id] = 1
-        for edge in topology.outgoing(node_id):
-            mark = state.get(edge.target, 0)
-            if mark == 1 or (mark == 0 and visit(edge.target)):
+    """Depth-first search over an explicit stack of (node on the walk, its
+    edges not yet followed)."""
+    state: dict[str, int] = {}  # 1 while on the walk, 2 once done
+    for root in topology.nodes:
+        if root.id in state:
+            continue
+        state[root.id] = 1
+        stack = [(root.id, iter(topology.outgoing(root.id)))]
+        while stack:
+            node_id, edges = stack[-1]
+            edge = next(edges, None)
+            if edge is None:
+                state[node_id] = 2
+                stack.pop()
+            elif state.get(edge.target) == 1:
                 return True
-        state[node_id] = 2
-        return False
-
-    return any(state.get(n.id, 0) == 0 and visit(n.id) for n in topology.nodes)
+            elif edge.target not in state:
+                state[edge.target] = 1
+                stack.append((edge.target, iter(topology.outgoing(edge.target))))
+    return False
 
 
 def validate_topology(topology: OpticalTopology) -> ValidationReport:
@@ -711,22 +762,24 @@ def _reachable_terminals(topology: OpticalTopology,
 
 def _walk_trails(topology: OpticalTopology,
                  channel: str) -> tuple[tuple[FiberEdge, ...], ...]:
+    """Depth-first, edges in ``outgoing`` order, with an explicit stack. A
+    trail ends at a receiver chip, at an edge to an unknown node (validation
+    lists it) or before a node it has passed (validation lists the cycle)."""
     source = topology.source(channel)
     if source is None:
         return ()
     trails: list[tuple[FiberEdge, ...]] = []
-
-    def walk(node_id: str, trail: tuple[FiberEdge, ...]) -> None:
-        # An edge to an unknown node ends its trail; validation lists it.
+    stack: list[tuple[str, tuple[FiberEdge, ...]]] = [(source.id, ())]
+    while stack:
+        node_id, trail = stack.pop()
         node = topology._by_id.get(node_id)
         if node is not None and node.kind is NodeKind.ORXC:
             trails.append(trail)
-            return
-        for edge in topology.outgoing(node_id):
-            if channel in edge.channels:
-                walk(edge.target, trail + (edge,))
-
-    walk(source.id, ())
+            continue
+        passed = {source.id, *(e.target for e in trail)}
+        stack.extend((edge.target, trail + (edge,))
+                     for edge in reversed(topology.outgoing(node_id))
+                     if channel in edge.channels and edge.target not in passed)
     return tuple(trails)
 
 
@@ -794,32 +847,31 @@ def _destination(topology: OpticalTopology, terminal: str) -> str:
     return terminal
 
 
-def enumerate_paths(topology: OpticalTopology) -> list[SignalPath]:
-    """One path per (channel, destination); deterministic order by channel id
-    then terminal node id. Raises if the topology does not validate.
+def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
+    """One member per (channel, destination) path; deterministic order by
+    channel id then terminal node id. Raises if the topology does not
+    validate.
 
-    The elements up to a trail's last edge (laser to splitter on the forward
-    network) are built once per channel and shared by every destination that
-    reaches them. The last edge's fiber and demux are built once per (edge,
-    lane) and shared by every channel that lands there; only the detector is
-    built per path. Each path carries its analysis class key, and paths of
-    one class share one key object. The element order is checked once per
-    distinct kind sequence."""
+    A channel's elements up to a trail's last edge (laser to splitter on the
+    forward network) are built once per such prefix. The last edge's fiber
+    and demux are built once per (edge, lane) and shared by every channel
+    that lands there. Paths of one prefix whose last hop has the same
+    component names and co-propagating channels form one class; only the
+    class's first path is built as a ``SignalPath``, detector included, and
+    the element order is checked once per distinct kind sequence."""
     report = validate_topology(topology)
     if not report.ok:
         raise TopologyError("topology is invalid", report.messages())
-    paths: list[SignalPath] = []
-    keys: dict[tuple, tuple] = {}
+    members: list[PathMember] = []
     legal: set[str] = set()
-    destinations: dict[str, str] = {}
-    # (last edge, launch lane) -> its elements and their component names.
+    # (last edge, launch lane) -> its elements, their component names and
+    # the destination past the edge's receiver chip.
     drops: dict[tuple[FiberEdge, int],
-                tuple[tuple[PathElement, ...], tuple[str, ...]]] = {}
+                tuple[tuple[PathElement, ...], tuple[str, ...], str]] = {}
     for channel in sorted(topology.wavelength_plan):
-        wavelength = topology.wavelength_plan[channel]
-        detector = topology.channel_detectors[channel]
+        # Trail head -> its elements and its classes by last hop.
         prefixes: dict[tuple[FiberEdge, ...],
-                       tuple[tuple[PathElement, ...], tuple]] = {}
+                       tuple[tuple[PathElement, ...], dict[tuple, PathClass]]] = {}
         trails = sorted(_reachable_terminals(topology, channel),
                         key=lambda trail: trail[-1].target)
         for trail in trails:
@@ -830,37 +882,32 @@ def enumerate_paths(topology: OpticalTopology) -> list[SignalPath]:
                 elements = _launch(topology, channel, trail[0])
                 for edge in head:
                     elements += _hop(topology, edge, lane)
-                prefix = prefixes[head] = (
-                    tuple(elements),
-                    tuple([(e.kind, e.component) for e in elements]))
-            shared, signature = prefix
+                prefix = prefixes[head] = (tuple(elements), {})
+            shared, classes = prefix
             last = trail[-1]
             terminal = last.target
             drop = drops.get((last, lane))
             if drop is None:
                 elements = tuple(_hop(topology, last, lane))
                 drop = drops[last, lane] = (
-                    elements, tuple([e.component for e in elements]))
-            hop = drop[0] + (_element(topology, f"{terminal}.pd.{channel}",
-                                      ElementKind.DETECTOR, detector, terminal),)
+                    elements, tuple([e.component for e in elements]),
+                    _destination(topology, terminal))
+            hop, names, destination = drop
+            detector = f"{terminal}.pd.{channel}"
             # The last hop ends at a receiver chip, so its kinds follow from
             # whether it has a fiber, and its component names fix the rest.
-            new = (channel, signature, drop[1] + (detector,),
-                   co_propagating_at(topology, channel, terminal)[0])
-            key = keys.setdefault(new, new)
-            destination = destinations.get(terminal)
-            if destination is None:
-                destination = destinations[terminal] = _destination(
-                    topology, terminal)
-            path = SignalPath(
-                channel=channel,
-                direction=topology.direction,
-                destination=destination,
-                wavelength_nm=wavelength,
-                elements=shared + hop,
-                class_key=key,
-            )
-            if key is new:
+            key = (names, co_propagating_at(topology, channel, terminal)[0])
+            cls = classes.get(key)
+            if cls is None:
+                path = SignalPath(
+                    channel=channel,
+                    direction=topology.direction,
+                    destination=destination,
+                    wavelength_nm=topology.wavelength_plan[channel],
+                    elements=shared + hop + (_element(
+                        topology, detector, ElementKind.DETECTOR,
+                        topology.channel_detectors[channel], terminal),),
+                )
                 tokens = path.kind_tokens()
                 if tokens not in legal:
                     if not _LEGAL_PATH_RE.match(tokens):
@@ -868,8 +915,9 @@ def enumerate_paths(topology: OpticalTopology) -> list[SignalPath]:
                             f"path {path.path_id} has illegal element order "
                             f"{tokens!r}")
                     legal.add(tokens)
-            paths.append(path)
-    return paths
+                cls = classes[key] = PathClass(shared, path)
+            members.append(PathMember(cls, destination, hop, detector))
+    return members
 
 
 def co_propagating_at(topology: OpticalTopology, channel: str,

@@ -27,6 +27,8 @@ class Integration(str, Enum):
 
 @dataclass(frozen=True)
 class DesignVariant:
+    """One design point: modulation, grating technology and integration."""
+
     modulation: Modulation
     grating: GratingTech
     integration: Integration
@@ -190,6 +192,8 @@ class RequirementSet:
 
 @dataclass(frozen=True)
 class RequirementCheck:
+    """One requirement's value, bound, verdict and margin."""
+
     requirement: str
     value: float | None
     bound: str
@@ -201,6 +205,8 @@ class RequirementCheck:
 
 @dataclass(frozen=True)
 class ComplianceReport:
+    """The requirement checks of one design variant."""
+
     checks: tuple[RequirementCheck, ...]
 
     @property
@@ -324,6 +330,8 @@ def check_requirements(
 
 @dataclass(frozen=True)
 class VariantOutcome:
+    """A variant with its ordinal scores and its compliance."""
+
     variant: DesignVariant
     score: OrdinalScore
     compliance: ComplianceReport
@@ -331,6 +339,8 @@ class VariantOutcome:
 
 @dataclass(frozen=True)
 class Recommendation:
+    """The ranked variants and the reasons for the top choice."""
+
     ranking: tuple[VariantOutcome, ...]
     rationale: tuple[str, ...]
     notes: tuple[str, ...] = ()

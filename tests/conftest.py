@@ -46,9 +46,16 @@ from photonlink.topology import (
     PathElement,
     ReturnBindings,
     SignalPath,
+    _LEGAL_PATH_RE,
+    _destination,
+    _element,
     _has_cycle,
+    _hop,
+    _launch,
     _reachable_terminals,
+    validate_topology,
 )
+from photonlink.errors import TopologyError
 
 
 def mk_laser(power_w=0.1, rin=-160.0, nm=1550.0, slope=0.3, tunable=False):
@@ -235,9 +242,66 @@ def redrawn_scenario(scenario, rng):
         otxc_edfa=rng.choice((None, scenario.fojb_edfa)))
 
 
+def per_path_enumeration(topology) -> list[SignalPath]:
+    """Per-path oracle of ``enumerate_paths``: every path built whole as a
+    ``SignalPath``, as enumeration did before it handed out class members.
+
+    One path per (channel, destination); deterministic order by channel id
+    then terminal node id. Raises if the topology does not validate. The
+    elements up to a trail's last edge are built once per channel and shared
+    by every destination that reaches them; the last edge's fiber and demux
+    are built once per (edge, lane); the detector is built per path, and
+    every path's element order is checked."""
+    report = validate_topology(topology)
+    if not report.ok:
+        raise TopologyError("topology is invalid", report.messages())
+    paths: list[SignalPath] = []
+    destinations: dict[str, str] = {}
+    drops: dict = {}
+    for channel in sorted(topology.wavelength_plan):
+        wavelength = topology.wavelength_plan[channel]
+        detector = topology.channel_detectors[channel]
+        prefixes: dict = {}
+        trails = sorted(_reachable_terminals(topology, channel),
+                        key=lambda trail: trail[-1].target)
+        for trail in trails:
+            lane = trail[0].lane
+            head = trail[:-1]
+            shared = prefixes.get(head)
+            if shared is None:
+                elements = _launch(topology, channel, trail[0])
+                for edge in head:
+                    elements += _hop(topology, edge, lane)
+                shared = prefixes[head] = tuple(elements)
+            last = trail[-1]
+            terminal = last.target
+            drop = drops.get((last, lane))
+            if drop is None:
+                drop = drops[last, lane] = tuple(_hop(topology, last, lane))
+            hop = drop + (_element(topology, f"{terminal}.pd.{channel}",
+                                   ElementKind.DETECTOR, detector, terminal),)
+            destination = destinations.get(terminal)
+            if destination is None:
+                destination = destinations[terminal] = _destination(
+                    topology, terminal)
+            path = SignalPath(
+                channel=channel,
+                direction=topology.direction,
+                destination=destination,
+                wavelength_nm=wavelength,
+                elements=shared + hop,
+            )
+            tokens = path.kind_tokens()
+            if not _LEGAL_PATH_RE.match(tokens):
+                raise TopologyError(
+                    f"path {path.path_id} has illegal element order {tokens!r}")
+            paths.append(path)
+    return paths
+
+
 def analysis_class(path, topology) -> tuple:
-    """Per-path oracle of ``SignalPath.class_key``: a key under which paths
-    of one topology get equal metrics, ids aside.
+    """Per-path oracle of the analysis classes of ``enumerate_paths``: a key
+    under which paths of one topology get equal metrics, ids aside.
 
     ``analyze_path`` reads the channel, each element's kind and spec (within
     one topology the component name fixes the spec) and the channels that

@@ -159,8 +159,8 @@ def test_gate_4_friis_oracle_and_ledger_conservation():
         library["edfa"] = mk_edfa(max_gain=rng.uniform(10.0, 35.0))
         topology = build_forward_network(
             n, forward_fixture_channels(), library, forward_fixture_bindings())
-        for path in enumerate_paths(topology):
-            ledger = optical_ledger(path)
+        for member in enumerate_paths(topology):
+            ledger = optical_ledger(member.path)
             drift = abs(ledger.end_dbm
                         - (ledger.start_dbm
                            + sum(e.delta_db for e in ledger.entries)))

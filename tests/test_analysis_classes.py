@@ -20,6 +20,7 @@ from photonlink.topology import ElementKind, enumerate_paths
 from conftest import (
     analysis_class,
     class_partition,
+    per_path_enumeration,
     redrawn_scenario,
     workload_document,
 )
@@ -49,9 +50,11 @@ def assert_matches_per_path(scenario, variant, topology=None):
     """Class analysis of one variant against per-path analysis; returns the
     paths and their metrics."""
     topology = topology or cli._forward_topology(scenario, variant)
-    paths = enumerate_paths(topology)
-    results = cli._analyze_classes(topology, paths, variant.modulation,
-                                   scenario.analysis)
+    members = enumerate_paths(topology)
+    paths = [m.path for m in members]
+    classes, results = cli._analyze_classes(topology, members, variant.modulation,
+                                            scenario.analysis)
+    assert [c.cls for c in classes] == list(dict.fromkeys(m.cls for m in members))
     want = per_path(topology, paths, variant.modulation, scenario.analysis)
     assert len(results) == len(want) == len(paths)
     for path, result, theirs in zip(paths, results, want):
@@ -121,14 +124,14 @@ def test_swapped_drop_fiber_splits_its_destination(reference_scenario,
     scenario, variant, topology = swapped_drop_fiber(reference_scenario)
 
     analyze_calls.clear()
-    paths = enumerate_paths(topology)
+    members = enumerate_paths(topology)
     metrics = [r.metrics for r in cli._analyze_classes(
-        topology, paths, variant.modulation, scenario.analysis)]
+        topology, members, variant.modulation, scenario.analysis)[1]]
     channels = len(scenario.channels)
     assert len(analyze_calls) == 2 * channels
     assert sorted(p.destination for p in analyze_calls) == (
         ["dtrm01"] * channels + ["dtrm03"] * channels)
-    by_id = {p.path_id: m for p, m in zip(paths, metrics)}
+    by_id = {p.path_id: m for p, m in zip(members, metrics)}
     for channel in scenario.channels:
         moved = f"forward:{channel.id}->dtrm03"
         kept = f"forward:{channel.id}->dtrm02"
@@ -158,20 +161,26 @@ def test_detector_saturation_flags_name_each_path(reference_scenario):
     assert len(worst_case(metrics).flags) == len(paths)
 
 
-# Dual route for the class key: the partition that enumeration's keys make
-# must equal the partition by the per-path oracle in conftest.
+# Dual route for enumeration: the members' paths must equal the per-path
+# oracle's, and the partition by the members' classes must equal the
+# partition by the per-path class oracle, both in conftest.
 
 
 def assert_partition_matches(topology):
-    """The classes of ``enumerate_paths(topology)``, checked against the
-    oracle; paths of one class share one key object."""
-    paths = enumerate_paths(topology)
-    classes = class_partition(paths, lambda p: p.class_key)
+    """The paths of ``enumerate_paths(topology)`` and their classes, checked
+    against the oracles. A class's own path is its first member's, and every
+    member starts with the class's prefix."""
+    members = enumerate_paths(topology)
+    paths = [m.path for m in members]
+    assert paths == per_path_enumeration(topology)
+    classes = class_partition(members, lambda m: m.cls)
     assert classes == class_partition(
         paths, lambda p: analysis_class(p, topology))
-    for members in classes:
-        key = paths[members[0]].class_key
-        assert all(paths[i].class_key is key for i in members)
+    for indices in classes:
+        cls = members[indices[0]].cls
+        assert cls.path == paths[indices[0]]
+        assert all(paths[i].elements[:len(cls.prefix)] == cls.prefix
+                   for i in indices)
     return paths, classes
 
 
@@ -247,8 +256,8 @@ def test_element_order_is_checked_once_per_kind_sequence(reference_scenario,
     sequences = set()
     for topology in topologies:
         checked.clear()
-        paths = enumerate_paths(topology)
-        tokens = {p.kind_tokens() for p in paths}
+        members = enumerate_paths(topology)
+        tokens = {m.path.kind_tokens() for m in members}
         assert sorted(checked) == sorted(tokens)
         sequences |= tokens
     # Both the forward order with and without a transmitter booster, and
@@ -257,9 +266,10 @@ def test_element_order_is_checked_once_per_kind_sequence(reference_scenario,
 
 
 def test_each_prefix_of_a_class_flags_its_own_elements(reference_scenario):
-    # Valid networks give a channel one prefix, so a class with two is built
-    # by hand: every other path gets its own renamed copy of the prefix. The
-    # junction-box amplifier, a prefix element, saturates on every path.
+    # Valid networks give a channel one prefix, so a second one is built by
+    # hand: every other member moves to a copy of its class whose prefix is
+    # renamed, and whose own path is its first member's. The junction-box
+    # amplifier, a prefix element, saturates on every path.
     scenario = reference_scenario
     library = dict(scenario.library)
     library[scenario.fojb_edfa] = dataclasses.replace(
@@ -267,18 +277,24 @@ def test_each_prefix_of_a_class_flags_its_own_elements(reference_scenario):
     scenario = dataclasses.replace(scenario, library=library)
     variant = scenario.variants[0]
     topology = cli._forward_topology(scenario, variant)
-    paths = enumerate_paths(topology)
-    shared = len(paths[0].class_key[1])
-    renamed = [
-        dataclasses.replace(p, elements=tuple(
-            dataclasses.replace(e, element_id=f"{e.element_id}.b")
-            for e in p.elements[:shared]) + p.elements[shared:])
-        if i % 2 else p
-        for i, p in enumerate(paths)]
-    assert all(a.class_key is b.class_key for a, b in zip(paths, renamed))
-    results = cli._analyze_classes(topology, renamed, variant.modulation,
-                                   scenario.analysis)
-    want = per_path(topology, renamed, variant.modulation, scenario.analysis)
+    members = enumerate_paths(topology)
+    copies = {}
+    renamed = list(members)
+    for i in range(1, len(members), 2):
+        member = members[i]
+        copy = copies.get(member.cls)
+        if copy is None:
+            prefix = tuple(dataclasses.replace(e, element_id=f"{e.element_id}.b")
+                           for e in member.cls.prefix)
+            copy = copies[member.cls] = topology_module.PathClass(
+                prefix, dataclasses.replace(member.path, elements=(
+                    prefix + member.path.elements[len(prefix):])))
+        renamed[i] = dataclasses.replace(member, cls=copy)
+    classes, results = cli._analyze_classes(topology, renamed, variant.modulation,
+                                            scenario.analysis)
+    assert len(classes) == 2 * len(copies) == 2 * len(scenario.channels)
+    want = per_path(topology, [m.path for m in renamed], variant.modulation,
+                    scenario.analysis)
     assert all(m.flags for m in want)
     assert [r.flags for r in results] == [m.flags for m in want]
     assert any(".b:" in f for r in results for f in r.flags)

@@ -24,6 +24,7 @@ from photonlink.data import reference_scenario_path
 from photonlink.linkbudget import worst_case
 from photonlink.report import (
     METRIC_COLUMNS,
+    ClassResult,
     PathResult,
     Report,
     render_csv,
@@ -60,7 +61,9 @@ def materialized(report):
     """``report`` with every path holding its own relabeled metrics."""
     return dataclasses.replace(report, variants=tuple(
         dataclasses.replace(v, paths=tuple(
-            PathResult(pr.path, pr.metrics, pr.metrics.flags) for pr in v.paths))
+            PathResult(pr.member, ClassResult(pr.member.cls, pr.metrics),
+                       pr.metrics.flags)
+            for pr in v.paths))
         for v in report.variants))
 
 
@@ -125,7 +128,7 @@ def test_swapped_drop_fiber(reference_scenario, monkeypatch):
         for e in built.edges))
     report = variants_report(scenario, [variant], swapped, monkeypatch)
     paths = report.variants[0].paths
-    assert len({id(pr.class_metrics) for pr in paths}) == 2 * len(scenario.channels)
+    assert len({pr.class_result for pr in paths}) == 2 * len(scenario.channels)
     assert_renders_per_path(report, analog_ids(scenario))
 
 
@@ -150,13 +153,16 @@ def test_dead_link(reference_scenario, monkeypatch, capsys):
     report = cli.run("analyze", reference_scenario)
     first = report.variants[0]
     analog_channels = analog_ids(reference_scenario)
-    victim = next(pr.class_metrics for pr in first.paths
+    victim = next(pr.class_result for pr in first.paths
                   if pr.path.channel in analog_channels)
-    dead = dataclasses.replace(victim, noise_figure_db=math.inf)
-    paths = tuple(PathResult(pr.path, dead, pr.flags)
-                  if pr.class_metrics is victim else pr for pr in first.paths)
+    dead = dataclasses.replace(victim, metrics=dataclasses.replace(
+        victim.metrics, noise_figure_db=math.inf))
+    paths = tuple(PathResult(pr.member, dead, pr.flags)
+                  if pr.class_result is victim else pr for pr in first.paths)
     analog = [pr for pr in paths if pr.path.channel in analog_channels]
-    first = dataclasses.replace(first, paths=paths, worst=cli._worst_case(analog))
+    classes = list(dict.fromkeys(pr.class_result for pr in analog))
+    first = dataclasses.replace(first, paths=paths,
+                                worst=cli._worst_case(classes, analog))
     report = dataclasses.replace(report, variants=(first, *report.variants[1:]))
     assert first.worst.noise_figure_db == math.inf
     assert_renders_per_path(report, analog_channels)
@@ -218,15 +224,26 @@ def test_only_the_worst_case_anchor_is_relabeled(reference_scenario, monkeypatch
 def test_each_channel_prefix_is_built_once(reference_scenario, monkeypatch):
     variant = reference_scenario.variants[0]
     topology = cli._forward_topology(reference_scenario, variant)
-    built = []
-    real = topology_module.PathElement
+    built, paths_built = [], []
+    real, real_path = topology_module.PathElement, topology_module.SignalPath
 
     def counting(*args, **kwargs):
         built.append(args)
         return real(*args, **kwargs)
 
+    def counting_path(*args, **kwargs):
+        paths_built.append(kwargs)
+        return real_path(*args, **kwargs)
+
     monkeypatch.setattr(topology_module, "PathElement", counting)
-    paths = enumerate_paths(topology)
+    monkeypatch.setattr(topology_module, "SignalPath", counting_path)
+    members = enumerate_paths(topology)
+    classes = {m.cls for m in members}
+    assert len(classes) == len(topology.wavelength_plan)
+    # One SignalPath per class, and none per path.
+    assert len(paths_built) == len(classes)
+    elements_built = len(built)
+    paths = [m.path for m in members]
 
     kinds = [e.kind for e in paths[0].elements]
     prefix = kinds.index(ElementKind.SPLITTER) + 1
@@ -235,13 +252,13 @@ def test_each_channel_prefix_is_built_once(reference_scenario, monkeypatch):
     assert all(len(p.elements) == prefix + suffix for p in paths)
     channels = len(topology.wavelength_plan)
     assert len(paths) == channels * reference_scenario.n_dtrm
-    # The drop fiber and demux are built once per (last edge, lane); only
-    # the detector is built per path.
+    # The drop fiber and demux are built once per (last edge, lane), and the
+    # detector once per class, in the class's own path.
     lane_of = {ch: e.lane for e in topology.edges for ch in e.channels}
     drops = {(e, e.lane) for e in topology.edges if e.channels
              and topology.node(e.target).kind is NodeKind.ORXC}
     assert len(drops) == reference_scenario.n_dtrm
-    assert len(built) == channels * prefix + len(drops) * 2 + len(paths)
+    assert elements_built == channels * prefix + len(drops) * 2 + len(classes)
     first, landed = {}, {}
     for path in paths:
         shared = first.setdefault(path.channel, path.elements[:prefix])

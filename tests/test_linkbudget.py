@@ -400,7 +400,7 @@ class TestCrosstalk:
         library = forward_fixture_library()
         topology = build_forward_network(
             2, forward_fixture_channels(), library, forward_fixture_bindings())
-        paths = enumerate_paths(topology)
+        paths = [m.path for m in enumerate_paths(topology)]
         edge_path = next(p for p in paths if p.channel == "alpha")
         middle_path = next(p for p in paths if p.channel == "bravo")
         # alpha (grid edge): one adjacent at 30 dB + one distant at 45 dB
@@ -557,8 +557,8 @@ def reference_paths(reference_scenario):
             scenario.n_dtrm, scenario.channels, scenario.library,
             scenario.forward_bindings(variant), shared_fiber=scenario.shared_fiber,
             min_channel_spacing_nm=scenario.min_channel_spacing_nm)
-        out.extend((variant.modulation, topology, path)
-                   for path in enumerate_paths(topology))
+        out.extend((variant.modulation, topology, member.path)
+                   for member in enumerate_paths(topology))
     return out
 
 

@@ -60,8 +60,9 @@ def _nested(report, value):
     # A number of a path's class metrics: it sits in a class template.
     first = report.variants[0]
     result, *rest = first.paths
-    dead = dataclasses.replace(result.class_metrics, sfdr_db=value)
-    paths = (PathResult(result.path, dead, result.flags), *rest)
+    dead = dataclasses.replace(result.class_result, metrics=dataclasses.replace(
+        result.class_result.metrics, sfdr_db=value))
+    paths = (PathResult(result.member, dead, result.flags), *rest)
     return dataclasses.replace(report, variants=(
         dataclasses.replace(first, paths=tuple(paths)), *report.variants[1:]))
 

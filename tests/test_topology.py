@@ -1,8 +1,10 @@
 """Network construction, structural validation and path enumeration."""
 
 import dataclasses
+import gc
 import random
 import re
+import weakref
 
 import pytest
 
@@ -16,7 +18,7 @@ from photonlink.components import (
     PhotodetectorSpec,
     SplitterSpec,
 )
-from photonlink import topology as topology_module
+from photonlink import cli, topology as topology_module
 from photonlink.errors import BuildError, TopologyError
 from photonlink.topology import (
     ChannelPlan,
@@ -92,7 +94,7 @@ class TestForwardBuild:
         assert validate_topology(topology).ok
         lanes = {e.lane for e in topology.edges if e.channels}
         assert lanes == {0, 1}
-        paths = enumerate_paths(topology)
+        paths = [m.path for m in enumerate_paths(topology)]
         assert len(paths) == 3 * 2
         clock_paths = [p for p in paths if p.channel == "clk"]
         # the clock lane only propagates clock channels
@@ -124,7 +126,7 @@ class TestReturnBuild:
         is the group transmitter whose outgoing edge carries it."""
         topology = build_return_network(16, return_fixture_library(),
                                         return_fixture_bindings())
-        paths = enumerate_paths(topology)
+        paths = [m.path for m in enumerate_paths(topology)]
         assert len(paths) == 16
         for path in paths:
             group = (int(path.channel.removeprefix("rx")) - 1) // 4 + 1
@@ -140,7 +142,7 @@ class TestReturnBuild:
     def test_return_paths_end_at_beam_former(self):
         topology = build_return_network(8, return_fixture_library(),
                                         return_fixture_bindings())
-        paths = enumerate_paths(topology)
+        paths = [m.path for m in enumerate_paths(topology)]
         assert len(paths) == 8
         assert {p.destination for p in paths} == {"dbfu"}
         assert all(p.direction is Direction.RETURN for p in paths)
@@ -193,6 +195,20 @@ class TestValidation:
                                       edges=topology.edges + (back_edge,))
         report = validate_topology(mutated)
         assert any("cycle" in m for m in report.messages())
+
+    def test_cycle_that_carries_a_channel_is_flagged(self):
+        """The channel's walk stops before a node it has passed, so the
+        cycle is reported like any other, and enumeration refuses it."""
+        topology = build_reference_forward(n=2)
+        trunk = topology.edges[1]
+        assert (trunk.source, trunk.target) == ("otxc", "fojb")
+        back_edge = FiberEdge("fojb", "otxc", "trunk", trunk.channels)
+        mutated = dataclasses.replace(topology,
+                                      edges=topology.edges + (back_edge,))
+        assert "topology.edges: graph contains a cycle" in \
+            validate_topology(mutated).messages()
+        with pytest.raises(TopologyError):
+            enumerate_paths(mutated)
 
     def test_invalid_receiver_part_reported_at_every_node(self, monkeypatch):
         """A part that passes is validated once; one that fails is still
@@ -248,8 +264,8 @@ class TestEnumeration:
 
     def test_enumeration_is_deterministic(self):
         topology = build_reference_forward(n=8)
-        first = enumerate_paths(topology)
-        second = enumerate_paths(topology)
+        first = [m.path for m in enumerate_paths(topology)]
+        second = [m.path for m in enumerate_paths(topology)]
         assert first == second
         ids = [p.path_id for p in first]
         assert ids == sorted(ids)
@@ -259,14 +275,14 @@ class TestEnumeration:
         for topology in (build_reference_forward(n=4),
                          build_return_network(8, return_fixture_library(),
                                               return_fixture_bindings())):
-            for path in enumerate_paths(topology):
+            for path in [m.path for m in enumerate_paths(topology)]:
                 assert legal.match(path.kind_tokens()), path.kind_tokens()
                 assert path.elements[0].kind is ElementKind.LASER
                 assert path.elements[-1].kind is ElementKind.DETECTOR
 
     def test_forward_path_traverses_expected_elements(self):
         topology = build_reference_forward(n=4)
-        path = enumerate_paths(topology)[0]
+        path = enumerate_paths(topology)[0].path
         assert path.kind_tokens() == "LMUFESFDP"
         assert path.channel == "alpha"
         assert path.destination == "dtrm01"
@@ -281,7 +297,7 @@ class TestEnumeration:
             2, forward_fixture_channels(), forward_fixture_library(),
             forward_fixture_bindings(otxc_edfa="edfa"))
         assert validate_topology(boosted).ok
-        path = enumerate_paths(boosted)[0]
+        path = enumerate_paths(boosted)[0].path
         assert path.kind_tokens() == "LMUEFESFDP"
 
     def test_each_channel_is_walked_once(self, monkeypatch):
@@ -302,8 +318,8 @@ class TestEnumeration:
 
         monkeypatch.setattr(topology_module, "_walk_trails", counting)
         assert validate_topology(topology).ok
-        first = enumerate_paths(topology)
-        assert enumerate_paths(topology) == first
+        first = [m.path for m in enumerate_paths(topology)]
+        assert [m.path for m in enumerate_paths(topology)] == first
         assert sorted(walks) == [f"ch{i}" for i in range(8)]
         assert len(first) == 8 * 4
         # The cache hands out tuples, so the enumeration sort cannot reorder it.
@@ -315,7 +331,7 @@ class TestEnumeration:
 
     def test_co_propagating_set(self):
         topology = build_reference_forward(n=2)
-        path = enumerate_paths(topology)[0]
+        path = enumerate_paths(topology)[0].path
         assert co_propagating_at(topology, path.channel, path.elements[-1].node)[0] \
             == ("alpha", "bravo", "clk")
 
@@ -409,3 +425,26 @@ class TestLookupIndex:
         topology = build_reference_forward(n=2)
         assert isinstance(topology.outgoing("fojb"), tuple)
         assert isinstance(topology.incoming("orxc01"), tuple)
+
+
+def test_walks_leave_no_reference_cycle(reference_scenario):
+    """Validation and enumeration walk the graph with loops, not with nested
+    functions that call themselves and so hold the network in a reference
+    cycle: with the cyclic collector off, the network still dies with its
+    last reference."""
+
+    def walked(topology):
+        assert validate_topology(topology).ok
+        assert enumerate_paths(topology)
+        return weakref.ref(topology)
+
+    variant = reference_scenario.variants[0]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = [walked(cli._forward_topology(reference_scenario, variant)),
+                walked(cli._return_topology(reference_scenario))]
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
