@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import LibraryError
 
@@ -52,7 +52,7 @@ class DetectorKind(str, Enum):
     DIGITAL = "digital"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class LaserSpec:
     """A laser source: output power, intensity noise, wavelength and slope."""
 
@@ -63,7 +63,7 @@ class LaserSpec:
     linewidth_tunable: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ModulatorSpec:
     """A direct or external modulator and its electrical bandwidth."""
 
@@ -74,7 +74,7 @@ class ModulatorSpec:
     bias: ModulatorBias | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class MuxDemuxSpec:
     """A wavelength multiplexer or demultiplexer grating and its isolations."""
 
@@ -86,7 +86,7 @@ class MuxDemuxSpec:
     athermal: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class EdfaSpec:
     """An erbium-doped fiber amplifier: gain setting, ceiling, noise and saturation."""
 
@@ -96,7 +96,7 @@ class EdfaSpec:
     saturation_output_power_dbm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SplitterSpec:
     """A 1:N optical power splitter."""
 
@@ -109,7 +109,7 @@ class SplitterSpec:
         return 10.0 * math.log10(self.fanout) + self.excess_loss_db
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FiberSpec:
     """A fiber span: length, attenuation and group index."""
 
@@ -122,7 +122,7 @@ class FiberSpec:
         return self.attenuation_db_per_km * self.length_m / 1000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PhotodetectorSpec:
     """A photodetector: responsivity, saturation, bandwidth and kind."""
 
@@ -164,8 +164,7 @@ _ENUM_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One validation finding: what, which field and why."""
 
     subject: str
@@ -176,8 +175,7 @@ class Violation:
         return f"{self.subject}.{self.field}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """The violations one validation found; none means it passed."""
 
     violations: tuple[Violation, ...] = ()

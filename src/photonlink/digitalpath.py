@@ -7,8 +7,8 @@ groups carry four channels, so each group owes half the bar by default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import AnalysisError
 from .topology import OpticalTopology, return_groups
@@ -29,8 +29,7 @@ class LineEncoding(str, Enum):
         return 64 / 66
 
 
-@dataclass(frozen=True)
-class DigitalLinkSpec:
+class DigitalLinkSpec(NamedTuple):
     """A digital return link: line rate, encoding and framing overhead."""
 
     line_rate_bps: float
@@ -38,8 +37,7 @@ class DigitalLinkSpec:
     framing_overhead: float = 0.0
 
 
-@dataclass(frozen=True)
-class AdcStreamSpec:
+class AdcStreamSpec(NamedTuple):
     """The sample stream of one receiver channel's ADC."""
 
     sample_rate_sps: float
@@ -89,8 +87,7 @@ def required_line_rate_bps(stream: AdcStreamSpec, channels: int,
     return rate
 
 
-@dataclass(frozen=True)
-class GroupCapacity:
+class GroupCapacity(NamedTuple):
     """Throughput check of one digitized return group against its bar."""
 
     group_id: str

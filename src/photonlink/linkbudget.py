@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .components import (
     EdfaSpec,
@@ -50,7 +50,7 @@ RISE_TIME_BANDWIDTH_PRODUCT = 0.35
 NOISE_FIGURE_FLOOR_DB = 10.0 * math.log10(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class AnalysisConfig:
     """Knobs of the metric engine; scenario files populate one of these."""
 
@@ -75,8 +75,7 @@ class AnalysisConfig:
         return self.iip3_dbm.get(modulation.token)
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     """One element's optical power change and the power after it."""
 
     element_id: str
@@ -85,8 +84,7 @@ class LedgerEntry:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class OpticalLedger:
+class OpticalLedger(NamedTuple):
     """Ordered per-element optical power bookkeeping along one path, dBm."""
 
     entries: tuple[LedgerEntry, ...]
@@ -101,8 +99,7 @@ class OpticalLedger:
         return self.entries[-1].power_dbm
 
 
-@dataclass(frozen=True)
-class NoiseBreakdown:
+class NoiseBreakdown(NamedTuple):
     """Output-referred noise densities into the detector load, W/Hz."""
 
     thermal_w_hz: float
@@ -115,8 +112,7 @@ class NoiseBreakdown:
         return self.thermal_w_hz + self.shot_w_hz + self.rin_w_hz + self.ase_w_hz
 
 
-@dataclass(frozen=True)
-class AutogainResult:
+class AutogainResult(NamedTuple):
     """Amplifier gains set by autogain, and the loss they leave uncovered."""
 
     gains_db: Mapping[str, float]
@@ -124,7 +120,7 @@ class AutogainResult:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class LinkMetrics:
     """One path's link budget. A link's SNR degradation is its noise figure,
     and the first-order model's fall time is its rise time, so neither has a
@@ -302,9 +298,9 @@ def apply_edfa_gains(path: SignalPath, gains_db: Mapping[str, float]) -> SignalP
     for element in path.elements:
         if element.kind is ElementKind.EDFA and element.element_id in gains_db:
             spec = replace(element.spec, gain_db=gains_db[element.element_id])
-            element = replace(element, spec=spec)
+            element = element._replace(spec=spec)
         elements.append(element)
-    return replace(path, elements=tuple(elements))
+    return path._replace(elements=tuple(elements))
 
 
 def autogained(path: SignalPath) -> SignalPath:
@@ -539,7 +535,7 @@ def analyze_path(
     try:
         metrics = _analyze_path(path, modulation, config, topology,
                                 reference_delay_s)
-        values = [*vars(metrics).values(), *vars(metrics.noise).values(),
+        values = [*vars(metrics).values(), *metrics.noise,
                   *(e.power_dbm for e in metrics.optical_ledger.entries)]
     except (OverflowError, ZeroDivisionError):
         values = [math.nan]

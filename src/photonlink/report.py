@@ -20,7 +20,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .digitalpath import GroupCapacity
 from .linkbudget import LinkMetrics, relabeled
@@ -53,8 +53,7 @@ _RED = "\x1b[31m"
 _RESET = "\x1b[0m"
 
 
-@dataclass(frozen=True)
-class TopologySummary:
+class TopologySummary(NamedTuple):
     """Node, edge, channel and path counts of one network."""
 
     direction: Direction
@@ -66,10 +65,10 @@ class TopologySummary:
     group_count: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class ClassResult:
     """The metrics of one analysis class, from ``analyze_path`` on its own
-    path, and their JSON and CSV forms, made on first read."""
+    path, and their JSON, CSV and text forms, made on first read."""
 
     cls: PathClass
     metrics: LinkMetrics
@@ -91,6 +90,16 @@ class ClassResult:
         return "%s".join(parts[0::2]), tuple(map(int, parts[1::2]))
 
     @cached_property
+    def text_cells(self) -> list[str]:
+        """A member's text row after its path id: the gain, NF, SFDR,
+        crosstalk, rise time, jitter and detector power cells."""
+        m = self.metrics
+        return [_fmt(m.rf_gain_db, 2), _fmt(m.noise_figure_db, 2),
+                _fmt(m.sfdr_db, 2), _fmt(m.crosstalk_db, 2),
+                _fmt_si(m.rise_time_s), _fmt_si(m.timing_jitter_rms_s),
+                _fmt(m.detector_power_dbm, 2)]
+
+    @cached_property
     def csv_tail(self) -> list[str]:
         """A member's CSV rows, split before each row's metric cells; a
         leading empty string puts the path's cells before every row."""
@@ -99,7 +108,7 @@ class ClassResult:
                       for value in (getattr(self.metrics, name),))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class PathResult:
     """One path's result: its member of an analysis class, the class's
     result, whose scalars it shares, and its own ledger flags. Only the
@@ -119,7 +128,7 @@ class PathResult:
         return relabeled(self.class_result.metrics, self.path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class VariantResult(VariantOutcome):
     """A variant's ranking outcome, with the results of its forward network's
     paths and their worst case."""
@@ -128,8 +137,7 @@ class VariantResult(VariantOutcome):
     worst: LinkMetrics
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Everything one CLI command reports, ready for any writer."""
 
     command: str
@@ -263,19 +271,8 @@ def _text_lines(report: Report, color: bool) -> Iterator[str]:
                f"size {variant.score.size_rank}, "
                f"weight {variant.score.weight_rank}")
         if variant.paths:
-            rows = []
-            for pr in variant.paths:
-                m = pr.class_result.metrics
-                rows.append([
-                    pr.member.path_id,
-                    _fmt(m.rf_gain_db, 2),
-                    _fmt(m.noise_figure_db, 2),
-                    _fmt(m.sfdr_db, 2),
-                    _fmt(m.crosstalk_db, 2),
-                    _fmt_si(m.rise_time_s),
-                    _fmt_si(m.timing_jitter_rms_s),
-                    _fmt(m.detector_power_dbm, 2),
-                ])
+            rows = [[pr.member.path_id, *pr.class_result.text_cells]
+                    for pr in variant.paths]
             yield from _table(
                 ["path", "gain [dB]", "NF [dB]", "SFDR [dB]", "XT [dB]",
                  "t_rise [s]", "jitter [s]", "P_det [dBm]"],

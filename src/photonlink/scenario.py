@@ -12,9 +12,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .components import (
     ComponentSpec,
@@ -41,8 +40,7 @@ SCHEMA_VERSION = 1
 MAX_N_DTRM = 4096
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A parsed, validated scenario file: parts, network, analysis and requirements."""
 
     name: str

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .components import (
     ComponentSpec,
@@ -79,8 +79,7 @@ _KIND_TOKENS = {
 _LEGAL_PATH_RE = re.compile(r"^LMUE?F*(E?SF*)?DP$")
 
 
-@dataclass(frozen=True)
-class ChannelPlan:
+class ChannelPlan(NamedTuple):
     """One wavelength channel: which laser sources it and what it carries."""
 
     id: str
@@ -88,8 +87,7 @@ class ChannelPlan:
     kind: DetectorKind = DetectorKind.ANALOG
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A node of the network graph and the component names it holds."""
 
     id: str
@@ -97,8 +95,7 @@ class Node:
     components: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class FiberEdge:
+class FiberEdge(NamedTuple):
     """A directed hop between two nodes, its fiber and the channels it carries."""
 
     source: str
@@ -108,8 +105,7 @@ class FiberEdge:
     lane: int = 0
 
 
-@dataclass(frozen=True)
-class PathElement:
+class PathElement(NamedTuple):
     """One component instance along a signal path, with its spec."""
 
     element_id: str
@@ -119,8 +115,7 @@ class PathElement:
     node: str
 
 
-@dataclass(frozen=True)
-class SignalPath:
+class SignalPath(NamedTuple):
     """Ordered laser-to-detector traversal with per-element parameter snapshot."""
 
     channel: str
@@ -137,7 +132,7 @@ class SignalPath:
         return "".join(_KIND_TOKENS[e.kind] for e in self.elements)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class PathClass:
     """An analysis class: paths of one channel that share their elements up
     to the last edge (``prefix``) and whose last hops have the same parts
@@ -148,8 +143,7 @@ class PathClass:
     path: SignalPath
 
 
-@dataclass(frozen=True)
-class PathMember:
+class PathMember(NamedTuple):
     """One path of a class: its destination, its last hop's fiber and demux
     (shared by every path over that edge and lane) and its detector's id."""
 
@@ -177,7 +171,7 @@ class PathMember:
                           self.cls.prefix + self.hop + (detector,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class OpticalTopology:
     """An immutable network graph with its component table and wavelength plan."""
 
@@ -246,8 +240,7 @@ class OpticalTopology:
         return self._in.get(node_id, ())
 
 
-@dataclass(frozen=True)
-class ForwardBindings:
+class ForwardBindings(NamedTuple):
     """Component names bound to the fixed roles of the forward network."""
 
     modulator: str
@@ -262,8 +255,7 @@ class ForwardBindings:
     otxc_edfa: str | None = None
 
 
-@dataclass(frozen=True)
-class ReturnBindings:
+class ReturnBindings(NamedTuple):
     """Component names bound to the roles of one digitized return group."""
 
     lasers: tuple[str, ...]

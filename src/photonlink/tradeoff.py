@@ -9,9 +9,9 @@ compliance first, then power, size and weight ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .components import GratingTech, Modulation, is_finite_number
 from .digitalpath import GroupCapacity
@@ -25,8 +25,7 @@ class Integration(str, Enum):
     HIP = "hip"  # highly integrated III-V photonics
 
 
-@dataclass(frozen=True)
-class DesignVariant:
+class DesignVariant(NamedTuple):
     """One design point: modulation, grating technology and integration."""
 
     modulation: Modulation
@@ -72,8 +71,7 @@ def enumerate_variants() -> list[tuple[DesignVariant, bool]]:
     return [(v, is_feasible(v)) for v in ALL_VARIANTS]
 
 
-@dataclass(frozen=True)
-class OrdinalScore:
+class OrdinalScore(NamedTuple):
     """1 = best; equal ranks are explicit ties under the partial order."""
 
     power_rank: int
@@ -161,7 +159,7 @@ def score_variant(variant: DesignVariant) -> OrdinalScore:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class RequirementSet:
     """Numeric bounds the link design must meet."""
 
@@ -190,8 +188,7 @@ class RequirementSet:
         return issues
 
 
-@dataclass(frozen=True)
-class RequirementCheck:
+class RequirementCheck(NamedTuple):
     """One requirement's value, bound, verdict and margin."""
 
     requirement: str
@@ -203,8 +200,7 @@ class RequirementCheck:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ComplianceReport:
+class ComplianceReport(NamedTuple):
     """The requirement checks of one design variant."""
 
     checks: tuple[RequirementCheck, ...]
@@ -316,7 +312,7 @@ def check_requirements(
         # margin over the bar.
         failing = [g.group_id for g in digital_groups if not g.passed]
         if failing:
-            check = replace(check, passed=False, note=(
+            check = check._replace(passed=False, note=(
                 f"{len(failing)} of {len(digital_groups)} groups fail, "
                 f"first {failing[0]}"))
         checks.append(check)
@@ -328,7 +324,7 @@ def check_requirements(
     return ComplianceReport(tuple(checks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class VariantOutcome:
     """A variant with its ordinal scores and its compliance."""
 
@@ -337,8 +333,7 @@ class VariantOutcome:
     compliance: ComplianceReport
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     """The ranked variants and the reasons for the top choice."""
 
     ranking: tuple[VariantOutcome, ...]

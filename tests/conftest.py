@@ -233,8 +233,7 @@ def _redraw(spec, rng):
 def redrawn_scenario(scenario, rng):
     """``scenario`` with every library value redrawn, and N, the lanes and a
     transmitter booster drawn too."""
-    return dataclasses.replace(
-        scenario,
+    return scenario._replace(
         library={name: _redraw(spec, rng)
                  for name, spec in sorted(scenario.library.items())},
         n_dtrm=rng.choice((1, 3, 8)),

@@ -77,8 +77,7 @@ def test_gate_1_sfdr_reproduction(reference_scenario):
     assert value == pytest.approx(62.67, abs=0.01)
 
     em = DesignVariant.from_label("emxvbgxhip")
-    report = run("analyze", dataclasses.replace(
-        reference_scenario, variants=(em,)))
+    report = run("analyze", reference_scenario._replace(variants=(em,)))
     worst = report.variants[0].worst
     injected = dataclasses.replace(worst, noise_figure_db=30.0, sfdr_db=value)
     compliance = check_requirements(
@@ -95,8 +94,7 @@ def test_gate_1_sfdr_reproduction(reference_scenario):
 def test_gate_2_nf_degradation_classification(reference_scenario):
     """Injected degradations 0.9 / 1.8 dB classify (strict PASS, relaxed PASS)
     and (strict FAIL, relaxed PASS); the 1.0 dB boundary is inclusive-pass."""
-    report = run("analyze", dataclasses.replace(
-        reference_scenario,
+    report = run("analyze", reference_scenario._replace(
         variants=(DesignVariant.from_label("dmxvbgxhip"),)))
     worst = report.variants[0].worst
     requirements = RequirementSet()

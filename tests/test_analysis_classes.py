@@ -100,12 +100,12 @@ def swapped_drop_fiber(scenario):
     library = dict(scenario.library)
     library["spare_drop"] = dataclasses.replace(
         library[scenario.drop_fiber], length_m=2500.0)
-    scenario = dataclasses.replace(scenario, library=library)
+    scenario = scenario._replace(library=library)
     variant = scenario.variants[0]
     built = cli._forward_topology(scenario, variant)
     victim = next(e for e in built.edges if e.target == "orxc03")
     topology = dataclasses.replace(built, edges=tuple(
-        dataclasses.replace(e, fiber="spare_drop") if e is victim else e
+        e._replace(fiber="spare_drop") if e is victim else e
         for e in built.edges))
     return scenario, variant, topology
 
@@ -116,7 +116,7 @@ def saturated_detectors(scenario):
     for name in (scenario.analog_detector, scenario.digital_detector):
         library[name] = dataclasses.replace(library[name],
                                             saturation_power_dbm=-40.0)
-    return dataclasses.replace(scenario, library=library)
+    return scenario._replace(library=library)
 
 
 def test_swapped_drop_fiber_splits_its_destination(reference_scenario,
@@ -274,7 +274,7 @@ def test_each_prefix_of_a_class_flags_its_own_elements(reference_scenario):
     library = dict(scenario.library)
     library[scenario.fojb_edfa] = dataclasses.replace(
         library[scenario.fojb_edfa], saturation_output_power_dbm=-10.0)
-    scenario = dataclasses.replace(scenario, library=library)
+    scenario = scenario._replace(library=library)
     variant = scenario.variants[0]
     topology = cli._forward_topology(scenario, variant)
     members = enumerate_paths(topology)
@@ -284,12 +284,12 @@ def test_each_prefix_of_a_class_flags_its_own_elements(reference_scenario):
         member = members[i]
         copy = copies.get(member.cls)
         if copy is None:
-            prefix = tuple(dataclasses.replace(e, element_id=f"{e.element_id}.b")
+            prefix = tuple(e._replace(element_id=f"{e.element_id}.b")
                            for e in member.cls.prefix)
             copy = copies[member.cls] = topology_module.PathClass(
-                prefix, dataclasses.replace(member.path, elements=(
+                prefix, member.path._replace(elements=(
                     prefix + member.path.elements[len(prefix):])))
-        renamed[i] = dataclasses.replace(member, cls=copy)
+        renamed[i] = member._replace(cls=copy)
     classes, results = cli._analyze_classes(topology, renamed, variant.modulation,
                                             scenario.analysis)
     assert len(classes) == 2 * len(copies) == 2 * len(scenario.channels)
@@ -305,7 +305,7 @@ def test_partition_channel_moved_to_the_other_lane(reference_scenario):
     # lane's drop instead of its own. At orxc03 it shares the demux with the
     # digital channels, and the other analog channels lose it, so every
     # channel's path to orxc03 forms a class of its own.
-    scenario = dataclasses.replace(reference_scenario, shared_fiber=False)
+    scenario = reference_scenario._replace(shared_fiber=False)
     variant = scenario.variants[0]
     built = cli._forward_topology(scenario, variant)
     moved = sorted(built.edges[1].channels)[0]
@@ -315,8 +315,8 @@ def test_partition_channel_moved_to_the_other_lane(reference_scenario):
         if edge.source != "fojb" or edge.target != "orxc03":
             return edge
         if edge.lane == 0:
-            return dataclasses.replace(edge, channels=edge.channels - {moved})
-        return dataclasses.replace(edge, channels=edge.channels | {moved})
+            return edge._replace(channels=edge.channels - {moved})
+        return edge._replace(channels=edge.channels | {moved})
 
     topology = dataclasses.replace(built, edges=tuple(map(edited, built.edges)))
     paths, classes = assert_partition_matches(topology)

@@ -18,7 +18,8 @@ import sys
 
 import pytest
 
-from photonlink import cli, linkbudget, topology as topology_module
+from photonlink import cli, linkbudget, report as report_module
+from photonlink import topology as topology_module
 from photonlink.components import DetectorKind
 from photonlink.data import reference_scenario_path
 from photonlink.linkbudget import worst_case
@@ -59,7 +60,7 @@ def per_path_csv(report) -> str:
 
 def materialized(report):
     """``report`` with every path holding its own relabeled metrics."""
-    return dataclasses.replace(report, variants=tuple(
+    return report._replace(variants=tuple(
         dataclasses.replace(v, paths=tuple(
             PathResult(pr.member, ClassResult(pr.member.cls, pr.metrics),
                        pr.metrics.flags)
@@ -119,12 +120,12 @@ def test_swapped_drop_fiber(reference_scenario, monkeypatch):
     library = dict(reference_scenario.library)
     library["spare_drop"] = dataclasses.replace(
         library[reference_scenario.drop_fiber], length_m=2500.0)
-    scenario = dataclasses.replace(reference_scenario, library=library)
+    scenario = reference_scenario._replace(library=library)
     variant = scenario.variants[0]
     built = cli._forward_topology(scenario, variant)
     victim = next(e for e in built.edges if e.target == "orxc03")
     swapped = dataclasses.replace(built, edges=tuple(
-        dataclasses.replace(e, fiber="spare_drop") if e is victim else e
+        e._replace(fiber="spare_drop") if e is victim else e
         for e in built.edges))
     report = variants_report(scenario, [variant], swapped, monkeypatch)
     paths = report.variants[0].paths
@@ -138,7 +139,7 @@ def test_detector_saturation_flags_each_path(reference_scenario):
                  reference_scenario.digital_detector):
         library[name] = dataclasses.replace(library[name],
                                             saturation_power_dbm=-40.0)
-    scenario = dataclasses.replace(reference_scenario, library=library)
+    scenario = reference_scenario._replace(library=library)
     report = variants_report(scenario, scenario.variants[:2])
     for variant in report.variants:
         flags = [pr.flags for pr in variant.paths]
@@ -163,7 +164,7 @@ def test_dead_link(reference_scenario, monkeypatch, capsys):
     classes = list(dict.fromkeys(pr.class_result for pr in analog))
     first = dataclasses.replace(first, paths=paths,
                                 worst=cli._worst_case(classes, analog))
-    report = dataclasses.replace(report, variants=(first, *report.variants[1:]))
+    report = report._replace(variants=(first, *report.variants[1:]))
     assert first.worst.noise_figure_db == math.inf
     assert_renders_per_path(report, analog_channels)
 
@@ -186,8 +187,8 @@ def test_escaped_channel_ids(reference_scenario):
          '"channel": "\\u00000"'),
     ]
     for ids, escaped in inputs:
-        scenario = dataclasses.replace(reference_scenario, channels=tuple(
-            dataclasses.replace(ch, id=new_id)
+        scenario = reference_scenario._replace(channels=tuple(
+            ch._replace(id=new_id)
             for ch, new_id in zip(reference_scenario.channels, ids, strict=True)))
         report = variants_report(scenario, scenario.variants[:1])
         text = rendered(render_json, report)
@@ -269,3 +270,36 @@ def test_each_channel_prefix_is_built_once(reference_scenario, monkeypatch):
         assert all(a is b for a, b in zip(path.elements[prefix:-1], drop))
         assert path.elements[-1].element_id == f"{receiver}.pd.{path.channel}"
     assert len(landed) == len(drops)
+
+
+def test_text_metric_cells_are_formatted_once_per_class(reference_scenario,
+                                                        monkeypatch):
+    """The text writer formats a class's seven metric cells once, whatever
+    the number of its paths: a report whose paths are listed twice makes no
+    more ``_fmt``/``_fmt_si`` calls, and one without paths makes seven per
+    class fewer."""
+    calls = []
+    for name in ("_fmt", "_fmt_si"):
+        def counting(*args, real=getattr(report_module, name)):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(report_module, name, counting)
+
+    def count(paths_of):
+        report = cli.run("tradeoff", reference_scenario)
+        report = report._replace(variants=tuple(
+            dataclasses.replace(v, paths=paths_of(v.paths))
+            for v in report.variants))
+        classes = {id(pr.class_result) for v in report.variants for pr in v.paths}
+        calls.clear()
+        rendered(render_text, report)
+        return len(calls), len(classes)
+
+    once, classes = count(lambda paths: paths)
+    twice, _ = count(lambda paths: paths + tuple(
+        PathResult(pr.member, pr.class_result, pr.flags) for pr in paths))
+    none, _ = count(lambda paths: ())
+    assert classes == 4 * len(reference_scenario.channels)
+    assert twice == once
+    assert once - none == 7 * classes

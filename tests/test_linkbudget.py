@@ -515,6 +515,36 @@ class TestAnalyzePath:
         assert first == second
 
 
+# Every float a metrics bundle carries: its own fields and its noise terms.
+LINK_FLOATS = [f.name for f in dataclasses.fields(linkbudget.LinkMetrics)
+               if "float" in f.type]
+NOISE_TERMS = list(linkbudget.NoiseBreakdown._fields)
+
+
+@pytest.mark.parametrize("record, name",
+                         [("metrics", n) for n in LINK_FLOATS]
+                         + [("noise", n) for n in NOISE_TERMS])
+def test_nan_anywhere_in_the_bundle_raises(monkeypatch, record, name):
+    """``analyze_path`` refuses a bundle with a NaN in any float field or
+    noise term, with an ``AnalysisError`` naming the path."""
+    assert len(LINK_FLOATS) == 12 and len(NOISE_TERMS) == 4
+    real = linkbudget._analyze_path
+
+    def poisoned(*args):
+        metrics = real(*args)
+        if record == "noise":
+            return dataclasses.replace(
+                metrics, noise=metrics.noise._replace(**{name: math.nan}))
+        return dataclasses.replace(metrics, **{name: math.nan})
+
+    path = make_path(mk_laser(), mk_mod_direct(), mk_mux(loss=3.0),
+                     mk_edfa(max_gain=30.0), mk_mux(loss=1.0), mk_pd())
+    analyze_path(path, Modulation.DIRECT, CONFIG)
+    monkeypatch.setattr(linkbudget, "_analyze_path", poisoned)
+    with pytest.raises(AnalysisError, match="out of floating-point range"):
+        analyze_path(path, Modulation.DIRECT, CONFIG)
+
+
 def test_worst_case_aggregation_picks_pessimistic_fields():
     path_good = make_path(mk_laser(), mk_mod_direct(), mk_mux(loss=1.0),
                           mk_mux(loss=0.0), mk_pd())

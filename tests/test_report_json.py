@@ -31,7 +31,7 @@ def _with_worst(report, **fields):
     """``report`` with its first variant's worst case changed."""
     first = report.variants[0]
     worst = dataclasses.replace(first.worst, **fields)
-    return dataclasses.replace(report, variants=(
+    return report._replace(variants=(
         dataclasses.replace(first, worst=worst), *report.variants[1:]))
 
 
@@ -44,16 +44,16 @@ def _in_list(report, value):
     # A number in a frame list: the last entry of the worst case's ledger.
     ledger = report.variants[0].worst.optical_ledger
     *kept, last = ledger.entries
-    entries = (*kept, dataclasses.replace(last, power_dbm=value))
-    return _with_worst(report, optical_ledger=dataclasses.replace(
-        ledger, entries=entries))
+    entries = (*kept, last._replace(power_dbm=value))
+    return _with_worst(report, optical_ledger=ledger._replace(
+        entries=entries))
 
 
 def _in_dict(report, value):
     # A number of a digital group, an object of the frame's "digital_groups".
     group, *rest = report.digital_groups
-    return dataclasses.replace(report, digital_groups=(
-        dataclasses.replace(group, margin_bytes_per_s=value), *rest))
+    return report._replace(digital_groups=(
+        group._replace(margin_bytes_per_s=value), *rest))
 
 
 def _nested(report, value):
@@ -63,7 +63,7 @@ def _nested(report, value):
     dead = dataclasses.replace(result.class_result, metrics=dataclasses.replace(
         result.class_result.metrics, sfdr_db=value))
     paths = (PathResult(result.member, dead, result.flags), *rest)
-    return dataclasses.replace(report, variants=(
+    return report._replace(variants=(
         dataclasses.replace(first, paths=tuple(paths)), *report.variants[1:]))
 
 
@@ -86,7 +86,7 @@ def test_dead_link_noise_figure_is_refused(reference_scenario, tmp_path,
     first = report.variants[0]
     dead = dataclasses.replace(
         first, worst=dataclasses.replace(first.worst, noise_figure_db=math.inf))
-    report = dataclasses.replace(report, variants=(dead, *report.variants[1:]))
+    report = report._replace(variants=(dead, *report.variants[1:]))
 
     with pytest.raises(ValueError):
         oracle(per_path_payload(report))

@@ -7,7 +7,6 @@ by ``cli.run`` (shared) and by one fresh ``analyze_variant`` (from
 ``conftest``) per variant (unshared). The two must render to the same bytes in every format.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -44,8 +43,8 @@ def unshared_report(command, scenario, shared):
     recommendation = None
     if command == "tradeoff":
         recommendation = recommend(results)
-    return dataclasses.replace(
-        shared, variants=results, recommendation=recommendation,
+    return shared._replace(
+        variants=results, recommendation=recommendation,
         topology_summaries=(analyzed[0][1], *shared.topology_summaries[1:]))
 
 
@@ -78,8 +77,7 @@ def test_benchmark_workloads(name):
 def test_randomized_libraries(reference_scenario, seed):
     scenario = redrawn_scenario(reference_scenario, random.Random(seed))
     # The return network needs whole groups of four modules.
-    scenario = dataclasses.replace(
-        scenario, return_enabled=scenario.n_dtrm % 4 == 0)
+    scenario = scenario._replace(return_enabled=scenario.n_dtrm % 4 == 0)
     assert_routes_agree("tradeoff", scenario)
 
 
@@ -126,8 +124,7 @@ def test_reference_builds_each_network_once(reference_scenario, forward_work):
 def test_gratings_bound_to_the_same_parts_share(reference_scenario,
                                                 forward_work):
     built, enumerated = forward_work
-    scenario = dataclasses.replace(
-        reference_scenario,
+    scenario = reference_scenario._replace(
         mux_by_grating={g: reference_scenario.mux_by_grating["vbg"]
                         for g in ("vbg", "awg")},
         demux_by_grating={g: reference_scenario.demux_by_grating["vbg"]

@@ -235,7 +235,7 @@ def test_refused_report_leaves_out_as_it_was(reference_scenario, tmp_path,
     first = report.variants[0]
     dead = dataclasses.replace(
         first, worst=dataclasses.replace(first.worst, noise_figure_db=math.inf))
-    report = dataclasses.replace(report, variants=(dead, *report.variants[1:]))
+    report = report._replace(variants=(dead, *report.variants[1:]))
     monkeypatch.setattr(cli, "run", lambda *_: report)
     # What the writer had written to the temporary file when it refused.
     written = []

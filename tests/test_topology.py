@@ -239,7 +239,7 @@ class TestValidation:
         KeyError, so validation lists the edge and enumeration refuses."""
         topology = build_reference_forward(n=4)
         mutated = dataclasses.replace(topology, edges=tuple(
-            dataclasses.replace(e, target="ghost") if e.target == "orxc02" else e
+            e._replace(target="ghost") if e.target == "orxc02" else e
             for e in topology.edges))
         messages = validate_topology(mutated).messages()
         assert "fojb->ghost.edge: references unknown node" in messages

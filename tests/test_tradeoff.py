@@ -162,12 +162,11 @@ class TestCompliance:
 
 def outcome(v, passed_count, power, size, weight):
     checks = tuple(
-        dataclasses.replace(
-            check_requirements(make_metrics(), RequirementSet()).checks[0],
+        check_requirements(make_metrics(), RequirementSet()).checks[0]._replace(
             requirement=f"r{i}", passed=i < passed_count)
         for i in range(9))
-    compliance = dataclasses.replace(
-        check_requirements(make_metrics(), RequirementSet()), checks=checks)
+    compliance = check_requirements(
+        make_metrics(), RequirementSet())._replace(checks=checks)
     from photonlink.tradeoff import OrdinalScore
     return VariantOutcome(v, OrdinalScore(power, size, weight), compliance)
 
@@ -200,8 +199,7 @@ class TestRecommendation:
             scale = rng.randint(1, 4)
             relabeled = [
                 dataclasses.replace(
-                    o, score=dataclasses.replace(
-                        o.score,
+                    o, score=o.score._replace(
                         power_rank=o.score.power_rank * scale + offset,
                         size_rank=o.score.size_rank * scale + offset,
                         weight_rank=o.score.weight_rank * scale + offset))

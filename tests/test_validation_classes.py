@@ -114,7 +114,7 @@ def drop_or_duplicate_part(topology, rng):
             parts.remove(name)
         elif not drop:
             parts.insert(rng.randrange(len(parts) + 1), name)
-        return dataclasses.replace(node, components=tuple(parts))
+        return node._replace(components=tuple(parts))
 
     return _with_nodes(topology, _some(rng, _receivers(topology)), change)
 
@@ -131,7 +131,7 @@ def wrong_kind_detector(topology, rng):
 
     def change(node):
         parts = tuple(other if part == name else part for part in node.components)
-        return dataclasses.replace(node, components=parts)
+        return node._replace(components=parts)
 
     topology = dataclasses.replace(topology, library=library)
     return _with_nodes(topology, _some(rng, _receivers(topology)), change)
@@ -145,13 +145,13 @@ def fanout_mismatch(topology, rng):
         return dataclasses.replace(topology, edges=tuple(
             e for e in topology.edges if e not in victims))
     return dataclasses.replace(topology, edges=topology.edges + tuple(
-        dataclasses.replace(e) for e in topology.edges if e in victims))
+        e._replace() for e in topology.edges if e in victims))
 
 
 def missing_fiber(topology, rng):
     """A channel-carrying edge without a fiber."""
     return _with_edges(topology, _some(rng, _feeds(topology)),
-                       lambda e: dataclasses.replace(e, fiber=None))
+                       lambda e: e._replace(fiber=None))
 
 
 def stray_wavelength(topology, rng):
@@ -170,7 +170,7 @@ def stray_wavelength(topology, rng):
     topology = dataclasses.replace(topology, wavelength_plan=plan,
                                    channel_kinds=kinds)
     return _with_edges(topology, _some(rng, _feeds(topology)),
-                       lambda e: dataclasses.replace(e, channels=e.channels | {"stray"}))
+                       lambda e: e._replace(channels=e.channels | {"stray"}))
 
 
 def dangling_edge(topology, rng):
@@ -178,7 +178,7 @@ def dangling_edge(topology, rng):
     that does not exist."""
     if rng.random() < 0.5:
         return _with_edges(topology, _some(rng, _feeds(topology)),
-                           lambda e: dataclasses.replace(e, target="ghost"))
+                           lambda e: e._replace(target="ghost"))
     extra = tuple(FiberEdge(n.id, "ghost", None)
                   for n in _some(rng, _receivers(topology)))
     return dataclasses.replace(topology, edges=topology.edges + extra)
@@ -263,7 +263,7 @@ def test_checks_run_once_per_class(monkeypatch, shared_fiber):
     # Every edge gets its own set object, so only equal values can share.
     topology = forward(1024, shared_fiber=shared_fiber)
     counted = dataclasses.replace(topology, edges=tuple(
-        dataclasses.replace(e, channels=Counted(e.channels))
+        e._replace(channels=Counted(e.channels))
         for e in topology.edges))
     Counted.walks = 0
     assert adjacency_dump(counted) == adjacency_dump(topology)
