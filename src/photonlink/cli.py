@@ -81,7 +81,7 @@ def _forward_topology(scenario: Scenario, variant: DesignVariant) -> OpticalTopo
 
 
 def _return_topology(scenario: Scenario) -> OpticalTopology | None:
-    if not scenario.return_enabled or scenario.return_bindings is None:
+    if scenario.return_bindings is None:
         return None
     return build_return_network(
         scenario.n_dtrm,

@@ -182,8 +182,12 @@ def rise_time_s(bandwidth_hz: float) -> float:
 
 
 def rss_jitter_s(contributions: Iterable[float]) -> float:
-    """Root-sum-square of per-element rms jitter contributions."""
-    return math.sqrt(sum(c * c for c in contributions))
+    """Root-sum-square of per-element rms jitter contributions, added left
+    to right like ``power_sum_db``."""
+    total = 0.0
+    for c in contributions:
+        total += c * c
+    return math.sqrt(total)
 
 
 def added_phase_noise_dbc(input_dbc_hz: float, floor_dbc_hz: float) -> float:

@@ -12,7 +12,6 @@ each path is that object with its own strings stamped in.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -510,25 +509,24 @@ def render_json(report: Report, out: TextIO) -> None:
     out.write("\n")
 
 
-class _Echo:
-    """A file whose ``write`` returns its text, so that ``writerow`` of a
-    ``csv.writer`` on it returns the line it formats."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
+# Finds what makes a CSV cell need quotes: a comma, a quote or a line break.
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
-# Formats one CSV row and returns it as a line.
-_csv_line = csv.writer(_Echo, lineterminator="\n").writerow
+def _csv_line(cells) -> str:
+    """One CSV row of the string ``cells``, as a line. A cell is quoted, with
+    each quote doubled, when it holds a comma, a quote, a CR or an LF: what
+    ``csv.writer`` writes on Python 3.13, here on every Python."""
+    return ",".join(['"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES(cell)
+                     else cell for cell in cells]) + "\n"
 
 
 def render_csv(report: Report, out: TextIO) -> None:
     """Write one row per (path, metric) to ``out``; an empty value means not
     evaluated.
 
-    The csv writer quotes each cell on its own, so a row is its path's four
-    leading cells, a comma and its metric's three cells. The metric cells are
+    Each cell is quoted on its own, so a row is its path's four leading
+    cells, a comma and its metric's three cells. The metric cells are
     formatted once per analysis class, and a path's rows are one join of its
     leading cells with them, written with one ``out.write``."""
     out.write(_csv_line(["variant", "path_id", "channel", "destination",

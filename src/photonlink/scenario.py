@@ -18,6 +18,8 @@ from typing import Any, Mapping, NamedTuple
 from .components import (
     ComponentSpec,
     DetectorKind,
+    GratingTech,
+    Modulation,
     is_finite_number,
     loads_unique_keys,
     parse_component_library,
@@ -29,8 +31,13 @@ from .topology import (
     CHANNELS_PER_RETURN_GROUP,
     ChannelPlan,
     DEFAULT_CHANNEL_SPACING_NM,
+    FORWARD_ROLES,
     ForwardBindings,
+    LASER,
+    RETURN_ROLES,
     ReturnBindings,
+    Role,
+    unfit_part,
 )
 from .tradeoff import ALL_VARIANTS, DesignVariant, RequirementSet, is_feasible
 
@@ -38,6 +45,15 @@ SCHEMA_VERSION = 1
 # Largest module count a scenario may ask for; it bounds the networks the
 # CLI builds, so an oversized count is an input error, not a hang.
 MAX_N_DTRM = 4096
+
+# The forward roles bound once per modulation or grating token, keyed by
+# token; each modulator must also be of its token's scheme.
+_TOKEN_ROLES: dict[str, dict[str, Role]] = {
+    "modulator": {m.token: FORWARD_ROLES["modulator"]._replace(
+        attribute="scheme", value=m) for m in Modulation},
+    "mux": dict.fromkeys((g.value for g in GratingTech), FORWARD_ROLES["mux"]),
+    "demux": dict.fromkeys((g.value for g in GratingTech), FORWARD_ROLES["demux"]),
+}
 
 
 class Scenario(NamedTuple):
@@ -50,17 +66,10 @@ class Scenario(NamedTuple):
     channels: tuple[ChannelPlan, ...]
     shared_fiber: bool
     min_channel_spacing_nm: float
-    modulator_by_scheme: Mapping[str, str]
-    mux_by_grating: Mapping[str, str]
-    demux_by_grating: Mapping[str, str]
-    splitter: str
-    fojb_edfa: str
-    analog_detector: str
-    digital_detector: str
-    trunk_fiber: str | None
-    drop_fiber: str | None
-    otxc_edfa: str | None
-    return_enabled: bool
+    # The forward bindings of each (modulation token, grating) pair, such
+    # as ("dm", "vbg"), in ``ALL_VARIANTS`` order.
+    forward: Mapping[tuple[str, str], ForwardBindings]
+    # None when the scenario has no return chain or disables it.
     return_bindings: ReturnBindings | None
     analysis: AnalysisConfig
     digital_link: DigitalLinkSpec | None
@@ -71,18 +80,7 @@ class Scenario(NamedTuple):
     variants: tuple[DesignVariant, ...]
 
     def forward_bindings(self, variant: DesignVariant) -> ForwardBindings:
-        return ForwardBindings(
-            modulator=self.modulator_by_scheme[variant.modulation.token],
-            mux=self.mux_by_grating[variant.grating.value],
-            demux=self.demux_by_grating[variant.grating.value],
-            splitter=self.splitter,
-            fojb_edfa=self.fojb_edfa,
-            analog_detector=self.analog_detector,
-            digital_detector=self.digital_detector,
-            trunk_fiber=self.trunk_fiber,
-            drop_fiber=self.drop_fiber,
-            otxc_edfa=self.otxc_edfa,
-        )
+        return self.forward[variant.modulation.token, variant.grating.value]
 
 
 def scenario_fingerprint(raw: Mapping[str, Any]) -> str:
@@ -127,6 +125,20 @@ class _Problems:
             self.add(f"{where}.{key}: must be a non-empty string, got {value!r}")
             return default
         return value
+
+    def part(self, payload: Mapping, key: str, where: str,
+             library: Mapping[str, ComponentSpec], role: Role, *,
+             optional=False) -> str | None:
+        """``payload[key]`` when it is a non-empty string naming a part of
+        ``library`` that can fill ``role``, else None with the problem listed.
+        An ``optional`` role may be absent or null."""
+        name = self.string(payload, key, where, required=not optional,
+                           allow_none=optional)
+        problem = name and unfit_part(library, name, role)
+        if problem:
+            self.add(f"{where}.{key}: {problem}")
+            return None
+        return name
 
     def boolean(self, payload: Mapping, key: str, where: str, *, default=False):
         value = payload.get(key, default)
@@ -371,125 +383,79 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
                 continue
             problems.unknown_keys(entry, {"id", "laser", "kind"}, where)
             ch_id = problems.string(entry, "id", where, required=True)
-            laser = problems.string(entry, "laser", where, required=True)
+            laser = problems.part(entry, "laser", where, library, LASER)
             kind_token = problems.string(entry, "kind", where, default="analog")
             kind = DetectorKind.ANALOG
             try:
                 kind = DetectorKind(kind_token)
             except ValueError:
                 problems.add(f"{where}.kind: unknown kind {kind_token!r}")
-            if ch_id is None or laser is None:
-                continue
-            if ch_id in seen:
+            if ch_id is not None and ch_id in seen:
                 problems.add(f"{where}: duplicate channel id {ch_id!r}")
-                continue
             seen.add(ch_id)
-            if laser not in library:
-                problems.add(f"{where}: unknown component {laser!r}")
-                continue
             channels.append(ChannelPlan(ch_id, laser, kind))
 
     shared_fiber = problems.boolean(topo, "shared_fiber", "topology", default=True)
     spacing = problems.number(topo, "min_channel_spacing_nm", "topology",
                               default=DEFAULT_CHANNEL_SPACING_NM, minimum=0.0)
 
+    # The parts bound to each role, listed with every other problem; the
+    # bindings built from them are used only when there is none.
+    where = "topology.bindings"
     bindings = topo.get("bindings")
     if not isinstance(bindings, dict):
-        problems.add("topology.bindings: required object")
+        problems.add(f"{where}: required object")
         bindings = {}
-    allowed_bind = {"modulator", "mux", "demux", "splitter", "fojb_edfa",
-                    "analog_detector", "digital_detector", "trunk_fiber",
-                    "drop_fiber", "otxc_edfa"}
-    problems.unknown_keys(bindings, allowed_bind, "topology.bindings")
+    problems.unknown_keys(bindings, set(FORWARD_ROLES), where)
+    names: dict[str, Any] = {}
+    for key, role in FORWARD_ROLES.items():
+        tokens = _TOKEN_ROLES.get(key)
+        if tokens is None:
+            names[key] = problems.part(
+                bindings, key, where, library, role,
+                optional=key in ForwardBindings._field_defaults)
+        elif not isinstance(bindings.get(key), dict):
+            problems.add(f"{where}.{key}: required object keyed by "
+                         f"{'/'.join(tokens)}")
+            names[key] = dict.fromkeys(tokens)
+        else:
+            problems.unknown_keys(bindings[key], set(tokens), f"{where}.{key}")
+            names[key] = {
+                token: problems.part(bindings[key], token, f"{where}.{key}",
+                                     library, token_role)
+                for token, token_role in tokens.items()}
+    forward = {
+        (m, g): ForwardBindings(**{**names, "modulator": names["modulator"][m],
+                                   "mux": names["mux"][g],
+                                   "demux": names["demux"][g]})
+        for m in _TOKEN_ROLES["modulator"] for g in _TOKEN_ROLES["mux"]}
 
-    def _named_map(key: str, tokens: tuple[str, ...]) -> dict[str, str]:
-        raw_map = bindings.get(key)
-        out: dict[str, str] = {}
-        where = f"topology.bindings.{key}"
-        if not isinstance(raw_map, dict):
-            problems.add(f"{where}: required object keyed by {'/'.join(tokens)}")
-            return out
-        problems.unknown_keys(raw_map, set(tokens), where)
-        for token in tokens:
-            value = problems.string(raw_map, token, where, required=True)
-            if value is not None:
-                if value not in library:
-                    problems.add(f"{where}.{token}: unknown component {value!r}")
-                else:
-                    out[token] = value
-        return out
-
-    modulator_by_scheme = _named_map("modulator", ("dm", "em"))
-    mux_by_grating = _named_map("mux", ("vbg", "awg"))
-    demux_by_grating = _named_map("demux", ("vbg", "awg"))
-
-    def _component_name(key: str, *, required: bool,
-                        allow_none: bool = False) -> str | None:
-        value = problems.string(bindings, key, "topology.bindings",
-                                required=required, allow_none=allow_none)
-        if value is not None and value not in library:
-            problems.add(f"topology.bindings.{key}: unknown component {value!r}")
-            return None
-        return value
-
-    splitter = _component_name("splitter", required=True)
-    fojb_edfa = _component_name("fojb_edfa", required=True)
-    analog_detector = _component_name("analog_detector", required=True)
-    digital_detector = _component_name("digital_detector", required=True)
-    trunk_fiber = _component_name("trunk_fiber", required=False, allow_none=True)
-    drop_fiber = _component_name("drop_fiber", required=False, allow_none=True)
-    otxc_edfa = _component_name("otxc_edfa", required=False, allow_none=True)
-
-    return_enabled = False
     return_bindings: ReturnBindings | None = None
     raw_return = topo.get("return")
-    if raw_return is not None:
-        if not isinstance(raw_return, dict):
-            problems.add("topology.return: must be an object")
-        else:
-            where = "topology.return"
-            allowed_ret = {"enabled", "lasers", "modulator", "mux", "demux",
-                           "detector", "fiber"}
-            problems.unknown_keys(raw_return, allowed_ret, where)
-            return_enabled = problems.boolean(raw_return, "enabled", where,
-                                              default=True)
-            lasers_raw = raw_return.get("lasers")
-            lasers: list[str] = []
-            if not isinstance(lasers_raw, list) \
-                    or len(lasers_raw) != CHANNELS_PER_RETURN_GROUP:
-                problems.add(f"{where}.lasers: must list exactly "
-                             f"{CHANNELS_PER_RETURN_GROUP} component names")
-            else:
-                for i, entry in enumerate(lasers_raw):
-                    if not isinstance(entry, str) or entry not in library:
-                        problems.add(f"{where}.lasers[{i}]: unknown component "
-                                     f"{entry!r}")
-                    else:
-                        lasers.append(entry)
-            names = {}
-            for key in ("modulator", "mux", "demux", "detector"):
-                value = problems.string(raw_return, key, where, required=True)
-                if value is not None and value not in library:
-                    problems.add(f"{where}.{key}: unknown component {value!r}")
-                    value = None
-                names[key] = value
-            fiber = problems.string(raw_return, "fiber", where, allow_none=True)
-            if fiber is not None and fiber not in library:
-                problems.add(f"{where}.fiber: unknown component {fiber!r}")
-                fiber = None
-            if return_enabled and n_dtrm % CHANNELS_PER_RETURN_GROUP != 0:
+    if raw_return is not None and not isinstance(raw_return, dict):
+        problems.add("topology.return: must be an object")
+    elif raw_return is not None:
+        where = "topology.return"
+        problems.unknown_keys(raw_return, {"enabled", *RETURN_ROLES}, where)
+        enabled = problems.boolean(raw_return, "enabled", where, default=True)
+        lasers = raw_return.get("lasers")
+        if not isinstance(lasers, list) or len(lasers) != CHANNELS_PER_RETURN_GROUP:
+            problems.add(f"{where}.lasers: must list exactly "
+                         f"{CHANNELS_PER_RETURN_GROUP} component names")
+            lasers = []
+        lasers = {f"lasers[{i}]": name for i, name in enumerate(lasers)}
+        bound = {"lasers": tuple(problems.part(lasers, key, where, library, LASER)
+                                 for key in lasers)}
+        bound.update(
+            (key, problems.part(raw_return, key, where, library, role,
+                                optional=key in ReturnBindings._field_defaults))
+            for key, role in RETURN_ROLES.items() if key != "lasers")
+        if enabled:
+            if n_dtrm % CHANNELS_PER_RETURN_GROUP != 0:
                 problems.add(f"topology.n_dtrm: must be divisible by "
                              f"{CHANNELS_PER_RETURN_GROUP} when the return "
                              "chain is enabled")
-            if len(lasers) == CHANNELS_PER_RETURN_GROUP and all(names.values()):
-                return_bindings = ReturnBindings(
-                    lasers=tuple(lasers),
-                    modulator=names["modulator"],
-                    mux=names["mux"],
-                    demux=names["demux"],
-                    detector=names["detector"],
-                    fiber=fiber,
-                )
+            return_bindings = ReturnBindings(**bound)
 
     analysis_raw = raw.get("analysis", {})
     if not isinstance(analysis_raw, dict):
@@ -533,17 +499,7 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         channels=tuple(channels),
         shared_fiber=shared_fiber,
         min_channel_spacing_nm=spacing,
-        modulator_by_scheme=modulator_by_scheme,
-        mux_by_grating=mux_by_grating,
-        demux_by_grating=demux_by_grating,
-        splitter=splitter,
-        fojb_edfa=fojb_edfa,
-        analog_detector=analog_detector,
-        digital_detector=digital_detector,
-        trunk_fiber=trunk_fiber,
-        drop_fiber=drop_fiber,
-        otxc_edfa=otxc_edfa,
-        return_enabled=return_enabled and return_bindings is not None,
+        forward=forward,
         return_bindings=return_bindings,
         analysis=analysis,
         digital_link=digital_link,

@@ -266,15 +266,69 @@ class ReturnBindings(NamedTuple):
     fiber: str | None = None
 
 
-def _require(library: Mapping[str, ComponentSpec], name: str, cls, role: str) -> ComponentSpec:
+class Role(NamedTuple):
+    """What a part must be to fill a binding role: an instance of ``spec``
+    and, where ``attribute`` is set, one whose ``attribute`` is ``value``."""
+
+    spec: type
+    attribute: str | None = None
+    value: Enum | None = None
+
+
+LASER = Role(LaserSpec)
+
+# The role of each ``ForwardBindings`` and ``ReturnBindings`` field, in field
+# order. A fiber or booster left as None is not bound; each of the ``lasers``
+# must fill its role.
+FORWARD_ROLES: Mapping[str, Role] = {
+    "modulator": Role(ModulatorSpec),
+    "mux": Role(MuxDemuxSpec),
+    "demux": Role(MuxDemuxSpec),
+    "splitter": Role(SplitterSpec),
+    "fojb_edfa": Role(EdfaSpec),
+    "analog_detector": Role(PhotodetectorSpec),
+    "digital_detector": Role(PhotodetectorSpec),
+    "trunk_fiber": Role(FiberSpec),
+    "drop_fiber": Role(FiberSpec),
+    "otxc_edfa": Role(EdfaSpec),
+}
+RETURN_ROLES: Mapping[str, Role] = {
+    "lasers": LASER,
+    "modulator": Role(ModulatorSpec),
+    "mux": Role(MuxDemuxSpec),
+    "demux": Role(MuxDemuxSpec),
+    "detector": Role(PhotodetectorSpec, "kind", DetectorKind.DIGITAL),
+    "fiber": Role(FiberSpec),
+}
+
+
+def unfit_part(library: Mapping[str, ComponentSpec], name: str,
+               role: Role) -> str | None:
+    """Why the part ``name`` cannot fill ``role``, or None when it can."""
     spec = library.get(name)
     if spec is None:
-        raise BuildError(f"unknown component {name!r} bound to role {role!r}")
-    if not isinstance(spec, cls):
-        raise BuildError(
-            f"component {name!r} bound to role {role!r} is a "
-            f"{type(spec).__name__}, expected {cls.__name__}")
-    return spec
+        return f"unknown component {name!r}"
+    if not isinstance(spec, role.spec):
+        return (f"component {name!r} is a {type(spec).__name__}, "
+                f"expected {role.spec.__name__}")
+    if role.attribute is not None:
+        have = getattr(spec, role.attribute)
+        if have is not role.value:
+            return (f"component {name!r} has {role.attribute} {have.value!r}, "
+                    f"expected {role.value.value!r}")
+    return None
+
+
+def _check_roles(library: Mapping[str, ComponentSpec],
+                 bindings: ForwardBindings | ReturnBindings,
+                 roles: Mapping[str, Role]) -> None:
+    """Raise BuildError for the first bound part that cannot fill its role."""
+    for field_name, role in roles.items():
+        names = getattr(bindings, field_name)
+        for name in names if isinstance(names, tuple) else (names,):
+            problem = name and unfit_part(library, name, role)
+            if problem:
+                raise BuildError(f"{field_name}: {problem}")
 
 
 def _id_width(n: int) -> int:
@@ -310,8 +364,10 @@ def build_forward_network(
         if ch.id in seen_ids:
             raise BuildError(f"duplicate channel id {ch.id!r}")
         seen_ids.add(ch.id)
-        laser = _require(library, ch.laser, LaserSpec, f"channel {ch.id} laser")
-        plan[ch.id] = laser.wavelength_nm
+        problem = unfit_part(library, ch.laser, LASER)
+        if problem:
+            raise BuildError(f"channel {ch.id} laser: {problem}")
+        plan[ch.id] = library[ch.laser].wavelength_nm
         kinds[ch.id] = ch.kind
         lasers[ch.id] = ch.laser
     by_wavelength: dict[float, str] = {}
@@ -322,25 +378,14 @@ def build_forward_network(
                 f"wavelength collision: channels {other!r} and {ch_id!r} both at {nm} nm")
         by_wavelength[nm] = ch_id
 
-    _require(library, bindings.modulator, ModulatorSpec, "modulator")
-    _require(library, bindings.mux, MuxDemuxSpec, "mux")
-    _require(library, bindings.demux, MuxDemuxSpec, "demux")
-    splitter_template = _require(library, bindings.splitter, SplitterSpec, "splitter")
-    _require(library, bindings.fojb_edfa, EdfaSpec, "fojb_edfa")
-    _require(library, bindings.analog_detector, PhotodetectorSpec, "analog_detector")
-    _require(library, bindings.digital_detector, PhotodetectorSpec, "digital_detector")
-    for role, fiber_name in (("trunk_fiber", bindings.trunk_fiber),
-                             ("drop_fiber", bindings.drop_fiber)):
-        if fiber_name is not None:
-            _require(library, fiber_name, FiberSpec, role)
-    if bindings.otxc_edfa is not None:
-        _require(library, bindings.otxc_edfa, EdfaSpec, "otxc_edfa")
+    _check_roles(library, bindings, FORWARD_ROLES)
 
     # The topology snapshots its component table; the junction-box splitter
     # inherits its excess loss from the bound template but its fanout is the
     # DTRM count by construction.
     local_library: dict[str, ComponentSpec] = dict(library)
-    local_library[bindings.splitter] = replace(splitter_template, fanout=n_dtrm)
+    local_library[bindings.splitter] = replace(library[bindings.splitter],
+                                             fanout=n_dtrm)
 
     if shared_fiber:
         lanes: list[list[str]] = [sorted(plan)]
@@ -433,20 +478,10 @@ def build_return_network(
         raise BuildError(
             f"return bindings need exactly {group} lasers, got {len(bindings.lasers)}")
 
-    group_wavelengths: list[float] = []
-    for idx, laser_name in enumerate(bindings.lasers):
-        laser = _require(library, laser_name, LaserSpec, f"return laser {idx}")
-        group_wavelengths.append(laser.wavelength_nm)
+    _check_roles(library, bindings, RETURN_ROLES)
+    group_wavelengths = [library[name].wavelength_nm for name in bindings.lasers]
     if len(set(group_wavelengths)) != group:
         raise BuildError("wavelength collision among the return-group lasers")
-    _require(library, bindings.modulator, ModulatorSpec, "return modulator")
-    _require(library, bindings.mux, MuxDemuxSpec, "return mux")
-    _require(library, bindings.demux, MuxDemuxSpec, "return demux")
-    detector = _require(library, bindings.detector, PhotodetectorSpec, "return detector")
-    if detector.kind is not DetectorKind.DIGITAL:
-        raise BuildError(f"return detector {bindings.detector!r} must be digital-kind")
-    if bindings.fiber is not None:
-        _require(library, bindings.fiber, FiberSpec, "return fiber")
 
     n_groups = n_dtrm // group
     width = _id_width(n_dtrm)

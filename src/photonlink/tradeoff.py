@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 from .components import GratingTech, Modulation, is_finite_number
-from .digitalpath import GroupCapacity
+from .digitalpath import DEFAULT_THROUGHPUT_BAR_BYTES_PER_S, GroupCapacity
 from .errors import AnalysisError
 from .linkbudget import LinkMetrics
 from .units import THERMAL_FLOOR_DBM_PER_HZ
@@ -174,7 +174,7 @@ class RequirementSet:
     phase_spur_degradation_db: float = 2.0
     sfdr_min_db: float = 55.0
     sfdr_bandwidth_hz: float = 1e7
-    throughput_bar_bytes_per_s: float = 250e6  # per eight receiver channels
+    throughput_bar_bytes_per_s: float = DEFAULT_THROUGHPUT_BAR_BYTES_PER_S
 
     def problems(self) -> list[str]:
         issues = []

@@ -48,8 +48,11 @@ def wavelength_nm_to_hz(wavelength_nm: float) -> float:
 
 
 def power_sum_db(terms_db: Iterable[float]) -> float:
-    """Sum dB terms in the linear power domain; -inf for an empty sum."""
-    total = sum(db_to_linear(t) for t in terms_db)
+    """Sum dB terms in the linear power domain; -inf for an empty sum. The
+    loop adds left to right: ``sum()`` compensates from Python 3.12 on."""
+    total = 0.0
+    for t in terms_db:
+        total += db_to_linear(t)
     if total <= 0.0:
         return -math.inf
     return 10.0 * math.log10(total)

@@ -238,7 +238,14 @@ def redrawn_scenario(scenario, rng):
                  for name, spec in sorted(scenario.library.items())},
         n_dtrm=rng.choice((1, 3, 8)),
         shared_fiber=rng.choice((True, False)),
-        otxc_edfa=rng.choice((None, scenario.fojb_edfa)))
+        forward=with_booster(scenario.forward, rng.choice(
+            (None, scenario.forward["dm", "vbg"].fojb_edfa))))
+
+
+def with_booster(forward, otxc_edfa):
+    """Every bindings of ``forward`` with ``otxc_edfa`` on the transmitter."""
+    return {key: bindings._replace(otxc_edfa=otxc_edfa)
+            for key, bindings in forward.items()}
 
 
 def per_path_enumeration(topology) -> list[SignalPath]:

@@ -99,7 +99,8 @@ def swapped_drop_fiber(scenario):
     first variant's forward network with that fiber on the drop to orxc03."""
     library = dict(scenario.library)
     library["spare_drop"] = dataclasses.replace(
-        library[scenario.drop_fiber], length_m=2500.0)
+        library[scenario.forward_bindings(scenario.variants[0]).drop_fiber],
+        length_m=2500.0)
     scenario = scenario._replace(library=library)
     variant = scenario.variants[0]
     built = cli._forward_topology(scenario, variant)
@@ -113,7 +114,8 @@ def swapped_drop_fiber(scenario):
 def saturated_detectors(scenario):
     """``scenario`` with both detectors saturating at -40 dBm."""
     library = dict(scenario.library)
-    for name in (scenario.analog_detector, scenario.digital_detector):
+    bindings = scenario.forward_bindings(scenario.variants[0])
+    for name in (bindings.analog_detector, bindings.digital_detector):
         library[name] = dataclasses.replace(library[name],
                                             saturation_power_dbm=-40.0)
     return scenario._replace(library=library)
@@ -272,8 +274,9 @@ def test_each_prefix_of_a_class_flags_its_own_elements(reference_scenario):
     # amplifier, a prefix element, saturates on every path.
     scenario = reference_scenario
     library = dict(scenario.library)
-    library[scenario.fojb_edfa] = dataclasses.replace(
-        library[scenario.fojb_edfa], saturation_output_power_dbm=-10.0)
+    fojb_edfa = scenario.forward_bindings(scenario.variants[0]).fojb_edfa
+    library[fojb_edfa] = dataclasses.replace(
+        library[fojb_edfa], saturation_output_power_dbm=-10.0)
     scenario = scenario._replace(library=library)
     variant = scenario.variants[0]
     topology = cli._forward_topology(scenario, variant)

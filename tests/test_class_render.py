@@ -43,19 +43,28 @@ from conftest import (
 )
 
 
+def csv_row(cells) -> str:
+    """One CSV line of ``cells``, quoted as ``csv.writer`` quotes them on
+    Python 3.13: a cell holding a comma, a quote, a CR or an LF is quoted,
+    with each quote doubled. Earlier writers leave a CR unquoted, and the
+    3.10 writer refuses a NUL."""
+    return ",".join(['"' + cell.replace('"', '""') + '"'
+                     if any(c in cell for c in ',"\r\n') else cell
+                     for cell in cells]) + "\n"
+
+
 def per_path_csv(report) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["variant", "path_id", "channel", "destination",
-                     "metric", "unit", "value"])
+    lines = [csv_row(["variant", "path_id", "channel", "destination",
+                      "metric", "unit", "value"])]
     for variant in report.variants:
         for pr in variant.paths:
             for name, unit in METRIC_COLUMNS:
                 value = getattr(pr.metrics, name)
-                writer.writerow([variant.variant.label, pr.path.path_id, pr.path.channel,
-                                 pr.path.destination, name, unit,
-                                 "" if value is None else repr(value)])
-    return buffer.getvalue()
+                lines.append(csv_row([
+                    variant.variant.label, pr.path.path_id, pr.path.channel,
+                    pr.path.destination, name, unit,
+                    "" if value is None else repr(value)]))
+    return "".join(lines)
 
 
 def materialized(report):
@@ -119,7 +128,8 @@ def test_randomized_libraries(reference_scenario, seed):
 def test_swapped_drop_fiber(reference_scenario, monkeypatch):
     library = dict(reference_scenario.library)
     library["spare_drop"] = dataclasses.replace(
-        library[reference_scenario.drop_fiber], length_m=2500.0)
+        library[reference_scenario.forward_bindings(
+            reference_scenario.variants[0]).drop_fiber], length_m=2500.0)
     scenario = reference_scenario._replace(library=library)
     variant = scenario.variants[0]
     built = cli._forward_topology(scenario, variant)
@@ -135,8 +145,8 @@ def test_swapped_drop_fiber(reference_scenario, monkeypatch):
 
 def test_detector_saturation_flags_each_path(reference_scenario):
     library = dict(reference_scenario.library)
-    for name in (reference_scenario.analog_detector,
-                 reference_scenario.digital_detector):
+    bindings = reference_scenario.forward_bindings(reference_scenario.variants[0])
+    for name in (bindings.analog_detector, bindings.digital_detector):
         library[name] = dataclasses.replace(library[name],
                                             saturation_power_dbm=-40.0)
     scenario = reference_scenario._replace(library=library)
@@ -199,6 +209,56 @@ def test_escaped_channel_ids(reference_scenario):
             detector = p["metrics"]["optical_ledger"][-1]["element_id"]
             assert detector.endswith(".pd." + p["channel"])
         assert_renders_per_path(report, analog_ids(scenario))
+
+
+@pytest.mark.parametrize("ids", [
+    [f'{n} "é中\U0001f600"' for n in range(8)],
+    ["\x00", "\x00c", "\x000", "\x00f", "\\", "\x1f", "\u2028", "\ud800"],
+    ["a\rb", "\r", "c\r\n", "\n", "d,\r", '"\r"', "e", "f g"],
+], ids=["quotes", "escapes", "line-breaks"])
+def test_csv_rows_read_back(reference_scenario, ids):
+    scenario = reference_scenario._replace(channels=tuple(
+        ch._replace(id=new_id)
+        for ch, new_id in zip(reference_scenario.channels, ids, strict=True)))
+    report = variants_report(scenario, scenario.variants[:1])
+    text = rendered(render_csv, report)
+    if sys.version_info < (3, 11):
+        # The 3.10 reader refuses a NUL, which CSV does not quote.
+        text = text.replace("\x00", "\ue000")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["variant", "path_id", "channel", "destination",
+                       "metric", "unit", "value"]
+    want = [[variant.variant.label, pr.path.path_id, pr.path.channel,
+             pr.path.destination, name, unit, "" if value is None else repr(value)]
+            for variant in report.variants for pr in variant.paths
+            for name, unit in METRIC_COLUMNS
+            for value in (getattr(pr.metrics, name),)]
+    if sys.version_info < (3, 11):
+        want = [[cell.replace("\x00", "\ue000") for cell in row] for row in want]
+    assert all(len(row) == 7 for row in rows)
+    assert rows[1:] == want
+
+
+def test_csv_quoting_matches_csv_writer():
+    """The writers' quoting rule is ``csv.writer``'s on Python 3.13, and on
+    earlier Pythons on every row without a CR or a NUL, on seeded rows of
+    three to seven cells drawn from the characters that quoting reads."""
+    rng = random.Random(17)
+    alphabet = ['a', 'é', ' ', ',', '"', "'", '\r', '\n', '\x00', '\\', ';']
+    compared = 0
+    for _ in range(4000):
+        row = ["".join(rng.choices(alphabet, k=rng.randrange(5)))
+               for _ in range(rng.randrange(3, 8))]
+        line = report_module._csv_line(row)
+        assert line == csv_row(row)
+        if sys.version_info < (3, 13) and any(
+                "\r" in cell or "\x00" in cell for cell in row):
+            continue
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow(row)
+        assert line == buffer.getvalue(), row
+        compared += 1
+    assert compared > 500
 
 
 def test_only_the_worst_case_anchor_is_relabeled(reference_scenario, monkeypatch):

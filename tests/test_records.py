@@ -20,6 +20,7 @@ import pytest
 from photonlink import cli
 from photonlink.components import validate_component
 from photonlink.linkbudget import edfa_autogain
+from photonlink.topology import RETURN_ROLES
 from photonlink.tradeoff import VariantOutcome
 
 # Generated methods of a frozen dataclass, with and without ``eq``.
@@ -71,6 +72,7 @@ NAMED_TUPLES = {
     "topology.PathMember",
     "topology.ForwardBindings",
     "topology.ReturnBindings",
+    "topology.Role",
     "tradeoff.DesignVariant",
     "tradeoff.OrdinalScore",
     "tradeoff.RequirementCheck",
@@ -148,7 +150,8 @@ def test_no_field_of_any_record_can_be_assigned(reference_scenario):
         scenario.forward_bindings(variant),
         cli._analyze_forward(scenario, variant), edfa_autogain(path),
         validate_component(dataclasses.replace(laser, output_power_w=-1.0)),
-        VariantOutcome(first.variant, first.score, first.compliance))
+        VariantOutcome(first.variant, first.score, first.compliance),
+        RETURN_ROLES)
     records = package_records()
     assert set(found) >= set(records.values())
     for cls in records.values():

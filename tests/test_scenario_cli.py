@@ -36,7 +36,7 @@ class TestParseScenario:
         assert len(reference_scenario.channels) == 8
         assert reference_scenario.variants == tuple(
             v for v in ALL_VARIANTS if is_feasible(v))
-        assert reference_scenario.return_enabled
+        assert reference_scenario.return_bindings is not None
 
     def test_unknown_component_reference_named(self, raw_reference):
         doc = copy.deepcopy(raw_reference)

@@ -77,7 +77,8 @@ def test_benchmark_workloads(name):
 def test_randomized_libraries(reference_scenario, seed):
     scenario = redrawn_scenario(reference_scenario, random.Random(seed))
     # The return network needs whole groups of four modules.
-    scenario = scenario._replace(return_enabled=scenario.n_dtrm % 4 == 0)
+    if scenario.n_dtrm % 4 != 0:
+        scenario = scenario._replace(return_bindings=None)
     assert_routes_agree("tradeoff", scenario)
 
 
@@ -125,10 +126,8 @@ def test_gratings_bound_to_the_same_parts_share(reference_scenario,
                                                 forward_work):
     built, enumerated = forward_work
     scenario = reference_scenario._replace(
-        mux_by_grating={g: reference_scenario.mux_by_grating["vbg"]
-                        for g in ("vbg", "awg")},
-        demux_by_grating={g: reference_scenario.demux_by_grating["vbg"]
-                          for g in ("vbg", "awg")})
+        forward={(m, g): reference_scenario.forward[m, "vbg"]
+                 for m, g in reference_scenario.forward})
     report = cli.run("tradeoff", scenario)
     assert len(distinct_networks(scenario, report)) == 2
     assert len(built) == len(enumerated) == 2
