@@ -479,7 +479,7 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
     variants = tuple(v for v in ALL_VARIANTS if is_feasible(v))
     if not isinstance(label, str):
         problems.add("scenario.variant: must be a string")
-    elif label != "all":
+    elif label.strip().lower() != "all":
         try:
             variants = (DesignVariant.from_label(label),)
             if not is_feasible(variants[0]):

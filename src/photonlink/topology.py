@@ -589,10 +589,11 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
     if _has_cycle(topology):
         bad("topology", "edges", "graph contains a cycle")
 
-    # Component resolution and per-component invariants. A part that passes
-    # once passes everywhere; one that fails is reported at every node.
+    # A check runs at the first member of a class, keyed by all it reads but
+    # channel names; a part's key is its name. Only passes are kept, so each
+    # member of a failing class is checked on its own and names its channels.
     plan_lasers = set(topology.channel_lasers.values())
-    passed: set[str] = set()
+    passed: set = set()
     for node in topology.nodes:
         for name in node.components:
             if name in passed:
@@ -608,32 +609,41 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
                 passed.add(name)
             issues.extend(report.violations)
 
-    # Per-edge wavelength bookkeeping, once per (fiber, channel set): the
-    # checks read nothing else of an edge.
-    edge_classes: dict[tuple, list[tuple[str, str]]] = {}
-    for e in topology.edges:
-        key = (e.fiber, e.channels)
-        found = edge_classes.get(key)
-        if found is None:
-            found = edge_classes[key] = _edge_checks(topology, e.fiber, e.channels)
-        for field_name, message in found:
-            bad(f"{e.source}->{e.target}", field_name, message)
+    # Each channel's (wavelength, kind, bound detector), None where the plan
+    # lacks it, sorted and interned to an int once per distinct tuple of sets.
+    interned: dict[tuple, int] = {}
+    carried_ids: dict[tuple[frozenset[str], ...], int] = {}
 
-    # Node composition rules, once per node class: the kind, the parts and
-    # the (lane, channel set) of each edge out and in are all they read.
-    node_classes: dict[tuple, list[tuple[str, str]]] = {}
+    def carried(sets: tuple[frozenset[str], ...]) -> int:
+        if sets not in carried_ids:
+            multiset = tuple(sorted([
+                (topology.wavelength_plan.get(ch), topology.channel_kinds.get(ch),
+                 topology.channel_detectors.get(ch))
+                for ch in frozenset().union(*sets)], key=repr))
+            carried_ids[sets] = interned.setdefault(multiset, len(interned))
+        return carried_ids[sets]
+
+    for e in topology.edges:
+        key = (e.fiber, carried((e.channels,)))
+        if key not in passed:
+            found = _edge_checks(topology, e.fiber, e.channels)
+            if not found:
+                passed.add(key)
+            for field_name, message in found:
+                bad(f"{e.source}->{e.target}", field_name, message)
     for node in topology.nodes:
         out_edges = topology.outgoing(node.id)
         in_edges = topology.incoming(node.id)
         key = (node.kind, node.components,
-               tuple([(e.lane, e.channels) for e in out_edges]),
-               tuple([(e.lane, e.channels) for e in in_edges]))
-        found = node_classes.get(key)
-        if found is None:
-            found = node_classes[key] = _node_checks(topology, node, out_edges,
-                                                     in_edges)
-        for field_name, message in found:
-            bad(node.id, field_name, message)
+               tuple([(e.lane, bool(e.channels)) for e in out_edges]),
+               tuple([(e.lane, bool(e.channels)) for e in in_edges]),
+               carried(tuple([e.channels for e in in_edges])))
+        if key not in passed:
+            found = _node_checks(topology, node, out_edges, in_edges)
+            if not found:
+                passed.add(key)
+            for field_name, message in found:
+                bad(node.id, field_name, message)
 
     # Structural chain checks per direction.
     kind_counts: dict[NodeKind, int] = {}

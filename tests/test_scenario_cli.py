@@ -242,6 +242,21 @@ class TestCommandLine:
                             "--out", str(tmp_path / "no" / "such" / "dir.txt"))
         assert proc.returncode == EXIT_INPUT
 
+    def test_variant_all_ignores_case_and_spaces(self, tmp_path, raw_reference):
+        """The label " ALL " is stripped and case-folded like any other, so
+        it selects the variants "all" does and gives the same report bytes,
+        the fingerprint line aside."""
+        assert (parse_scenario(mutate(raw_reference, variant=" ALL ")).variants
+                == parse_scenario(mutate(raw_reference, variant="all")).variants)
+        reports = []
+        for label in ("all", " ALL "):
+            out = tmp_path / "report.txt"
+            assert main(["analyze", "--scenario", str(reference_scenario_path()),
+                         "--variant", label, "--out", str(out)]) == EXIT_OK
+            reports.append([line for line in out.read_bytes().splitlines(True)
+                            if not line.startswith(b"fingerprint: ")])
+        assert reports[0] == reports[1]
+
     def test_bandwidth_override_changes_fingerprint(self, tmp_path):
         args = ("analyze", "--scenario", str(reference_scenario_path()),
                 "--variant", "dmxvbgxhip", "--format", "json")

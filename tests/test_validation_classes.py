@@ -1,11 +1,11 @@
 """Class-keyed topology validation against the per-member oracle.
 
-``validate_topology`` runs the composition rules once per node class and the
-wavelength bookkeeping once per edge class, and lists each class's
-violations at every member. ``per_member_validation`` in conftest runs them
-at every node and edge. The two must agree in content and order on the
-reference networks and on seeded faults injected at some receiver chips or
-edges only.
+``validate_topology`` runs the composition rules and the wavelength
+bookkeeping once for each node or edge class that passes, keyed by what the
+checks read but channel names, and at every member of a class that fails.
+``per_member_validation`` in conftest runs them at every node and edge. The
+two must agree in content and order on the reference networks and on seeded
+faults injected at some receiver chips or edges only.
 """
 
 import dataclasses
@@ -29,6 +29,7 @@ from photonlink.topology import (
     adjacency_dump,
     build_forward_network,
     build_return_network,
+    return_groups,
     validate_topology,
 )
 
@@ -227,10 +228,49 @@ def test_each_fault_is_listed(fault):
     assert {n.id for n in _receivers(topology)} - {v.subject for v in want}
 
 
-@pytest.mark.parametrize("shared_fiber", [True, False])
+@pytest.mark.parametrize("fault", ["spacing", "detector", "binding", "kind"])
+def test_every_member_of_a_failing_return_class_is_listed(fault):
+    """At N=64 every return group fails one check: its channels sit closer
+    than the minimum spacing, or its receiver chip's detectors are analog.
+    Or every group but the first does: its channels are bound to an analog
+    detector, or are analog themselves. The failing groups form one class,
+    each is checked on its own and names its own channels."""
+    topology = backward(64)
+    groups = return_groups(topology)
+    assert len(groups) == 16
+    later = {ch for _, channels in groups[1:] for ch in channels}
+    if fault == "spacing":
+        topology = dataclasses.replace(topology, min_channel_spacing_nm=1.0)
+    elif fault == "detector":
+        topology = dataclasses.replace(topology, library=dict(
+            topology.library, dpd=mk_pd(kind=DetectorKind.ANALOG)))
+    elif fault == "binding":
+        topology = dataclasses.replace(
+            topology,
+            library=dict(topology.library, apd=mk_pd(kind=DetectorKind.ANALOG)),
+            channel_detectors={ch: "apd" if ch in later else name
+                               for ch, name in topology.channel_detectors.items()})
+    else:
+        topology = dataclasses.replace(topology, channel_kinds={
+            ch: DetectorKind.ANALOG if ch in later else kind
+            for ch, kind in topology.channel_kinds.items()})
+    want = assert_matches_per_member(topology)
+    for g, (_, channels) in enumerate(groups):
+        named = [v for v in want if any(repr(ch) in v.message for ch in channels)]
+        if g == 0 and fault in ("binding", "kind"):
+            assert named == []
+            continue
+        assert len({v.subject for v in named}) == 1
+        assert all(any(repr(ch) in v.message for v in named) for ch in channels)
+
+
+@pytest.mark.parametrize("shared_fiber", [True, False, None],
+                         ids=["True", "False", "return"])
 def test_checks_run_once_per_class(monkeypatch, shared_fiber):
-    """The forward network has one node class per kind and one edge class
-    per (fiber, channel set), whatever N; the adjacency listing formats each
+    """Whatever N, the forward network (shared fiber or split lanes) has one
+    node class per kind and one edge class per (fiber, channel set), and the
+    return network (None) has 4 node classes and 2 edge classes, since its
+    groups differ only in channel names. The adjacency listing formats each
     distinct channel set once."""
     counts = {}
     for name in ("_node_checks", "_edge_checks"):
@@ -242,16 +282,24 @@ def test_checks_run_once_per_class(monkeypatch, shared_fiber):
 
         monkeypatch.setattr(topology_module, name, counting)
 
+    def network(n):
+        if shared_fiber is None:
+            return backward(n)
+        return forward(n, shared_fiber=shared_fiber)
+
     seen = {}
-    for n in (64, 1024):
-        topology = forward(n, shared_fiber=shared_fiber)
+    for n in (8, 64, 1024):
+        topology = network(n)
         counts.update(_node_checks=0, _edge_checks=0)
         assert validate_topology(topology).ok
         seen[n] = dict(counts)
+        if shared_fiber is None:
+            assert counts == {"_node_checks": 4, "_edge_checks": 2}
+            continue
         assert counts["_node_checks"] == len({node.kind for node in topology.nodes})
         assert counts["_edge_checks"] == len({(e.fiber, e.channels)
                                               for e in topology.edges})
-    assert seen[64] == seen[1024]
+    assert seen[8] == seen[64] == seen[1024]
 
     class Counted(frozenset):
         walks = 0
@@ -261,7 +309,7 @@ def test_checks_run_once_per_class(monkeypatch, shared_fiber):
             return super().__iter__()
 
     # Every edge gets its own set object, so only equal values can share.
-    topology = forward(1024, shared_fiber=shared_fiber)
+    topology = network(1024)
     counted = dataclasses.replace(topology, edges=tuple(
         e._replace(channels=Counted(e.channels))
         for e in topology.edges))
@@ -271,21 +319,33 @@ def test_checks_run_once_per_class(monkeypatch, shared_fiber):
 
 
 def test_wrong_kind_detector_messages_ignore_the_hash_seed(tmp_path):
-    """Every analog channel on a digital detector: the messages list the
-    channels in name order, so the report is the same under any hash seed."""
-    document = json.loads(reference_scenario_path().read_text())
-    document["topology"]["bindings"]["analog_detector"] = "clock_pd"
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(document))
+    """Every analog channel on a digital detector, or the second laser of
+    every return group 0.1 nm from the first: the messages list the channels
+    in name order and the classes sort their channels, so the report is the
+    same under any hash seed."""
     src = Path(topology_module.__file__).resolve().parents[1]
-    outputs = []
-    for seed in ("1", "2", "3"):
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
-        done = subprocess.run(
-            [sys.executable, "-m", "photonlink.cli", "validate",
-             "--scenario", str(scenario), "--format", "text"],
-            env=env, capture_output=True)
-        assert done.returncode == cli.EXIT_INPUT, done.stderr
-        outputs.append(done.stdout)
-    assert b"analog channel 'cal1' terminated on a digital detector" in outputs[0]
-    assert outputs[0] == outputs[1] == outputs[2]
+    reports = []
+    for section, name, field, value in (
+            ("topology", "bindings", "analog_detector", "clock_pd"),
+            ("components", "dret2_laser", "wavelength_nm", 1530.1)):
+        document = json.loads(reference_scenario_path().read_text())
+        document[section][name][field] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(document))
+        outputs = []
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-m", "photonlink.cli", "validate",
+                 "--scenario", str(scenario), "--format", "text"],
+                env=env, capture_output=True)
+            assert done.returncode == cli.EXIT_INPUT, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
+        reports.append(outputs[0])
+    assert b"analog channel 'cal1' terminated on a digital detector" in reports[0]
+    spaced = [line for line in reports[1].splitlines() if b" spaced " in line]
+    assert spaced == [
+        f"  - dotxc{g:02d}->dbfu_rx{g:02d}.channels: channels 'rx{4 * g - 3:02d}'/"
+        f"'rx{4 * g - 2:02d}' spaced 0.100 nm < minimum 0.8 nm".encode()
+        for g in range(1, 5)]
