@@ -18,7 +18,6 @@ import stat
 import sys
 import tempfile
 from contextlib import nullcontext
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -141,8 +140,8 @@ def _worst_case(classes: list[ClassResult],
     top = max(classes, key=lambda c: c.metrics.noise_figure_db)
     anchor = next(r for r in results if r.class_result is top)
     flags = tuple(dict.fromkeys(f for r in results for f in r.flags))
-    return replace(worst, optical_ledger=anchor.metrics.optical_ledger,
-                   flags=flags)
+    return worst._replace(optical_ledger=anchor.metrics.optical_ledger,
+                          flags=flags)
 
 
 class _ForwardAnalysis(NamedTuple):

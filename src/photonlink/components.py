@@ -1,6 +1,6 @@
 """Parameter models and validation for every photonic element in the network.
 
-Each element family is a frozen dataclass with unit-bearing field names; a
+Each element family is a ``NamedTuple`` with unit-bearing field names; a
 component library is the name -> spec mapping of a scenario's ``components``.
 Validation never raises for bad parameter values: violations are returned as
 data so a loader or report can list all of them at once.
@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
 from typing import NamedTuple, Union
-
-from .errors import LibraryError
 
 # Usable source band for the WDM plan, nm.
 WDM_BAND_NM = (1300.0, 1650.0)
@@ -52,8 +49,7 @@ class DetectorKind(str, Enum):
     DIGITAL = "digital"
 
 
-@dataclass(frozen=True, repr=False)
-class LaserSpec:
+class LaserSpec(NamedTuple):
     """A laser source: output power, intensity noise, wavelength and slope."""
 
     output_power_w: float
@@ -63,8 +59,7 @@ class LaserSpec:
     linewidth_tunable: bool = False
 
 
-@dataclass(frozen=True, repr=False)
-class ModulatorSpec:
+class ModulatorSpec(NamedTuple):
     """A direct or external modulator and its electrical bandwidth."""
 
     scheme: Modulation
@@ -74,8 +69,7 @@ class ModulatorSpec:
     bias: ModulatorBias | None = None
 
 
-@dataclass(frozen=True, repr=False)
-class MuxDemuxSpec:
+class MuxDemuxSpec(NamedTuple):
     """A wavelength multiplexer or demultiplexer grating and its isolations."""
 
     technology: GratingTech
@@ -86,8 +80,7 @@ class MuxDemuxSpec:
     athermal: bool = False
 
 
-@dataclass(frozen=True, repr=False)
-class EdfaSpec:
+class EdfaSpec(NamedTuple):
     """An erbium-doped fiber amplifier: gain setting, ceiling, noise and saturation."""
 
     gain_db: float
@@ -96,8 +89,7 @@ class EdfaSpec:
     saturation_output_power_dbm: float
 
 
-@dataclass(frozen=True, repr=False)
-class SplitterSpec:
+class SplitterSpec(NamedTuple):
     """A 1:N optical power splitter."""
 
     fanout: int
@@ -109,8 +101,7 @@ class SplitterSpec:
         return 10.0 * math.log10(self.fanout) + self.excess_loss_db
 
 
-@dataclass(frozen=True, repr=False)
-class FiberSpec:
+class FiberSpec(NamedTuple):
     """A fiber span: length, attenuation and group index."""
 
     length_m: float
@@ -122,8 +113,7 @@ class FiberSpec:
         return self.attenuation_db_per_km * self.length_m / 1000.0
 
 
-@dataclass(frozen=True, repr=False)
-class PhotodetectorSpec:
+class PhotodetectorSpec(NamedTuple):
     """A photodetector: responsivity, saturation, bandwidth and kind."""
 
     responsivity_a_per_w: float
@@ -325,39 +315,49 @@ def validate_component(spec: ComponentSpec, *, name: str = "component",
 
 
 def component_from_dict(payload: dict, *, name: str = "component") -> ComponentSpec:
-    """The spec of one ``type``-tagged entry; raises ValueError on shape errors."""
+    """The spec of one ``type``-tagged entry; raises ValueError listing its
+    shape errors, one a line."""
+    spec, problems = _read_entry(payload, name)
+    if problems:
+        raise ValueError("\n".join(problems))
+    return spec
+
+
+def _read_entry(payload, name: str) -> tuple[ComponentSpec | None, list[str]]:
+    """The spec of one ``type``-tagged entry, or None and its shape errors:
+    a missing object or unknown type alone, else the unknown fields, each
+    required field that is missing and each enum field of unknown value."""
     if not isinstance(payload, dict):
-        raise ValueError(f"{name}: component entry must be an object")
+        return None, [f"{name}: component entry must be an object"]
     data = dict(payload)
     tag = data.pop("type", None)
     cls = _TAG_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         known = ", ".join(sorted(_TAG_TYPES))
-        raise ValueError(f"{name}: unknown component type {tag!r} (expected one of {known})")
-    known_fields = {f.name for f in dataclass_fields(cls)}
-    unknown = sorted(set(data) - known_fields)
+        return None, [f"{name}: unknown component type {tag!r} (expected one of {known})"]
+    problems = []
+    unknown = sorted(set(data) - set(cls._fields))
     if unknown:
-        raise ValueError(f"{name}: unknown field(s) {', '.join(unknown)} for type {tag!r}")
-    kwargs = {}
+        problems.append(f"{name}: unknown field(s) {', '.join(unknown)} for type {tag!r}")
+    problems += [f"{name}.{field_name}: required field is missing"
+                 for field_name in cls._fields
+                 if field_name not in data and field_name not in cls._field_defaults]
     for field_name, value in data.items():
         enum_cls = _ENUM_FIELDS.get(field_name)
         # Of the enum fields only the bias point may be null.
         if enum_cls is not None and (value is not None or field_name != "bias"):
             try:
-                value = enum_cls(value)
+                data[field_name] = enum_cls(value)
             except ValueError:
                 tokens = ", ".join(e.value for e in enum_cls)
-                raise ValueError(
-                    f"{name}.{field_name}: unknown value {value!r} (expected {tokens})"
-                ) from None
-        kwargs[field_name] = value
-    if cls is ModulatorSpec and kwargs.get("scheme") is Modulation.EXTERNAL:
-        kwargs.setdefault("bias", ModulatorBias.QUADRATURE)
-        kwargs.setdefault("insertion_loss_db", 0.0)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+                problems.append(
+                    f"{name}.{field_name}: unknown value {value!r} (expected {tokens})")
+    if problems:
+        return None, problems
+    if cls is ModulatorSpec and data.get("scheme") is Modulation.EXTERNAL:
+        data.setdefault("bias", ModulatorBias.QUADRATURE)
+        data.setdefault("insertion_loss_db", 0.0)
+    return cls(**data), []
 
 
 def loads_unique_keys(text: str) -> object:
@@ -374,23 +374,22 @@ def loads_unique_keys(text: str) -> object:
     return json.loads(text, object_pairs_hook=unique)
 
 
-def parse_component_library(payload: dict, *, where: str = "library") -> dict[str, ComponentSpec]:
-    """Build a validated name -> spec map; aggregates every invalid entry."""
+def parse_component_library(payload, *, where: str = "library"
+                            ) -> tuple[dict[str, ComponentSpec], list[str]]:
+    """The valid entries of a component library by name, and every problem
+    of the others: an entry that is not valid is left out."""
     if not isinstance(payload, dict):
-        raise LibraryError(f"{where}: component library must be a JSON object")
+        return {}, [f"{where}: component library must be a JSON object"]
     library: dict[str, ComponentSpec] = {}
     problems: list[str] = []
     for entry_name, entry in payload.items():
-        try:
-            spec = component_from_dict(entry, name=entry_name)
-        except ValueError as exc:
-            problems.append(str(exc))
+        spec, shape = _read_entry(entry, entry_name)
+        if shape:
+            problems += shape
             continue
         report = validate_component(spec, name=entry_name)
         if report.ok:
             library[entry_name] = spec
         else:
-            problems.extend(report.messages())
-    if problems:
-        raise LibraryError(f"{where}: invalid component entries", problems)
-    return library
+            problems += report.messages()
+    return library, problems

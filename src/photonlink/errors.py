@@ -9,16 +9,6 @@ class PhotonlinkError(Exception):
     """Base class for all package errors."""
 
 
-class LibraryError(PhotonlinkError):
-    """A component library failed to parse or validate."""
-
-    def __init__(self, message: str, problems: Sequence[str] = ()):
-        self.problems = tuple(problems)
-        if self.problems:
-            message = message + "\n" + "\n".join(f"  - {p}" for p in self.problems)
-        super().__init__(message)
-
-
 class BuildError(PhotonlinkError):
     """A topology could not be constructed from the given inputs."""
 

@@ -8,7 +8,8 @@ bit-identical outputs, so paths may be analyzed concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .components import (
@@ -50,8 +51,7 @@ RISE_TIME_BANDWIDTH_PRODUCT = 0.35
 NOISE_FIGURE_FLOOR_DB = 10.0 * math.log10(2.0)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     """Knobs of the metric engine; scenario files populate one of these."""
 
     bandwidth_hz: float = 1e7
@@ -66,7 +66,7 @@ class AnalysisConfig:
     front_end_noise_figure_db: float | None = None
     # Per-element rms jitter contributions, keyed by element kind token
     # ("laser", "modulator", "edfa", "detector", ...).
-    jitter_rms_s: Mapping[str, float] = field(default_factory=dict)
+    jitter_rms_s: Mapping[str, float] = MappingProxyType({})
     edfa_autogain: bool = True
 
     def iip3_for(self, modulation: Modulation) -> float | None:
@@ -120,11 +120,29 @@ class AutogainResult(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, repr=False)
-class LinkMetrics:
+class _DataclassFields:
+    """A ``NamedTuple``'s ``__dataclass_fields__``, for a reader that reads
+    records with ``dataclasses.fields``, as ``perfbench/traced.py`` does to
+    count distinct metric bundles. It is made on first read with the
+    ``dataclasses`` module that reader has loaded; while none is loaded the
+    class has no such attribute, so this package never loads it."""
+
+    def __get__(self, instance, owner):
+        dataclasses = sys.modules.get("dataclasses")
+        if dataclasses is None:
+            raise AttributeError("__dataclass_fields__")
+        fields = dataclasses.make_dataclass(owner.__name__,
+                                            owner._fields).__dataclass_fields__
+        setattr(owner, "__dataclass_fields__", fields)
+        return fields
+
+
+class LinkMetrics(NamedTuple):
     """One path's link budget. A link's SNR degradation is its noise figure,
     and the first-order model's fall time is its rise time, so neither has a
     field of its own."""
+
+    __dataclass_fields__ = _DataclassFields()
 
     rf_gain_db: float
     noise_figure_db: float
@@ -301,7 +319,7 @@ def apply_edfa_gains(path: SignalPath, gains_db: Mapping[str, float]) -> SignalP
     elements = []
     for element in path.elements:
         if element.kind is ElementKind.EDFA and element.element_id in gains_db:
-            spec = replace(element.spec, gain_db=gains_db[element.element_id])
+            spec = element.spec._replace(gain_db=gains_db[element.element_id])
             element = element._replace(spec=spec)
         elements.append(element)
     return path._replace(elements=tuple(elements))
@@ -539,7 +557,7 @@ def analyze_path(
     try:
         metrics = _analyze_path(path, modulation, config, topology,
                                 reference_delay_s)
-        values = [*vars(metrics).values(), *metrics.noise,
+        values = [*metrics, *metrics.noise,
                   *(e.power_dbm for e in metrics.optical_ledger.entries)]
     except (OverflowError, ZeroDivisionError):
         values = [math.nan]
@@ -619,7 +637,7 @@ def relabeled(metrics: LinkMetrics, path: SignalPath) -> LinkMetrics:
         else LedgerEntry(element.element_id, e.delta_db, e.power_dbm, e.note)
         for element, e in zip(path.elements, metrics.optical_ledger.entries))
     ledger = OpticalLedger(entries, own_flags(metrics, path))
-    return replace(metrics, optical_ledger=ledger, flags=ledger.flags)
+    return metrics._replace(optical_ledger=ledger, flags=ledger.flags)
 
 
 def worst_case(metrics: Sequence[LinkMetrics]) -> LinkMetrics:

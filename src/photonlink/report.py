@@ -16,15 +16,16 @@ import json
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import NamedTuple, TextIO
 
 from .digitalpath import GroupCapacity
+from .frozen import Frozen
 from .linkbudget import LinkMetrics, relabeled
 from .topology import Direction, PathClass, PathMember, SignalPath
-from .tradeoff import ComplianceReport, Recommendation, VariantOutcome, is_feasible
+from .tradeoff import (ComplianceReport, DesignVariant, OrdinalScore, Recommendation,
+                       VariantOutcome, is_feasible)
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -64,13 +65,14 @@ class TopologySummary(NamedTuple):
     group_count: int = 0
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class ClassResult:
+class ClassResult(Frozen):
     """The metrics of one analysis class, from ``analyze_path`` on its own
     path, and their JSON, CSV and text forms, made on first read."""
 
-    cls: PathClass
-    metrics: LinkMetrics
+    _fields = ("cls", "metrics")
+
+    def __init__(self, cls: PathClass, metrics: LinkMetrics):
+        self.__dict__.update(cls=cls, metrics=metrics)
 
     @cached_property
     def json_template(self) -> tuple[str, tuple[int, ...]]:
@@ -107,16 +109,18 @@ class ClassResult:
                       for value in (getattr(self.metrics, name),))]
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class PathResult:
+class PathResult(Frozen):
     """One path's result: its member of an analysis class, the class's
     result, whose scalars it shares, and its own ledger flags. Only the
     ledger's element ids differ between members of a class; ``metrics``
     restates them on first read, from ``path``, built on each read."""
 
-    member: PathMember
-    class_result: ClassResult
-    flags: tuple[str, ...]
+    _fields = ("member", "class_result", "flags")
+
+    def __init__(self, member: PathMember, class_result: ClassResult,
+                 flags: tuple[str, ...]):
+        self.__dict__.update(member=member, class_result=class_result,
+                             flags=flags)
 
     @property
     def path(self) -> SignalPath:
@@ -127,13 +131,18 @@ class PathResult:
         return relabeled(self.class_result.metrics, self.path)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class VariantResult(VariantOutcome):
     """A variant's ranking outcome, with the results of its forward network's
-    paths and their worst case."""
+    paths and their worst case. It is not a tuple, so the JSON encoder
+    hands it to ``default`` instead of writing it as a list."""
 
-    paths: tuple[PathResult, ...]
-    worst: LinkMetrics
+    _fields = (*VariantOutcome._fields, "paths", "worst")
+
+    def __init__(self, variant: DesignVariant, score: OrdinalScore,
+                 compliance: ComplianceReport, paths: tuple[PathResult, ...],
+                 worst: LinkMetrics):
+        super().__init__(variant, score, compliance)
+        self.__dict__.update(paths=paths, worst=worst)
 
 
 class Report(NamedTuple):

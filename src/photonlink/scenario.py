@@ -9,7 +9,6 @@ fingerprint so reports are traceable to their exact inputs.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -25,7 +24,7 @@ from .components import (
     parse_component_library,
 )
 from .digitalpath import AdcStreamSpec, DigitalLinkSpec, LineEncoding
-from .errors import LibraryError, ScenarioError
+from .errors import ScenarioError
 from .linkbudget import AnalysisConfig
 from .topology import (
     CHANNELS_PER_RETURN_GROUP,
@@ -91,6 +90,9 @@ def scenario_fingerprint(raw: Mapping[str, Any]) -> str:
 class _Problems:
     def __init__(self) -> None:
         self.items: list[str] = []
+        # Library entries that are present but invalid; their own problems
+        # are listed, so a reference to one is not listed again.
+        self.invalid_parts: set[str] = set()
 
     def add(self, message: str) -> None:
         self.items.append(message)
@@ -134,6 +136,8 @@ class _Problems:
         An ``optional`` role may be absent or null."""
         name = self.string(payload, key, where, required=not optional,
                            allow_none=optional)
+        if name in self.invalid_parts:
+            return None
         problem = name and unfit_part(library, name, role)
         if problem:
             self.add(f"{where}.{key}: {problem}")
@@ -289,16 +293,14 @@ def _parse_digital(payload: Mapping, problems: _Problems
 
 
 def _parse_requirements(payload: Mapping, problems: _Problems) -> RequirementSet:
-    defaults = RequirementSet()
-    allowed = set(defaults.__dataclass_fields__)
-    problems.unknown_keys(payload, allowed, "requirements")
+    problems.unknown_keys(payload, set(RequirementSet._fields), "requirements")
     overrides = {}
-    for key in allowed:
+    for key in RequirementSet._fields:
         if key in payload:
             value = problems.number(payload, key, "requirements")
             if value is not None:
                 overrides[key] = value
-    requirements = dataclasses.replace(defaults, **overrides)
+    requirements = RequirementSet(**overrides)
     for issue in requirements.problems():
         problems.add(issue)
     return requirements
@@ -345,12 +347,12 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
                      f"got {version!r}")
     name = problems.string(raw, "name", "scenario", default="scenario")
 
-    library: dict[str, ComponentSpec] = {}
-    try:
-        library = parse_component_library(raw.get("components", {}),
-                                          where="components")
-    except LibraryError as exc:
-        problems.items.extend(exc.problems or [str(exc)])
+    components = raw.get("components", {})
+    library, library_problems = parse_component_library(components,
+                                                        where="components")
+    problems.items += library_problems
+    if isinstance(components, dict):
+        problems.invalid_parts = set(components) - set(library)
 
     topo = raw.get("topology")
     if not isinstance(topo, dict):

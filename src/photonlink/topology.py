@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
@@ -32,6 +31,7 @@ from .components import (
     validate_component,
 )
 from .errors import BuildError, TopologyError
+from .frozen import Frozen
 
 DEFAULT_CHANNEL_SPACING_NM = 0.8  # 100 GHz ITU grid step near 1550 nm
 CHANNELS_PER_RETURN_GROUP = 4
@@ -132,15 +132,16 @@ class SignalPath(NamedTuple):
         return "".join(_KIND_TOKENS[e.kind] for e in self.elements)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class PathClass:
+class PathClass(Frozen):
     """An analysis class: paths of one channel that share their elements up
     to the last edge (``prefix``) and whose last hops have the same parts
     and co-propagating channels, so their metrics are equal, element ids
     aside. ``path`` is the first member's path; a class equals only itself."""
 
-    prefix: tuple[PathElement, ...]
-    path: SignalPath
+    _fields = ("prefix", "path")
+
+    def __init__(self, prefix: tuple[PathElement, ...], path: SignalPath):
+        self.__dict__.update(prefix=prefix, path=path)
 
 
 class PathMember(NamedTuple):
@@ -171,56 +172,60 @@ class PathMember(NamedTuple):
                           self.cls.prefix + self.hop + (detector,))
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class OpticalTopology:
-    """An immutable network graph with its component table and wavelength plan."""
+class OpticalTopology(Frozen):
+    """An immutable network graph with its component table and wavelength
+    plan, indexed for lookup when it is built."""
 
-    direction: Direction
-    nodes: tuple[Node, ...]
-    edges: tuple[FiberEdge, ...]
-    library: Mapping[str, ComponentSpec]
-    wavelength_plan: Mapping[str, float]
-    channel_kinds: Mapping[str, DetectorKind]
-    channel_lasers: Mapping[str, str]
-    channel_modulators: Mapping[str, str]
-    channel_detectors: Mapping[str, str]
-    n_dtrm: int
-    min_channel_spacing_nm: float = DEFAULT_CHANNEL_SPACING_NM
+    _fields = ("direction", "nodes", "edges", "library", "wavelength_plan",
+               "channel_kinds", "channel_lasers", "channel_modulators",
+               "channel_detectors", "n_dtrm", "min_channel_spacing_nm")
 
-    def __post_init__(self) -> None:
+    def __init__(self, direction: Direction, nodes: tuple[Node, ...],
+                 edges: tuple[FiberEdge, ...],
+                 library: Mapping[str, ComponentSpec],
+                 wavelength_plan: Mapping[str, float],
+                 channel_kinds: Mapping[str, DetectorKind],
+                 channel_lasers: Mapping[str, str],
+                 channel_modulators: Mapping[str, str],
+                 channel_detectors: Mapping[str, str], n_dtrm: int,
+                 min_channel_spacing_nm: float = DEFAULT_CHANNEL_SPACING_NM):
+        self.__dict__.update(
+            direction=direction, nodes=nodes, edges=edges, library=library,
+            wavelength_plan=wavelength_plan, channel_kinds=channel_kinds,
+            channel_lasers=channel_lasers, channel_modulators=channel_modulators,
+            channel_detectors=channel_detectors, n_dtrm=n_dtrm,
+            min_channel_spacing_nm=min_channel_spacing_nm)
         # Lookup index; on a duplicate id the first node wins (validate flags it).
         out: dict[str, list[FiberEdge]] = {}
         into: dict[str, list[FiberEdge]] = {}
-        for e in sorted(self.edges, key=lambda e: (e.target, e.lane)):
+        for e in sorted(edges, key=lambda e: (e.target, e.lane)):
             out.setdefault(e.source, []).append(e)
-        for e in sorted(self.edges, key=lambda e: (e.source, e.lane)):
+        for e in sorted(edges, key=lambda e: (e.source, e.lane)):
             into.setdefault(e.target, []).append(e)
-        object.__setattr__(self, "_by_id", {n.id: n for n in reversed(self.nodes)})
-        object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
-        object.__setattr__(self, "_in", {k: tuple(v) for k, v in into.items()})
+        self.__dict__.update(_by_id={n.id: n for n in reversed(nodes)},
+                             _out={k: tuple(v) for k, v in out.items()},
+                             _in={k: tuple(v) for k, v in into.items()})
         # Component names by spec type, one entry per distinct components tuple.
         typed: dict[tuple[str, ...], dict[type, tuple[str, ...]]] = {}
         # Groups may share laser names, so a channel's source is the first
         # transmitter in node order that holds its laser and launches it.
         sources: dict[str, Node] = {}
-        for n in self.nodes:
+        for n in nodes:
             if n.components not in typed:
                 buckets: dict[type, list[str]] = {}
                 for name in n.components:
-                    buckets.setdefault(type(self.library.get(name)), []).append(name)
+                    buckets.setdefault(type(library.get(name)), []).append(name)
                 typed[n.components] = {t: tuple(v) for t, v in buckets.items()}
             if n.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC):
                 for e in self.outgoing(n.id):
                     for ch in e.channels:
-                        if ch not in sources and self.channel_lasers.get(ch) in n.components:
+                        if ch not in sources and channel_lasers.get(ch) in n.components:
                             sources[ch] = n
-        object.__setattr__(self, "_typed", typed)
-        object.__setattr__(self, "_sources", sources)
         # Edge trails per channel, walked on first use (_reachable_terminals),
         # and each channel set carried into a demux by name and by wavelength,
         # sorted on first use (co_propagating_at).
-        object.__setattr__(self, "_trails", {})
-        object.__setattr__(self, "_lanes", {})
+        self.__dict__.update(_typed=typed, _sources=sources, _trails={},
+                             _lanes={})
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
@@ -384,8 +389,8 @@ def build_forward_network(
     # inherits its excess loss from the bound template but its fanout is the
     # DTRM count by construction.
     local_library: dict[str, ComponentSpec] = dict(library)
-    local_library[bindings.splitter] = replace(library[bindings.splitter],
-                                             fanout=n_dtrm)
+    local_library[bindings.splitter] = library[bindings.splitter]._replace(
+        fanout=n_dtrm)
 
     if shared_fiber:
         lanes: list[list[str]] = [sorted(plan)]

@@ -9,13 +9,13 @@ compliance first, then power, size and weight ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 from .components import GratingTech, Modulation, is_finite_number
 from .digitalpath import DEFAULT_THROUGHPUT_BAR_BYTES_PER_S, GroupCapacity
 from .errors import AnalysisError
+from .frozen import Frozen
 from .linkbudget import LinkMetrics
 from .units import THERMAL_FLOOR_DBM_PER_HZ
 
@@ -159,8 +159,7 @@ def score_variant(variant: DesignVariant) -> OrdinalScore:
     )
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class RequirementSet:
+class RequirementSet(NamedTuple):
     """Numeric bounds the link design must meet."""
 
     rf_freq_min_hz: float = 1e7
@@ -178,7 +177,7 @@ class RequirementSet:
 
     def problems(self) -> list[str]:
         issues = []
-        for name in self.__dataclass_fields__:
+        for name in self._fields:
             value = getattr(self, name)
             if not is_finite_number(value):
                 issues.append(f"requirements.{name}: must be finite, got {value!r}")
@@ -324,13 +323,14 @@ def check_requirements(
     return ComplianceReport(tuple(checks))
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class VariantOutcome:
+class VariantOutcome(Frozen):
     """A variant with its ordinal scores and its compliance."""
 
-    variant: DesignVariant
-    score: OrdinalScore
-    compliance: ComplianceReport
+    _fields = ("variant", "score", "compliance")
+
+    def __init__(self, variant: DesignVariant, score: OrdinalScore,
+                 compliance: ComplianceReport):
+        self.__dict__.update(variant=variant, score=score, compliance=compliance)
 
 
 class Recommendation(NamedTuple):

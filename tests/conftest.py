@@ -3,7 +3,6 @@ bundled reference inputs."""
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import importlib.util
 import io
@@ -197,34 +196,34 @@ def _redraw(spec, rng):
     """Spec with its values redrawn inside the validator's bounds; wavelengths
     and fanouts stay put so the plan and the network shape do not change."""
     if isinstance(spec, LaserSpec):
-        return dataclasses.replace(
-            spec, output_power_w=rng.uniform(0.005, 0.2),
+        return spec._replace(
+            output_power_w=rng.uniform(0.005, 0.2),
             rin_db_hz=rng.uniform(-175.0, -145.0),
             slope_efficiency_w_per_a=rng.uniform(0.1, 0.6))
     if isinstance(spec, ModulatorSpec) and spec.insertion_loss_db is not None:
-        return dataclasses.replace(spec, insertion_loss_db=rng.uniform(0.0, 8.0),
-                                   v_pi_v=rng.uniform(1.0, 8.0))
+        return spec._replace(insertion_loss_db=rng.uniform(0.0, 8.0),
+                             v_pi_v=rng.uniform(1.0, 8.0))
     if isinstance(spec, MuxDemuxSpec):
         adjacent = rng.uniform(15.0, 40.0)
-        return dataclasses.replace(
-            spec, insertion_loss_db=rng.uniform(0.0, 5.0),
+        return spec._replace(
+            insertion_loss_db=rng.uniform(0.0, 5.0),
             adjacent_isolation_db=adjacent,
             nonadjacent_isolation_db=adjacent + rng.uniform(0.0, 20.0))
     if isinstance(spec, EdfaSpec):
         # A low ceiling clamps the autogain; a low saturation flags the ledger.
-        return dataclasses.replace(
-            spec, max_gain_db=rng.uniform(5.0, 35.0),
+        return spec._replace(
+            max_gain_db=rng.uniform(5.0, 35.0),
             noise_figure_db=rng.uniform(3.0, 7.0),
             saturation_output_power_dbm=rng.uniform(5.0, 33.0))
     if isinstance(spec, SplitterSpec):
-        return dataclasses.replace(spec, excess_loss_db=rng.uniform(0.0, 2.0))
+        return spec._replace(excess_loss_db=rng.uniform(0.0, 2.0))
     if isinstance(spec, FiberSpec):
-        return dataclasses.replace(spec, length_m=rng.uniform(0.0, 5000.0),
-                                   attenuation_db_per_km=rng.uniform(0.1, 1.0))
+        return spec._replace(length_m=rng.uniform(0.0, 5000.0),
+                             attenuation_db_per_km=rng.uniform(0.1, 1.0))
     if isinstance(spec, PhotodetectorSpec):
         sensitivity = rng.choice((None, rng.uniform(-30.0, 10.0)))
-        return dataclasses.replace(
-            spec, responsivity_a_per_w=rng.uniform(0.5, 1.1),
+        return spec._replace(
+            responsivity_a_per_w=rng.uniform(0.5, 1.1),
             saturation_power_dbm=rng.uniform(-5.0, 24.0),
             dark_current_a=rng.uniform(0.0, 1e-6), sensitivity_dbm=sensitivity)
     return spec

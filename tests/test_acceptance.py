@@ -5,7 +5,6 @@ derive expected values live in oracles.py and are re-run inside the tests so
 every gate stays a dual-route check.
 """
 
-import dataclasses
 import random
 import time
 
@@ -79,7 +78,7 @@ def test_gate_1_sfdr_reproduction(reference_scenario):
     em = DesignVariant.from_label("emxvbgxhip")
     report = run("analyze", reference_scenario._replace(variants=(em,)))
     worst = report.variants[0].worst
-    injected = dataclasses.replace(worst, noise_figure_db=30.0, sfdr_db=value)
+    injected = worst._replace(noise_figure_db=30.0, sfdr_db=value)
     compliance = check_requirements(
         injected, reference_scenario.requirements,
         wavelengths_nm=[1550.0], digital_groups=report.digital_groups,
@@ -100,7 +99,7 @@ def test_gate_2_nf_degradation_classification(reference_scenario):
     requirements = RequirementSet()
 
     def classify(degradation_db):
-        injected = dataclasses.replace(worst, nf_degradation_db=degradation_db)
+        injected = worst._replace(nf_degradation_db=degradation_db)
         rows = {c.requirement: c.passed
                 for c in check_requirements(injected, requirements).checks}
         return rows["nf_degradation_strict"], rows["nf_degradation_relaxed"]

@@ -2,7 +2,6 @@
 other member of the class gets its numbers relabeled. Each check compares the
 result, under exact ``==``, with ``analyze_path`` run on every path."""
 
-import dataclasses
 import random
 
 import pytest
@@ -98,14 +97,13 @@ def swapped_drop_fiber(scenario):
     """``scenario`` with a 2.5 km spare drop fiber in its library, and its
     first variant's forward network with that fiber on the drop to orxc03."""
     library = dict(scenario.library)
-    library["spare_drop"] = dataclasses.replace(
-        library[scenario.forward_bindings(scenario.variants[0]).drop_fiber],
-        length_m=2500.0)
+    drop_fiber = scenario.forward_bindings(scenario.variants[0]).drop_fiber
+    library["spare_drop"] = library[drop_fiber]._replace(length_m=2500.0)
     scenario = scenario._replace(library=library)
     variant = scenario.variants[0]
     built = cli._forward_topology(scenario, variant)
     victim = next(e for e in built.edges if e.target == "orxc03")
-    topology = dataclasses.replace(built, edges=tuple(
+    topology = built._replace(edges=tuple(
         e._replace(fiber="spare_drop") if e is victim else e
         for e in built.edges))
     return scenario, variant, topology
@@ -116,8 +114,7 @@ def saturated_detectors(scenario):
     library = dict(scenario.library)
     bindings = scenario.forward_bindings(scenario.variants[0])
     for name in (bindings.analog_detector, bindings.digital_detector):
-        library[name] = dataclasses.replace(library[name],
-                                            saturation_power_dbm=-40.0)
+        library[name] = library[name]._replace(saturation_power_dbm=-40.0)
     return scenario._replace(library=library)
 
 
@@ -275,8 +272,8 @@ def test_each_prefix_of_a_class_flags_its_own_elements(reference_scenario):
     scenario = reference_scenario
     library = dict(scenario.library)
     fojb_edfa = scenario.forward_bindings(scenario.variants[0]).fojb_edfa
-    library[fojb_edfa] = dataclasses.replace(
-        library[fojb_edfa], saturation_output_power_dbm=-10.0)
+    library[fojb_edfa] = library[fojb_edfa]._replace(
+        saturation_output_power_dbm=-10.0)
     scenario = scenario._replace(library=library)
     variant = scenario.variants[0]
     topology = cli._forward_topology(scenario, variant)
@@ -321,7 +318,7 @@ def test_partition_channel_moved_to_the_other_lane(reference_scenario):
             return edge._replace(channels=edge.channels - {moved})
         return edge._replace(channels=edge.channels | {moved})
 
-    topology = dataclasses.replace(built, edges=tuple(map(edited, built.edges)))
+    topology = built._replace(edges=tuple(map(edited, built.edges)))
     paths, classes = assert_partition_matches(topology)
     assert len(classes) == 2 * len(topology.wavelength_plan)
     assert {paths[c[0]].destination for c in classes if len(c) == 1} == {"dtrm03"}

@@ -9,7 +9,6 @@ the variant's worst case must equal ``worst_case`` of the materialized
 metrics under exact ``==``."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -70,7 +69,7 @@ def per_path_csv(report) -> str:
 def materialized(report):
     """``report`` with every path holding its own relabeled metrics."""
     return report._replace(variants=tuple(
-        dataclasses.replace(v, paths=tuple(
+        v._replace(paths=tuple(
             PathResult(pr.member, ClassResult(pr.member.cls, pr.metrics),
                        pr.metrics.flags)
             for pr in v.paths))
@@ -127,14 +126,13 @@ def test_randomized_libraries(reference_scenario, seed):
 
 def test_swapped_drop_fiber(reference_scenario, monkeypatch):
     library = dict(reference_scenario.library)
-    library["spare_drop"] = dataclasses.replace(
-        library[reference_scenario.forward_bindings(
-            reference_scenario.variants[0]).drop_fiber], length_m=2500.0)
+    library["spare_drop"] = library[reference_scenario.forward_bindings(
+        reference_scenario.variants[0]).drop_fiber]._replace(length_m=2500.0)
     scenario = reference_scenario._replace(library=library)
     variant = scenario.variants[0]
     built = cli._forward_topology(scenario, variant)
     victim = next(e for e in built.edges if e.target == "orxc03")
-    swapped = dataclasses.replace(built, edges=tuple(
+    swapped = built._replace(edges=tuple(
         e._replace(fiber="spare_drop") if e is victim else e
         for e in built.edges))
     report = variants_report(scenario, [variant], swapped, monkeypatch)
@@ -147,8 +145,7 @@ def test_detector_saturation_flags_each_path(reference_scenario):
     library = dict(reference_scenario.library)
     bindings = reference_scenario.forward_bindings(reference_scenario.variants[0])
     for name in (bindings.analog_detector, bindings.digital_detector):
-        library[name] = dataclasses.replace(library[name],
-                                            saturation_power_dbm=-40.0)
+        library[name] = library[name]._replace(saturation_power_dbm=-40.0)
     scenario = reference_scenario._replace(library=library)
     report = variants_report(scenario, scenario.variants[:2])
     for variant in report.variants:
@@ -166,14 +163,14 @@ def test_dead_link(reference_scenario, monkeypatch, capsys):
     analog_channels = analog_ids(reference_scenario)
     victim = next(pr.class_result for pr in first.paths
                   if pr.path.channel in analog_channels)
-    dead = dataclasses.replace(victim, metrics=dataclasses.replace(
-        victim.metrics, noise_figure_db=math.inf))
+    dead = victim._replace(
+        metrics=victim.metrics._replace(noise_figure_db=math.inf))
     paths = tuple(PathResult(pr.member, dead, pr.flags)
                   if pr.class_result is victim else pr for pr in first.paths)
     analog = [pr for pr in paths if pr.path.channel in analog_channels]
     classes = list(dict.fromkeys(pr.class_result for pr in analog))
-    first = dataclasses.replace(first, paths=paths,
-                                worst=cli._worst_case(classes, analog))
+    first = first._replace(paths=paths,
+                           worst=cli._worst_case(classes, analog))
     report = report._replace(variants=(first, *report.variants[1:]))
     assert first.worst.noise_figure_db == math.inf
     assert_renders_per_path(report, analog_channels)
@@ -349,7 +346,7 @@ def test_text_metric_cells_are_formatted_once_per_class(reference_scenario,
     def count(paths_of):
         report = cli.run("tradeoff", reference_scenario)
         report = report._replace(variants=tuple(
-            dataclasses.replace(v, paths=paths_of(v.paths))
+            v._replace(paths=paths_of(v.paths))
             for v in report.variants))
         classes = {id(pr.class_result) for v in report.variants for pr in v.paths}
         calls.clear()

@@ -13,6 +13,7 @@ from photonlink.components import (
     ModulatorSpec,
     SplitterSpec,
     component_from_dict,
+    parse_component_library,
     validate_component,
 )
 from photonlink.data import reference_scenario_path
@@ -116,13 +117,12 @@ def test_validation_is_total_over_nan_and_inf():
         mk_pd: ["responsivity_a_per_w", "saturation_power_dbm", "bandwidth_hz",
                 "dark_current_a"],
     }
-    import dataclasses
     for _ in range(300):
         factory = rng.choice(factories)
         spec = factory()
         field = rng.choice(numeric_fields[factory])
         value = rng.choice(poison)
-        spec = dataclasses.replace(spec, **{field: value})
+        spec = spec._replace(**{field: value})
         report = validate_component(spec, in_wdm_plan=True)
         if value is None and (factory, field) in optional:
             assert report.ok
@@ -202,3 +202,66 @@ class TestLibraryLoading:
         text = str(excinfo.value)
         assert "bad_laser.output_power_w" in text
         assert "bad_splitter.fanout" in text
+
+    def test_one_bad_entry_is_one_problem(self):
+        """A bad entry is listed once. The valid entries stay in the library,
+        so no part is reported unknown, and the parts bound to the bad one
+        are not listed again."""
+        doc = json.loads(reference_scenario_path().read_text())
+        doc["components"]["drop_fiber"]["length_m"] = -5.0
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(doc)
+        assert excinfo.value.problems == (
+            "drop_fiber.length_m: must be >= 0 m, got -5.0",)
+        library, problems = parse_component_library(doc["components"])
+        assert set(library) == set(doc["components"]) - {"drop_fiber"}
+        assert problems == ["drop_fiber.length_m: must be >= 0 m, got -5.0"]
+
+
+# The fields an entry of each type must carry, written out by hand.
+REQUIRED = {
+    "laser": ("output_power_w", "rin_db_hz", "wavelength_nm"),
+    "modulator": ("scheme", "bandwidth_hz"),
+    "mux_demux": ("technology", "insertion_loss_db", "channel_spacing_nm",
+                  "adjacent_isolation_db", "nonadjacent_isolation_db"),
+    "edfa": ("gain_db", "max_gain_db", "noise_figure_db",
+             "saturation_output_power_dbm"),
+    "splitter": ("fanout",),
+    "fiber": ("length_m", "attenuation_db_per_km"),
+    "photodetector": ("responsivity_a_per_w", "saturation_power_dbm",
+                      "bandwidth_hz", "kind"),
+}
+REFERENCE = json.loads(reference_scenario_path().read_text())
+
+
+def first_entry(tag: str) -> str:
+    """The name of the reference scenario's first entry of type ``tag``."""
+    return next(name for name, entry in REFERENCE["components"].items()
+                if entry["type"] == tag)
+
+
+@pytest.mark.parametrize("tag, field", [(tag, field) for tag, fields in REQUIRED.items()
+                                        for field in fields])
+def test_a_missing_field_is_named_in_scenario_terms(tag, field):
+    """An entry without one of its required fields gives one problem,
+    ``<name>.<field>: required field is missing``, from the entry and from
+    the scenario that holds it."""
+    name = first_entry(tag)
+    doc = json.loads(json.dumps(REFERENCE))
+    del doc["components"][name][field]
+    message = f"{name}.{field}: required field is missing"
+    with pytest.raises(ValueError) as excinfo:
+        component_from_dict(doc["components"][name], name=name)
+    assert str(excinfo.value) == message
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(doc)
+    assert excinfo.value.problems == (message,)
+
+
+@pytest.mark.parametrize("tag", sorted(REQUIRED))
+def test_every_missing_field_has_its_own_line(tag):
+    """An entry with only its type lists each required field, in order."""
+    with pytest.raises(ValueError) as excinfo:
+        component_from_dict({"type": tag}, name="part")
+    assert str(excinfo.value).splitlines() == [
+        f"part.{field}: required field is missing" for field in REQUIRED[tag]]

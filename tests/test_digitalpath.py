@@ -184,3 +184,15 @@ class TestImportCost:
              "import sys, photonlink.cli; print('fractions' in sys.modules)"],
             env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
+
+    def test_cli_import_leaves_dataclasses_out(self):
+        """The records are NamedTuples and hand-written classes, so the CLI
+        loads neither ``dataclasses`` nor what importing it brings."""
+        src = Path(photonlink.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, photonlink.cli; print(sorted({'dataclasses', "
+             "'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"

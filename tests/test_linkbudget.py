@@ -4,9 +4,9 @@ Expected values marked "oracle" were computed with the independent arithmetic
 in oracles.py (or by direct hand evaluation) before being frozen here.
 """
 
-import dataclasses
 import math
 import random
+import typing
 
 import pytest
 
@@ -288,7 +288,7 @@ class TestNoiseFigure:
         gain = (0.3 * transmission * 0.8) ** 2
 
         def both(t):
-            config = dataclasses.replace(CONFIG, temperature_k=t)
+            config = CONFIG._replace(temperature_k=t)
             engine, _ = noise_figure_db(path, Modulation.DIRECT, config)
             return engine, link_noise_figure_db(gain, t, photocurrent, 1e-8,
                                                 50.0, -155.0)
@@ -359,7 +359,7 @@ class TestSnrAndPhaseNoise:
 
     def test_profile_degradation_bounded_when_floor_twenty_db_down(self):
         path = lossless_path()
-        config = dataclasses.replace(CONFIG, carrier_power_dbm=10.0)
+        config = CONFIG._replace(carrier_power_dbm=10.0)
         nf, _ = noise_figure_db(path, Modulation.DIRECT, config)
         floor = (-174.0 + nf) - 10.0
         profile = [(10.0 ** k, floor + 20.0) for k in range(2, 7)]
@@ -470,8 +470,8 @@ class TestTimingFigures:
         assert rss_jitter_s(sample) == pytest.approx(rss_jitter_s(shuffled))
 
     def test_path_jitter_pulls_contributions_by_element_kind(self):
-        config = dataclasses.replace(
-            CONFIG, jitter_rms_s={"laser": 3e-12, "detector": 4e-12})
+        config = CONFIG._replace(
+            jitter_rms_s={"laser": 3e-12, "detector": 4e-12})
         assert timing_jitter_s(lossless_path(), config) == pytest.approx(5e-12)
 
 
@@ -486,7 +486,7 @@ class TestAnalyzePath:
             mk_mod_direct(bandwidth=20e9), mux, mk_splitter(fanout=4, excess=0.0),
             mux, mk_pd(resp=0.8, sat=24.0, dark=1e-8, sensitivity=-30.0),
         )
-        config = dataclasses.replace(CONFIG, edfa_autogain=False)
+        config = CONFIG._replace(edfa_autogain=False)
         metrics = analyze_path(path, Modulation.DIRECT, config)
         net_loss = 2.0 + (10 * math.log10(4) + 0.0) + 2.0
         expected = 20 * math.log10(0.3 * db_to_linear(-net_loss) * 0.8)
@@ -516,8 +516,9 @@ class TestAnalyzePath:
 
 
 # Every float a metrics bundle carries: its own fields and its noise terms.
-LINK_FLOATS = [f.name for f in dataclasses.fields(linkbudget.LinkMetrics)
-               if "float" in f.type]
+LINK_FLOATS = [name for name, hint
+               in typing.get_type_hints(linkbudget.LinkMetrics).items()
+               if hint is float or float in typing.get_args(hint)]
 NOISE_TERMS = list(linkbudget.NoiseBreakdown._fields)
 
 
@@ -533,9 +534,9 @@ def test_nan_anywhere_in_the_bundle_raises(monkeypatch, record, name):
     def poisoned(*args):
         metrics = real(*args)
         if record == "noise":
-            return dataclasses.replace(
-                metrics, noise=metrics.noise._replace(**{name: math.nan}))
-        return dataclasses.replace(metrics, **{name: math.nan})
+            return metrics._replace(
+                noise=metrics.noise._replace(**{name: math.nan}))
+        return metrics._replace(**{name: math.nan})
 
     path = make_path(mk_laser(), mk_mod_direct(), mk_mux(loss=3.0),
                      mk_edfa(max_gain=30.0), mk_mux(loss=1.0), mk_pd())
@@ -550,7 +551,7 @@ def test_worst_case_aggregation_picks_pessimistic_fields():
                           mk_mux(loss=0.0), mk_pd())
     path_bad = make_path(mk_laser(), mk_mod_direct(), mk_mux(loss=9.0),
                          mk_mux(loss=0.0), mk_pd())
-    config = dataclasses.replace(CONFIG, edfa_autogain=False)
+    config = CONFIG._replace(edfa_autogain=False)
     good = analyze_path(path_good, Modulation.DIRECT, config)
     bad = analyze_path(path_bad, Modulation.DIRECT, config)
     worst = worst_case([good, bad])
@@ -563,7 +564,7 @@ def test_worst_case_keeps_flags_in_order_of_first_appearance():
     path = make_path(mk_laser(), mk_mod_direct(), mk_mux(loss=1.0),
                      mk_mux(loss=0.0), mk_pd())
     base = analyze_path(path, Modulation.DIRECT, CONFIG)
-    bundles = [dataclasses.replace(base, flags=flags)
+    bundles = [base._replace(flags=flags)
                for flags in (("b", "a"), ("c", "b"), (), ("a", "d", "c", "e"))]
     assert worst_case(bundles).flags == ("b", "a", "c", "d", "e")
 

@@ -43,7 +43,7 @@ from photonlink.topology import (
 )
 
 REFERENCE = json.loads(reference_scenario_path().read_text())
-LIBRARY = parse_component_library(REFERENCE["components"])
+LIBRARY, _ = parse_component_library(REFERENCE["components"])
 ANALYSIS = parse_scenario(REFERENCE).analysis
 SPEC_TYPES = (LaserSpec, ModulatorSpec, MuxDemuxSpec, EdfaSpec, SplitterSpec,
               FiberSpec, PhotodetectorSpec)
@@ -211,6 +211,42 @@ FOUR_FAULTS = {
     "topology.return.detector": ("analog_pd", "kind"),
     "topology.bindings.modulator.dm": ("em_modulator", "scheme"),
 }
+
+
+# A required field of each part type and a value its check refuses with
+# exactly one problem.
+BAD_FIELDS = {
+    LaserSpec: ("output_power_w", -1.0),
+    ModulatorSpec: ("bandwidth_hz", -1.0),
+    MuxDemuxSpec: ("channel_spacing_nm", 0.0),
+    EdfaSpec: ("noise_figure_db", 0.0),
+    SplitterSpec: ("fanout", 0),
+    FiberSpec: ("length_m", -5.0),
+    PhotodetectorSpec: ("bandwidth_hz", 0.0),
+}
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_bad_entries_and_dangling_references(seed):
+    """One to four library entries made invalid (a refused value or a
+    missing field) and one to four roles bound to missing parts: each
+    fault is listed once, under its entry's field or its scenario key. A
+    role bound to an invalid entry is not listed, and no valid part is
+    reported unknown."""
+    rng = random.Random(seed)
+    doc = copy.deepcopy(REFERENCE)
+    expected = []
+    for name in rng.sample(sorted(LIBRARY), rng.randint(1, 4)):
+        field, value = BAD_FIELDS[type(LIBRARY[name])]
+        if rng.random() < 0.5:
+            del doc["components"][name][field]
+        else:
+            doc["components"][name][field] = value
+        expected.append(f"{name}.{field}")
+    for key in rng.sample(sorted(SLOTS), rng.randint(1, 4)):
+        bound(doc, key, "no_such_part")
+        expected.append(key)
+    assert problem_keys(doc) == sorted(expected)
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze", "tradeoff"])

@@ -1,16 +1,14 @@
-"""Every record of the package, pinned: whether it is a frozen dataclass or a
-``NamedTuple``, and which methods ``dataclass`` generates for it. On Python
-3.12 and earlier each generated method costs one ``exec`` at import, so a
-method is generated only where something calls it: ``__eq__`` (and the
-``__hash__`` that goes with it) where a test or the CLI compares records,
-never ``__repr__``. A record that needs none of a dataclass's extras (a
-``__post_init__``, a cached property, a dataclass base, field introspection,
-identity equality, a mutable default) is a ``NamedTuple``, whose methods are
-the tuple's. Changing a record's kind or methods means changing this table.
+"""Every record of the package, pinned: whether it is a ``NamedTuple`` or a
+frozen class on ``photonlink.frozen.Frozen``. Neither kind generates code at
+import. A record is a ``NamedTuple``, whose methods are the tuple's and which
+hashes and compares as the tuple of its fields, unless it must compare by
+identity, keep a cached property, build an index when constructed, or stay
+out of the JSON encoder (which writes any tuple as a list). Those are frozen
+classes with a hand-written ``__init__``, equal only to themselves. Changing
+a record's kind means changing this table.
 
 Every field of every record refuses assignment."""
 
-import dataclasses
 import inspect
 import sys
 from collections.abc import Mapping
@@ -19,65 +17,58 @@ import pytest
 
 from photonlink import cli
 from photonlink.components import validate_component
+from photonlink.frozen import Frozen
 from photonlink.linkbudget import edfa_autogain
 from photonlink.topology import RETURN_ROLES
 from photonlink.tradeoff import VariantOutcome
 
-# Generated methods of a frozen dataclass, with and without ``eq``.
-EQ = {"__init__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
-NO_EQ = {"__init__", "__setattr__", "__delattr__"}
-GENERATED = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__",
-             "__delattr__"}
-
-DATACLASSES = {
-    # Compared under == through the paths and bundles that hold them.
-    "components.LaserSpec": EQ,
-    "components.ModulatorSpec": EQ,
-    "components.MuxDemuxSpec": EQ,
-    "components.EdfaSpec": EQ,
-    "components.SplitterSpec": EQ,
-    "components.FiberSpec": EQ,
-    "components.PhotodetectorSpec": EQ,
-    "linkbudget.LinkMetrics": EQ,
-    # Compared by identity, or not at all.
-    "linkbudget.AnalysisConfig": NO_EQ,
-    "report.ClassResult": NO_EQ,
-    "report.PathResult": NO_EQ,
-    "report.VariantResult": NO_EQ,
-    "topology.PathClass": NO_EQ,
-    "topology.OpticalTopology": NO_EQ,
-    "tradeoff.RequirementSet": NO_EQ,
-    "tradeoff.VariantOutcome": NO_EQ,
+FROZEN = {
+    "report.ClassResult",
+    "report.PathResult",
+    "report.VariantResult",
+    "topology.PathClass",
+    "topology.OpticalTopology",
+    "tradeoff.VariantOutcome",
 }
 
 NAMED_TUPLES = {
     "cli._ForwardAnalysis",
-    "components.Violation",
+    "components.EdfaSpec",
+    "components.FiberSpec",
+    "components.LaserSpec",
+    "components.ModulatorSpec",
+    "components.MuxDemuxSpec",
+    "components.PhotodetectorSpec",
+    "components.SplitterSpec",
     "components.ValidationReport",
-    "digitalpath.DigitalLinkSpec",
+    "components.Violation",
     "digitalpath.AdcStreamSpec",
+    "digitalpath.DigitalLinkSpec",
     "digitalpath.GroupCapacity",
-    "linkbudget.LedgerEntry",
-    "linkbudget.OpticalLedger",
-    "linkbudget.NoiseBreakdown",
+    "linkbudget.AnalysisConfig",
     "linkbudget.AutogainResult",
-    "report.TopologySummary",
+    "linkbudget.LedgerEntry",
+    "linkbudget.LinkMetrics",
+    "linkbudget.NoiseBreakdown",
+    "linkbudget.OpticalLedger",
     "report.Report",
+    "report.TopologySummary",
     "scenario.Scenario",
     "topology.ChannelPlan",
-    "topology.Node",
     "topology.FiberEdge",
-    "topology.PathElement",
-    "topology.SignalPath",
-    "topology.PathMember",
     "topology.ForwardBindings",
+    "topology.Node",
+    "topology.PathElement",
+    "topology.PathMember",
     "topology.ReturnBindings",
     "topology.Role",
+    "topology.SignalPath",
+    "tradeoff.ComplianceReport",
     "tradeoff.DesignVariant",
     "tradeoff.OrdinalScore",
-    "tradeoff.RequirementCheck",
-    "tradeoff.ComplianceReport",
     "tradeoff.Recommendation",
+    "tradeoff.RequirementCheck",
+    "tradeoff.RequirementSet",
 }
 
 
@@ -85,8 +76,12 @@ def is_named_tuple(cls) -> bool:
     return issubclass(cls, tuple) and hasattr(cls, "_fields")
 
 
+def is_record(cls) -> bool:
+    return is_named_tuple(cls) or (issubclass(cls, Frozen) and cls is not Frozen)
+
+
 def package_records() -> dict[str, type]:
-    """Every dataclass and ``NamedTuple`` defined in the package, by
+    """Every ``NamedTuple`` and frozen class defined in the package, by
     ``module.Class`` with the ``photonlink.`` prefix dropped."""
     records = {}
     for module_name, module in sorted(sys.modules.items()):
@@ -94,28 +89,42 @@ def package_records() -> dict[str, type]:
             continue
         for cls in vars(module).values():
             if (inspect.isclass(cls) and cls.__module__ == module_name
-                    and (dataclasses.is_dataclass(cls) or is_named_tuple(cls))):
+                    and is_record(cls)):
                 records[f"{module_name[len('photonlink.'):]}.{cls.__name__}"] = cls
     return records
 
 
-def field_names(record) -> tuple[str, ...]:
-    if dataclasses.is_dataclass(record):
-        return tuple(f.name for f in dataclasses.fields(record))
-    return record._fields
-
-
 def test_every_record_is_pinned():
     records = package_records()
-    assert set(records) == set(DATACLASSES) | NAMED_TUPLES
+    assert set(records) == FROZEN | NAMED_TUPLES
+    assert len(records) == 43
     for name, cls in records.items():
         if name in NAMED_TUPLES:
             assert is_named_tuple(cls), name
             assert cls.__eq__ is tuple.__eq__, name
             assert cls.__hash__ is tuple.__hash__, name
         else:
-            assert cls.__dataclass_params__.frozen, name
-            assert GENERATED & set(vars(cls)) == DATACLASSES[name], name
+            assert not issubclass(cls, tuple), name
+            assert cls.__eq__ is object.__eq__, name
+            assert cls.__hash__ is object.__hash__, name
+            # Its own constructor takes exactly its fields, in order.
+            assert "__init__" in vars(cls) and "_fields" in vars(cls), name
+            parameters = inspect.signature(cls).parameters
+            assert tuple(parameters) == cls._fields, name
+
+
+def test_a_frozen_copy_rebuilds_through_its_constructor(reference_scenario):
+    """``_replace`` on a frozen record calls its ``__init__``: a copied
+    topology with edges taken away indexes only the edges it keeps."""
+    topology = cli._forward_topology(reference_scenario,
+                                     reference_scenario.variants[0])
+    source = topology.edges[0].source
+    copy = topology._replace(edges=tuple(
+        e for e in topology.edges if e.source != source))
+    assert copy.nodes is topology.nodes and copy != topology
+    assert topology.outgoing(source) and not copy.outgoing(source)
+    with pytest.raises(TypeError):
+        topology._replace(no_such_field=1)
 
 
 def instances(*roots) -> dict[type, object]:
@@ -128,9 +137,9 @@ def instances(*roots) -> dict[type, object]:
             continue
         seen.add(id(value))
         cls = type(value)
-        if dataclasses.is_dataclass(cls) or is_named_tuple(cls):
+        if is_record(cls):
             found.setdefault(cls, value)
-            stack.extend(getattr(value, name) for name in field_names(cls))
+            stack.extend(getattr(value, name) for name in cls._fields)
         elif isinstance(value, (tuple, list, set, frozenset)):
             stack.extend(value)
         elif isinstance(value, Mapping):
@@ -149,13 +158,15 @@ def test_no_field_of_any_record_can_be_assigned(reference_scenario):
         scenario, report, cli._forward_topology(scenario, variant),
         scenario.forward_bindings(variant),
         cli._analyze_forward(scenario, variant), edfa_autogain(path),
-        validate_component(dataclasses.replace(laser, output_power_w=-1.0)),
+        validate_component(laser._replace(output_power_w=-1.0)),
         VariantOutcome(first.variant, first.score, first.compliance),
         RETURN_ROLES)
     records = package_records()
     assert set(found) >= set(records.values())
     for cls in records.values():
         record = found[cls]
-        for field in field_names(cls):
+        for field in cls._fields:
             with pytest.raises(AttributeError):
                 setattr(record, field, getattr(record, field))
+            with pytest.raises(AttributeError):
+                delattr(record, field)

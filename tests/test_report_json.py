@@ -3,7 +3,6 @@
 path-by-path payload: the reference reports it renders and the NaNs and
 infinities it refuses."""
 
-import dataclasses
 import json
 import math
 
@@ -30,9 +29,9 @@ def test_reference_reports_match_the_standard_library(reference_scenario,
 def _with_worst(report, **fields):
     """``report`` with its first variant's worst case changed."""
     first = report.variants[0]
-    worst = dataclasses.replace(first.worst, **fields)
+    worst = first.worst._replace(**fields)
     return report._replace(variants=(
-        dataclasses.replace(first, worst=worst), *report.variants[1:]))
+        first._replace(worst=worst), *report.variants[1:]))
 
 
 def _bare(report, value):
@@ -60,11 +59,11 @@ def _nested(report, value):
     # A number of a path's class metrics: it sits in a class template.
     first = report.variants[0]
     result, *rest = first.paths
-    dead = dataclasses.replace(result.class_result, metrics=dataclasses.replace(
-        result.class_result.metrics, sfdr_db=value))
+    dead = result.class_result._replace(
+        metrics=result.class_result.metrics._replace(sfdr_db=value))
     paths = (PathResult(result.member, dead, result.flags), *rest)
     return report._replace(variants=(
-        dataclasses.replace(first, paths=tuple(paths)), *report.variants[1:]))
+        first._replace(paths=tuple(paths)), *report.variants[1:]))
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
@@ -84,8 +83,8 @@ def test_dead_link_noise_figure_is_refused(reference_scenario, tmp_path,
                                            monkeypatch, capsys):
     report = cli.run("tradeoff", reference_scenario)
     first = report.variants[0]
-    dead = dataclasses.replace(
-        first, worst=dataclasses.replace(first.worst, noise_figure_db=math.inf))
+    dead = first._replace(
+        worst=first.worst._replace(noise_figure_db=math.inf))
     report = report._replace(variants=(dead, *report.variants[1:]))
 
     with pytest.raises(ValueError):

@@ -60,6 +60,29 @@ class TestParseScenario:
         text = str(excinfo.value)
         assert "nope1" in text and "nope2" in text and "infeasible" in text
 
+    def test_requirement_problems_come_in_field_order(self, raw_reference):
+        """Bad requirement values are listed in ``RequirementSet`` field
+        order under any hash seed."""
+        doc = copy.deepcopy(raw_reference)
+        doc.setdefault("requirements", {}).update(
+            sfdr_min_db="x", rx_power_min_dbm=None, rf_freq_max_hz=[])
+        code = ("import json, sys\n"
+                "from photonlink.errors import ScenarioError\n"
+                "from photonlink.scenario import parse_scenario\n"
+                "try:\n"
+                "    parse_scenario(json.load(sys.stdin))\n"
+                "except ScenarioError as exc:\n"
+                "    print(*(p.split(':')[0] for p in exc.problems))\n")
+        src = str(reference_scenario_path().parents[2])
+        for seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", code], input=json.dumps(doc),
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True)
+            assert done.stdout.split() == [
+                "requirements.rf_freq_max_hz", "requirements.rx_power_min_dbm",
+                "requirements.sfdr_min_db"]
+
     def test_unknown_keys_rejected(self, raw_reference):
         doc = mutate(raw_reference, extra_section={})
         with pytest.raises(ScenarioError, match="unknown key 'extra_section'"):

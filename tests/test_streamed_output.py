@@ -6,7 +6,6 @@ into a temporary file and moves it onto ``--out``, or copies it to stdout,
 only once the writer has returned: stdout and ``--out`` carry the same bytes,
 and a refused report changes neither."""
 
-import dataclasses
 import math
 import os
 import stat
@@ -233,8 +232,8 @@ def test_refused_report_leaves_out_as_it_was(reference_scenario, tmp_path,
                                              monkeypatch, capsys):
     report = cli.run("tradeoff", reference_scenario)
     first = report.variants[0]
-    dead = dataclasses.replace(
-        first, worst=dataclasses.replace(first.worst, noise_figure_db=math.inf))
+    dead = first._replace(
+        worst=first.worst._replace(noise_figure_db=math.inf))
     report = report._replace(variants=(dead, *report.variants[1:]))
     monkeypatch.setattr(cli, "run", lambda *_: report)
     # What the writer had written to the temporary file when it refused.

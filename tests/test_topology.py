@@ -1,6 +1,5 @@
 """Network construction, structural validation and path enumeration."""
 
-import dataclasses
 import gc
 import random
 import re
@@ -157,16 +156,16 @@ class TestValidation:
         topology = build_reference_forward(n=16)
         victim = next(e for e in topology.edges
                       if e.source == "fojb" and e.target == "orxc07")
-        mutated = dataclasses.replace(
-            topology, edges=tuple(e for e in topology.edges if e is not victim))
+        mutated = topology._replace(
+            edges=tuple(e for e in topology.edges if e is not victim))
         report = validate_topology(mutated)
         assert any("fanout 16 != 15" in m for m in report.messages())
 
     def test_analog_channel_on_digital_detector_is_flagged(self):
         topology = build_reference_forward(
             n=2, channels=[ChannelPlan("alpha", "laser_a", DetectorKind.ANALOG)])
-        mutated = dataclasses.replace(
-            topology, channel_detectors={"alpha": "pd_digital"})
+        mutated = topology._replace(
+            channel_detectors={"alpha": "pd_digital"})
         report = validate_topology(mutated)
         assert any("analog channel 'alpha' terminated on a digital detector" in m
                    for m in report.messages())
@@ -191,8 +190,7 @@ class TestValidation:
         from photonlink.topology import FiberEdge
         topology = build_reference_forward(n=2)
         back_edge = FiberEdge("fojb", "otxc", "trunk")
-        mutated = dataclasses.replace(topology,
-                                      edges=topology.edges + (back_edge,))
+        mutated = topology._replace(edges=topology.edges + (back_edge,))
         report = validate_topology(mutated)
         assert any("cycle" in m for m in report.messages())
 
@@ -203,8 +201,7 @@ class TestValidation:
         trunk = topology.edges[1]
         assert (trunk.source, trunk.target) == ("otxc", "fojb")
         back_edge = FiberEdge("fojb", "otxc", "trunk", trunk.channels)
-        mutated = dataclasses.replace(topology,
-                                      edges=topology.edges + (back_edge,))
+        mutated = topology._replace(edges=topology.edges + (back_edge,))
         assert "topology.edges: graph contains a cycle" in \
             validate_topology(mutated).messages()
         with pytest.raises(TopologyError):
@@ -214,8 +211,8 @@ class TestValidation:
         """A part that passes is validated once; one that fails is still
         reported at every node that holds it, under the node's own name."""
         library = forward_fixture_library()
-        library["pd_digital"] = dataclasses.replace(library["pd_digital"],
-                                                    responsivity_a_per_w=2.0)
+        library["pd_digital"] = library["pd_digital"]._replace(
+            responsivity_a_per_w=2.0)
         topology = build_forward_network(
             16, forward_fixture_channels(), library, forward_fixture_bindings())
         calls = []
@@ -238,7 +235,7 @@ class TestValidation:
         """The reach walk ends a trail at an unknown node instead of raising
         KeyError, so validation lists the edge and enumeration refuses."""
         topology = build_reference_forward(n=4)
-        mutated = dataclasses.replace(topology, edges=tuple(
+        mutated = topology._replace(edges=tuple(
             e._replace(target="ghost") if e.target == "orxc02" else e
             for e in topology.edges))
         messages = validate_topology(mutated).messages()
@@ -249,7 +246,7 @@ class TestValidation:
 
     def test_enumerate_refuses_invalid_topology(self):
         topology = build_reference_forward(n=4)
-        mutated = dataclasses.replace(topology, edges=topology.edges[:-3])
+        mutated = topology._replace(edges=topology.edges[:-3])
         with pytest.raises(TopologyError):
             enumerate_paths(mutated)
 
@@ -326,7 +323,7 @@ class TestEnumeration:
         assert isinstance(topology_module._reachable_terminals(topology, "ch0"), tuple)
         # A replaced topology walks its own trails.
         walks.clear()
-        enumerate_paths(dataclasses.replace(topology))
+        enumerate_paths(topology._replace())
         assert len(walks) == 8
 
     def test_co_propagating_set(self):
@@ -405,8 +402,7 @@ class TestLookupIndex:
     def test_replace_rebuilds_the_index(self):
         topology = build_reference_forward(n=4)
         victim = next(e for e in topology.edges if e.target == "orxc02")
-        mutated = dataclasses.replace(
-            topology,
+        mutated = topology._replace(
             nodes=topology.nodes + (Node("fojb", NodeKind.ORXC),
                                    Node("spare", NodeKind.DTRM),
                                    Node("otxc2", NodeKind.OTXC,

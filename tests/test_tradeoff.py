@@ -1,6 +1,5 @@
 """Design-space feasibility, ordinal scoring, compliance and recommendation."""
 
-import dataclasses
 import math
 import random
 
@@ -107,7 +106,7 @@ def make_metrics(**overrides):
         front_end_gain_db=50.0, front_end_noise_figure_db=3.0,
         edfa_autogain=False)
     metrics = analyze_path(path, _M.DIRECT, config)
-    return dataclasses.replace(metrics, **overrides)
+    return metrics._replace(**overrides)
 
 
 class TestCompliance:
@@ -198,8 +197,8 @@ class TestRecommendation:
             offset = rng.randint(0, 5)
             scale = rng.randint(1, 4)
             relabeled = [
-                dataclasses.replace(
-                    o, score=o.score._replace(
+                o._replace(
+                    score=o.score._replace(
                         power_rank=o.score.power_rank * scale + offset,
                         size_rank=o.score.size_rank * scale + offset,
                         weight_rank=o.score.weight_rank * scale + offset))

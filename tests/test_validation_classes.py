@@ -8,7 +8,6 @@ two must agree in content and order on the reference networks and on seeded
 faults injected at some receiver chips or edges only.
 """
 
-import dataclasses
 import json
 import os
 import random
@@ -94,12 +93,12 @@ def _feeds(topology):
 
 
 def _with_nodes(topology, victims, change):
-    return dataclasses.replace(topology, nodes=tuple(
+    return topology._replace(nodes=tuple(
         change(n) if n in victims else n for n in topology.nodes))
 
 
 def _with_edges(topology, victims, change):
-    return dataclasses.replace(topology, edges=tuple(
+    return topology._replace(edges=tuple(
         change(e) if e in victims else e for e in topology.edges))
 
 
@@ -134,7 +133,7 @@ def wrong_kind_detector(topology, rng):
         parts = tuple(other if part == name else part for part in node.components)
         return node._replace(components=parts)
 
-    topology = dataclasses.replace(topology, library=library)
+    topology = topology._replace(library=library)
     return _with_nodes(topology, _some(rng, _receivers(topology)), change)
 
 
@@ -143,9 +142,9 @@ def fanout_mismatch(topology, rng):
     fanout no longer matches them."""
     victims = _some(rng, _feeds(topology))
     if rng.random() < 0.5:
-        return dataclasses.replace(topology, edges=tuple(
+        return topology._replace(edges=tuple(
             e for e in topology.edges if e not in victims))
-    return dataclasses.replace(topology, edges=topology.edges + tuple(
+    return topology._replace(edges=topology.edges + tuple(
         e._replace() for e in topology.edges if e in victims))
 
 
@@ -168,8 +167,7 @@ def stray_wavelength(topology, rng):
                          "collision": anchor}[placement]
     if rng.random() < 0.5:
         kinds["stray"] = rng.choice((DetectorKind.ANALOG, DetectorKind.DIGITAL))
-    topology = dataclasses.replace(topology, wavelength_plan=plan,
-                                   channel_kinds=kinds)
+    topology = topology._replace(wavelength_plan=plan, channel_kinds=kinds)
     return _with_edges(topology, _some(rng, _feeds(topology)),
                        lambda e: e._replace(channels=e.channels | {"stray"}))
 
@@ -182,7 +180,7 @@ def dangling_edge(topology, rng):
                            lambda e: e._replace(target="ghost"))
     extra = tuple(FiberEdge(n.id, "ghost", None)
                   for n in _some(rng, _receivers(topology)))
-    return dataclasses.replace(topology, edges=topology.edges + extra)
+    return topology._replace(edges=topology.edges + extra)
 
 
 FAULTS = (drop_or_duplicate_part, wrong_kind_detector, fanout_mismatch,
@@ -240,18 +238,17 @@ def test_every_member_of_a_failing_return_class_is_listed(fault):
     assert len(groups) == 16
     later = {ch for _, channels in groups[1:] for ch in channels}
     if fault == "spacing":
-        topology = dataclasses.replace(topology, min_channel_spacing_nm=1.0)
+        topology = topology._replace(min_channel_spacing_nm=1.0)
     elif fault == "detector":
-        topology = dataclasses.replace(topology, library=dict(
+        topology = topology._replace(library=dict(
             topology.library, dpd=mk_pd(kind=DetectorKind.ANALOG)))
     elif fault == "binding":
-        topology = dataclasses.replace(
-            topology,
+        topology = topology._replace(
             library=dict(topology.library, apd=mk_pd(kind=DetectorKind.ANALOG)),
             channel_detectors={ch: "apd" if ch in later else name
                                for ch, name in topology.channel_detectors.items()})
     else:
-        topology = dataclasses.replace(topology, channel_kinds={
+        topology = topology._replace(channel_kinds={
             ch: DetectorKind.ANALOG if ch in later else kind
             for ch, kind in topology.channel_kinds.items()})
     want = assert_matches_per_member(topology)
@@ -310,7 +307,7 @@ def test_checks_run_once_per_class(monkeypatch, shared_fiber):
 
     # Every edge gets its own set object, so only equal values can share.
     topology = network(1024)
-    counted = dataclasses.replace(topology, edges=tuple(
+    counted = topology._replace(edges=tuple(
         e._replace(channels=Counted(e.channels))
         for e in topology.edges))
     Counted.walks = 0
