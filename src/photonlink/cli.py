@@ -67,6 +67,10 @@ EXIT_OK = 0
 EXIT_COMPLIANCE = 1
 EXIT_INPUT = 2
 
+# Bytes buffered for the report file before each write to the system: the
+# writers hand over a path or a batch of lines at a time.
+_REPORT_BUFFER = 1 << 18
+
 
 def _forward_topology(scenario: Scenario, variant: DesignVariant) -> OpticalTopology:
     return build_forward_network(
@@ -338,10 +342,12 @@ def emit_report(report: Report, fmt: str, out: str | None) -> None:
             beside = _file_beside(target, st)
     if beside is None:
         temporary = None
-        sink = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+        sink = tempfile.TemporaryFile("w+", encoding="utf-8", newline="",
+                                      buffering=_REPORT_BUFFER)
     else:
         temporary, fd = beside
-        sink = open(fd, "w", encoding="utf-8", newline="")
+        sink = open(fd, "w", encoding="utf-8", newline="",
+                    buffering=_REPORT_BUFFER)
     try:
         with sink:
             # Looked up at call time, so that a wrapper put on a writer's

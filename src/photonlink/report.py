@@ -4,20 +4,23 @@ A Report is a plain data bundle; the three writers (aligned text, versioned
 JSON, per-metric CSV) write it to a text stream as they format it, a path or
 a bounded batch at a time, so the report never exists as one string. Each is
 a pure function of the report, so the same scenario always produces
-byte-identical files. The JSON report is the standard library's
-``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` of its
-value: the library writes the frame and one object per analysis class, and
-each path is that object with its own strings stamped in.
+byte-identical files. The JSON report is, byte for byte, what the standard
+library's ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
+writes of its value, but the library does not write it: with an indent, its
+encoder runs in pure Python before 3.13, a generator per container. One
+recursive ``_dump`` writes the frame and one path object per analysis class,
+and each path is that object's pieces joined with its own strings. The
+library stays the oracle of the tests.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _ESCAPE
 from typing import NamedTuple, TextIO
 
 from .digitalpath import GroupCapacity
@@ -75,20 +78,36 @@ class ClassResult(Frozen):
         self.__dict__.update(cls=cls, metrics=metrics)
 
     @cached_property
-    def json_template(self) -> tuple[str, tuple[int, ...]]:
-        """A member's JSON object, written by one ``json.dumps`` with a
-        placeholder for each of its path id, channel, destination, flags
-        (as many as ``metrics`` has) and element ids: a %-format with a
-        ``%s`` for each slot, and the index of each slot's string."""
+    def json_template(self) -> list[str]:
+        """A member's JSON object, indented as a path of a variant, in
+        pieces: literal text at the even indices and, at the odd ones, a gap
+        for each string of its own that a member fills in, in the order
+        they are written: its destination, flags (as many as ``metrics``
+        has), last hop's element ids, detector and path id. The class's own
+        strings, its channel and prefix element ids, are escaped into the
+        text."""
+        path, prefix = self.cls.path, self.cls.prefix
         flags = len(self.metrics.flags)
-        holes = [f"\x00{k}" for k in range(3 + flags + len(self.cls.path.elements))]
-        obj = {"path_id": holes[0], "channel": holes[1], "destination": holes[2],
-               "wavelength_nm": self.cls.path.wavelength_nm,
-               "metrics": _metrics_dict(self.metrics, holes[3 + flags:],
-                                        holes[3:3 + flags])}
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-        parts = _SLOT.split(text.replace("%", "%%").replace("\n", _PATH_NEWLINE))
-        return "%s".join(parts[0::2]), tuple(map(int, parts[1::2]))
+        # A placeholder per string, numbered in the order _dump writes them,
+        # since the keys sort as channel, destination, metrics (flags, then
+        # optical_ledger) and path_id.
+        holes = [f"\x00{k}" for k in range(3 + flags + len(path.elements))]
+        obj = {"channel": holes[0], "destination": holes[1],
+               "wavelength_nm": path.wavelength_nm, "path_id": holes[-1],
+               "metrics": _metrics_dict(self.metrics, holes[2 + flags:-1],
+                                        holes[2:2 + flags])}
+        own = {0: path.channel, **{2 + flags + i: element.element_id
+                                   for i, element in enumerate(prefix)}}
+        text: list[str] = []
+        _dump(obj, _PATH_NEWLINE, text.append)
+        parts = _SLOT.split("".join(text))
+        pieces = parts[:1]
+        for slot, literal in zip(map(int, parts[1::2]), parts[2::2]):
+            if slot in own:
+                pieces[-1] += _ESCAPE(own[slot]) + literal
+            else:
+                pieces += ["", literal]
+        return pieces
 
     @cached_property
     def text_cells(self) -> list[str]:
@@ -133,8 +152,8 @@ class PathResult(Frozen):
 
 class VariantResult(VariantOutcome):
     """A variant's ranking outcome, with the results of its forward network's
-    paths and their worst case. It is not a tuple, so the JSON encoder
-    hands it to ``default`` instead of writing it as a list."""
+    paths and their worst case. It is not a tuple, so ``_dump`` writes it as
+    its paths list, not as a list of its fields."""
 
     _fields = (*VariantOutcome._fields, "paths", "worst")
 
@@ -465,56 +484,97 @@ def _json_payload(report: Report) -> dict:
     return payload
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii
-
-# A slot of a class template: a placeholder string "\x00<k>" as json.dumps
-# writes it. A template holds no text from the scenario, only numbers, fixed
-# ledger notes and placeholders, so this form in it can only be a slot.
+# A slot of a class template: a placeholder string "\x00<k>" as _dump writes
+# it. No text from the scenario is dumped into a template, only numbers,
+# fixed ledger notes and placeholders, so this form in it can only be a slot.
 _SLOT = re.compile(r'"\\u0000(\d+)"')
 
 # The line break and indent of a path object, an item of a variant's "paths",
-# which is a member of an item of the report's "variants"; and the line that
-# closes a variant's "paths".
+# which is a member of an item of the report's "variants".
 _PATH_NEWLINE = "\n" + " " * 8
-_PATHS_END = "\n" + " " * 6 + "]"
+
+
+def _dump(value, newline: str, write) -> None:
+    """Write ``value`` to ``write`` as ``json.dumps(value, indent=2,
+    sort_keys=True, allow_nan=False)`` writes it, at the depth that
+    ``newline``, a line break and the indent of the value's line, sets.
+
+    Types are tried in the standard library's order, so a bool is not
+    written as an int, and a str or int subclass (an enum member) is written
+    as its value. Dict keys must be strings. A ``VariantResult`` is written
+    as its paths list; any other type raises ``TypeError``, and a NaN or an
+    infinity ``ValueError``."""
+    if isinstance(value, str):
+        write(_ESCAPE(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant: " + repr(value))
+        write(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            write(separator)
+            _dump(item, inner, write)
+            separator = "," + inner
+        write(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            write(separator + _ESCAPE(key) + ": ")
+            _dump(value[key], inner, write)
+            separator = "," + inner
+        write(newline + "}")
+    elif isinstance(value, VariantResult):
+        _dump_paths(value.paths, newline, write)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
+def _dump_paths(paths: tuple[PathResult, ...], newline: str, write) -> None:
+    """Write a variant's paths list, each path in one write: its class
+    template, indented for a variant's paths, with the path's own strings,
+    escaped, in its gaps."""
+    if not paths:
+        write("[]")
+        return
+    separator = "[" + _PATH_NEWLINE
+    for result in paths:
+        member = result.member
+        pieces = [separator, *result.class_result.json_template]
+        pieces[2::2] = map(_ESCAPE, (
+            member.destination, *result.flags,
+            *[element.element_id for element in member.hop], member.detector,
+            member.path_id))
+        write("".join(pieces))
+        separator = "," + _PATH_NEWLINE
+    write(newline + "]")
 
 
 def render_json(report: Report, out: TextIO) -> None:
     """Write ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
-    of the report's JSON value and a newline to ``out``, a chunk at a time.
-
-    The standard library's encoder writes everything but the variants'
-    paths. It cannot encode a ``VariantResult``, so it hands each to
-    ``default`` just before it yields the chunk of what ``default`` returns.
-    ``default`` holds the variant back and returns "", and the variant's
-    paths list goes in place of that chunk: each path is its class template
-    stamped with its own strings. A NaN or an infinity raises ``ValueError``;
-    what came before it may have been written by then.
-    """
-    held: list[VariantResult] = []
-
-    def hold(variant: VariantResult) -> str:
-        held.append(variant)
-        return ""
-
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False,
-                               default=hold)
-    for chunk in encoder.iterencode(_json_payload(report)):
-        if held:
-            chunk = "[]"
-            separator = "["
-            for result in held.pop().paths:
-                text, slots = result.class_result.json_template
-                member = result.member
-                strings = (member.path_id, member.cls.path.channel,
-                           member.destination, *result.flags,
-                           *[e.element_id for e in member.cls.prefix],
-                           *[e.element_id for e in member.hop], member.detector)
-                out.write(separator + _PATH_NEWLINE
-                          + text % tuple([_ESCAPE(strings[k]) for k in slots]))
-                separator = ","
-                chunk = _PATHS_END
-        out.write(chunk)
+    of the report's JSON value and a newline to ``out``, by ``_dump``: the
+    frame a token at a time and each path in one write. A NaN or an
+    infinity raises ``ValueError``; what came before it may have been
+    written by then."""
+    _dump(_json_payload(report), "\n", out.write)
     out.write("\n")
 
 

@@ -93,6 +93,9 @@ class _Problems:
         # Library entries that are present but invalid; their own problems
         # are listed, so a reference to one is not listed again.
         self.invalid_parts: set[str] = set()
+        # False when the library is not an object: that one problem stands
+        # for every reference.
+        self.library_read = True
 
     def add(self, message: str) -> None:
         self.items.append(message)
@@ -136,7 +139,7 @@ class _Problems:
         An ``optional`` role may be absent or null."""
         name = self.string(payload, key, where, required=not optional,
                            allow_none=optional)
-        if name in self.invalid_parts:
+        if not self.library_read or name in self.invalid_parts:
             return None
         problem = name and unfit_part(library, name, role)
         if problem:
@@ -353,6 +356,8 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
     problems.items += library_problems
     if isinstance(components, dict):
         problems.invalid_parts = set(components) - set(library)
+    else:
+        problems.library_read = False
 
     topo = raw.get("topology")
     if not isinstance(topo, dict):

@@ -221,11 +221,12 @@ class OpticalTopology(Frozen):
                     for ch in e.channels:
                         if ch not in sources and channel_lasers.get(ch) in n.components:
                             sources[ch] = n
-        # Edge trails per channel, walked on first use (_reachable_terminals),
-        # and each channel set carried into a demux by name and by wavelength,
-        # sorted on first use (co_propagating_at).
-        self.__dict__.update(_typed=typed, _sources=sources, _trails={},
-                             _lanes={})
+        # The channel sets that carry each channel and the edge trails of
+        # each lane, found on first use (_reachable_terminals), and each
+        # channel set carried into a demux by name and by wavelength, sorted
+        # on first use (co_propagating_at).
+        self.__dict__.update(_typed=typed, _sources=sources, _carriers={},
+                             _trails={}, _lanes={})
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
@@ -795,10 +796,19 @@ def _node_checks(topology: OpticalTopology, node: Node,
 def _reachable_terminals(topology: OpticalTopology,
                          channel: str) -> tuple[tuple[FiberEdge, ...], ...]:
     """All edge trails that carry the channel from its source to a receiver
-    chip; walked once per topology and channel."""
-    trails = topology._trails.get(channel)
+    chip. They are walked once per topology and lane: channels of one source
+    carried by the same channel sets take the same edges."""
+    carriers = topology._carriers
+    if not carriers:
+        # Every channel's sets in one order, so equal sets are equal lists.
+        for carried in {e.channels for e in topology.edges}:
+            for ch in carried:
+                carriers.setdefault(ch, []).append(carried)
+    source = topology.source(channel)
+    lane = (source and source.id, tuple(carriers.get(channel, ())))
+    trails = topology._trails.get(lane)
     if trails is None:
-        trails = topology._trails[channel] = _walk_trails(topology, channel)
+        trails = topology._trails[lane] = _walk_trails(topology, channel)
     return trails
 
 

@@ -265,3 +265,18 @@ def test_every_command_lists_every_fault(tmp_path, capsys, command):
         assert f"  - {key}: " in err, key
     assert "has scheme 'external', expected 'direct'" in err
     assert "has kind 'analog', expected 'digital'" in err
+
+
+@pytest.mark.parametrize("components", [[], None, "parts"], ids=repr)
+def test_a_library_that_is_not_an_object_is_listed_once(tmp_path, capsys,
+                                                         components):
+    """No part can be looked up in a library that is not an object, so its
+    one problem is listed, and no part reference again as unknown."""
+    doc = copy.deepcopy(REFERENCE)
+    doc["components"] = components
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["tradeoff", "--scenario", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: scenario is invalid:\n"
+        "  - components: component library must be a JSON object\n")

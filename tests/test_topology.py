@@ -305,7 +305,8 @@ class TestEnumeration:
             kind = DetectorKind.DIGITAL if i >= 6 else DetectorKind.ANALOG
             channels.append(ChannelPlan(f"ch{i}", f"laser_{i}", kind))
         topology = build_forward_network(4, channels, library,
-                                         forward_fixture_bindings())
+                                         forward_fixture_bindings(),
+                                         shared_fiber=False)
         walks = []
         real = topology_module._walk_trails
 
@@ -317,14 +318,19 @@ class TestEnumeration:
         assert validate_topology(topology).ok
         first = [m.path for m in enumerate_paths(topology)]
         assert [m.path for m in enumerate_paths(topology)] == first
-        assert sorted(walks) == [f"ch{i}" for i in range(8)]
+        # One walk per lane: the six analog channels share one, and the two
+        # digital channels the other. Each channel gets its own trails.
+        assert walks == ["ch0", "ch6"]
+        for channel in topology.wavelength_plan:
+            assert topology_module._reachable_terminals(topology, channel) \
+                == real(topology, channel)
         assert len(first) == 8 * 4
         # The cache hands out tuples, so the enumeration sort cannot reorder it.
         assert isinstance(topology_module._reachable_terminals(topology, "ch0"), tuple)
         # A replaced topology walks its own trails.
         walks.clear()
         enumerate_paths(topology._replace())
-        assert len(walks) == 8
+        assert walks == ["ch0", "ch6"]
 
     def test_co_propagating_set(self):
         topology = build_reference_forward(n=2)
