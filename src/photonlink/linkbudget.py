@@ -476,8 +476,7 @@ def timing_jitter_s(path: SignalPath, config: AnalysisConfig) -> float:
     return rss_jitter_s(contributions)
 
 
-def crosstalk_db(path: SignalPath, topology: OpticalTopology,
-                 config: AnalysisConfig) -> float | None:
+def crosstalk_db(path: SignalPath, topology: OpticalTopology) -> float | None:
     """Aggregate leakage-to-signal ratio at the path's demux, dB.
 
     Spectrally adjacent co-channels leak at the demux adjacent isolation, the
@@ -586,7 +585,7 @@ def _analyze_path(path: SignalPath, modulation: Modulation, config: AnalysisConf
     delay = propagation_delay_s(path)
     skew = 0.0 if reference_delay_s is None else delay - reference_delay_s
     jitter = timing_jitter_s(path, config)
-    leakage = crosstalk_db(path, topology, config) if topology is not None else None
+    leakage = crosstalk_db(path, topology) if topology is not None else None
     degradation = nf_degradation_db(gain, nf, config)
     phase_deg: float | None = None
     if config.phase_noise_profile and config.carrier_power_dbm is not None:

@@ -8,9 +8,11 @@ byte-identical files. The JSON report is, byte for byte, what the standard
 library's ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
 writes of its value, but the library does not write it: with an indent, its
 encoder runs in pure Python before 3.13, a generator per container. One
-recursive ``_dump`` writes the frame and one path object per analysis class,
-and each path is that object's pieces joined with its own strings. The
-library stays the oracle of the tests.
+recursive ``_dump`` writes the frame and each path. It also builds each
+analysis class's path object once, as a template: the sentinel ``_GAP``
+stands where a member's own strings go, and a path is one write of the
+template with its strings in the gaps. The library stays the oracle of the
+tests.
 """
 
 from __future__ import annotations
@@ -80,34 +82,26 @@ class ClassResult(Frozen):
     @cached_property
     def json_template(self) -> list[str]:
         """A member's JSON object, indented as a path of a variant, in
-        pieces: literal text at the even indices and, at the odd ones, a gap
-        for each string of its own that a member fills in, in the order
-        they are written: its destination, flags (as many as ``metrics``
-        has), last hop's element ids, detector and path id. The class's own
-        strings, its channel and prefix element ids, are escaped into the
+        pieces: literal text at the even indices and, at the odd ones, an
+        empty gap for each string of its own that a member fills in, in the
+        order they are written: its destination, flags (as many as
+        ``metrics`` has), last hop's element ids, detector and path id. The
+        class's own strings, its channel and prefix element ids, are in the
         text."""
         path, prefix = self.cls.path, self.cls.prefix
-        flags = len(self.metrics.flags)
-        # A placeholder per string, numbered in the order _dump writes them,
-        # since the keys sort as channel, destination, metrics (flags, then
-        # optical_ledger) and path_id.
-        holes = [f"\x00{k}" for k in range(3 + flags + len(path.elements))]
-        obj = {"channel": holes[0], "destination": holes[1],
-               "wavelength_nm": path.wavelength_nm, "path_id": holes[-1],
-               "metrics": _metrics_dict(self.metrics, holes[2 + flags:-1],
-                                        holes[2:2 + flags])}
-        own = {0: path.channel, **{2 + flags + i: element.element_id
-                                   for i, element in enumerate(prefix)}}
-        text: list[str] = []
-        _dump(obj, _PATH_NEWLINE, text.append)
-        parts = _SLOT.split("".join(text))
-        pieces = parts[:1]
-        for slot, literal in zip(map(int, parts[1::2]), parts[2::2]):
-            if slot in own:
-                pieces[-1] += _ESCAPE(own[slot]) + literal
-            else:
-                pieces += ["", literal]
-        return pieces
+        element_ids = [element.element_id for element in prefix]
+        element_ids += [_GAP] * (len(path.elements) - len(prefix))
+        obj = {"channel": path.channel, "destination": _GAP,
+               "wavelength_nm": path.wavelength_nm, "path_id": _GAP,
+               "metrics": _metrics_dict(self.metrics, element_ids,
+                                        [_GAP] * len(self.metrics.flags))}
+        written: list = []
+        _dump(obj, _PATH_NEWLINE, written.append)
+        gaps = [i for i, text in enumerate(written) if text is _GAP]
+        pieces: list[str] = []
+        for start, end in zip([-1, *gaps], [*gaps, len(written)]):
+            pieces += ["".join(written[start + 1:end]), ""]
+        return pieces[:-1]
 
     @cached_property
     def text_cells(self) -> list[str]:
@@ -152,8 +146,7 @@ class PathResult(Frozen):
 
 class VariantResult(VariantOutcome):
     """A variant's ranking outcome, with the results of its forward network's
-    paths and their worst case. It is not a tuple, so ``_dump`` writes it as
-    its paths list, not as a list of its fields."""
+    paths and their worst case."""
 
     _fields = (*VariantOutcome._fields, "paths", "worst")
 
@@ -420,8 +413,7 @@ def _compliance_dict(compliance: ComplianceReport) -> dict:
 
 
 def _json_payload(report: Report) -> dict:
-    """The report's JSON value, with each ``VariantResult`` in place of its
-    paths list."""
+    """The report's JSON value, with each path as its ``PathResult``."""
     payload: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": {"name": "photonlink", "version": report.tool_version},
@@ -446,7 +438,7 @@ def _json_payload(report: Report) -> dict:
                     "size_rank": v.score.size_rank,
                     "weight_rank": v.score.weight_rank,
                 },
-                "paths": v,
+                "paths": v.paths,
                 "worst_case": _metrics_dict(
                     v.worst, [e.element_id for e in v.worst.optical_ledger.entries],
                     list(v.worst.flags)),
@@ -484,10 +476,10 @@ def _json_payload(report: Report) -> dict:
     return payload
 
 
-# A slot of a class template: a placeholder string "\x00<k>" as _dump writes
-# it. No text from the scenario is dumped into a template, only numbers,
-# fixed ledger notes and placeholders, so this form in it can only be a slot.
-_SLOT = re.compile(r'"\\u0000(\d+)"')
+# A gap of a class template, where each path writes a string of its own.
+# _dump writes it through as itself, never as text, so no string can be
+# taken for one.
+_GAP = object()
 
 # The line break and indent of a path object, an item of a variant's "paths",
 # which is a member of an item of the report's "variants".
@@ -501,9 +493,11 @@ def _dump(value, newline: str, write) -> None:
 
     Types are tried in the standard library's order, so a bool is not
     written as an int, and a str or int subclass (an enum member) is written
-    as its value. Dict keys must be strings. A ``VariantResult`` is written
-    as its paths list; any other type raises ``TypeError``, and a NaN or an
-    infinity ``ValueError``."""
+    as its value. Dict keys must be strings. A ``PathResult``, at the depth
+    of a variant's paths, is written in one write: its class's template with
+    its own strings, escaped, in the gaps. ``_GAP`` is written as itself.
+    Any other type raises ``TypeError``, and a NaN or an infinity
+    ``ValueError``."""
     if isinstance(value, str):
         write(_ESCAPE(value))
     elif value is None:
@@ -541,31 +535,19 @@ def _dump(value, newline: str, write) -> None:
             _dump(value[key], inner, write)
             separator = "," + inner
         write(newline + "}")
-    elif isinstance(value, VariantResult):
-        _dump_paths(value.paths, newline, write)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} "
-                        "is not JSON serializable")
-
-
-def _dump_paths(paths: tuple[PathResult, ...], newline: str, write) -> None:
-    """Write a variant's paths list, each path in one write: its class
-    template, indented for a variant's paths, with the path's own strings,
-    escaped, in its gaps."""
-    if not paths:
-        write("[]")
-        return
-    separator = "[" + _PATH_NEWLINE
-    for result in paths:
-        member = result.member
-        pieces = [separator, *result.class_result.json_template]
-        pieces[2::2] = map(_ESCAPE, (
-            member.destination, *result.flags,
+    elif isinstance(value, PathResult):
+        member = value.member
+        pieces = value.class_result.json_template.copy()
+        pieces[1::2] = map(_ESCAPE, (
+            member.destination, *value.flags,
             *[element.element_id for element in member.hop], member.detector,
             member.path_id))
         write("".join(pieces))
-        separator = "," + _PATH_NEWLINE
-    write(newline + "]")
+    elif value is _GAP:
+        write(_GAP)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
 
 
 def render_json(report: Report, out: TextIO) -> None:

@@ -454,8 +454,7 @@ def parse_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         bound = {"lasers": tuple(problems.part(lasers, key, where, library, LASER)
                                  for key in lasers)}
         bound.update(
-            (key, problems.part(raw_return, key, where, library, role,
-                                optional=key in ReturnBindings._field_defaults))
+            (key, problems.part(raw_return, key, where, library, role))
             for key, role in RETURN_ROLES.items() if key != "lasers")
         if enabled:
             if n_dtrm % CHANNELS_PER_RETURN_GROUP != 0:

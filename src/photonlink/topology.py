@@ -115,6 +115,10 @@ class PathElement(NamedTuple):
     node: str
 
 
+def _path_id(direction: Direction, channel: str, destination: str) -> str:
+    return f"{direction.value}:{channel}->{destination}"
+
+
 class SignalPath(NamedTuple):
     """Ordered laser-to-detector traversal with per-element parameter snapshot."""
 
@@ -126,7 +130,7 @@ class SignalPath(NamedTuple):
 
     @property
     def path_id(self) -> str:
-        return f"{self.direction.value}:{self.channel}->{self.destination}"
+        return _path_id(self.direction, self.channel, self.destination)
 
     def kind_tokens(self) -> str:
         return "".join(_KIND_TOKENS[e.kind] for e in self.elements)
@@ -146,17 +150,14 @@ class PathClass(Frozen):
 
 class PathMember(NamedTuple):
     """One path of a class: its destination, its last hop's fiber and demux
-    (shared by every path over that edge and lane) and its detector's id."""
+    (shared by every path over that edge and lane), its detector's id and
+    its path id."""
 
     cls: PathClass
     destination: str
     hop: tuple[PathElement, ...]
     detector: str
-
-    @property
-    def path_id(self) -> str:
-        path = self.cls.path
-        return f"{path.direction.value}:{path.channel}->{self.destination}"
+    path_id: str
 
     @property
     def path(self) -> SignalPath:
@@ -256,8 +257,8 @@ class ForwardBindings(NamedTuple):
     fojb_edfa: str
     analog_detector: str
     digital_detector: str
-    trunk_fiber: str | None = None
-    drop_fiber: str | None = None
+    trunk_fiber: str
+    drop_fiber: str
     otxc_edfa: str | None = None
 
 
@@ -269,7 +270,7 @@ class ReturnBindings(NamedTuple):
     mux: str
     demux: str
     detector: str
-    fiber: str | None = None
+    fiber: str
 
 
 class Role(NamedTuple):
@@ -284,8 +285,8 @@ class Role(NamedTuple):
 LASER = Role(LaserSpec)
 
 # The role of each ``ForwardBindings`` and ``ReturnBindings`` field, in field
-# order. A fiber or booster left as None is not bound; each of the ``lasers``
-# must fill its role.
+# order. A booster left as None is not bound; each of the ``lasers`` must
+# fill its role.
 FORWARD_ROLES: Mapping[str, Role] = {
     "modulator": Role(ModulatorSpec),
     "mux": Role(MuxDemuxSpec),
@@ -875,11 +876,9 @@ def _hop(topology: OpticalTopology, edge: FiberEdge,
     on the launch ``lane``."""
     src, dst = edge.source, edge.target
     suffix = f".lane{lane}" if lane else ""
-    elements = []
-    if edge.fiber is not None:
-        edge_suffix = f".lane{edge.lane}" if edge.lane else ""
-        elements.append(_element(topology, f"{src}->{dst}{edge_suffix}",
-                                 ElementKind.FIBER, edge.fiber, src))
+    edge_suffix = f".lane{edge.lane}" if edge.lane else ""
+    elements = [_element(topology, f"{src}->{dst}{edge_suffix}",
+                         ElementKind.FIBER, edge.fiber, src)]
     node = topology.node(dst)
     if node.kind is NodeKind.FOJB:
         elements.append(_element(topology, f"{dst}.edfa{suffix}", ElementKind.EDFA,
@@ -946,8 +945,8 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
                     _destination(topology, terminal))
             hop, names, destination = drop
             detector = f"{terminal}.pd.{channel}"
-            # The last hop ends at a receiver chip, so its kinds follow from
-            # whether it has a fiber, and its component names fix the rest.
+            # The last hop is a fiber into a receiver chip's demux, so its
+            # component names fix its elements.
             key = (names, co_propagating_at(topology, channel, terminal)[0])
             cls = classes.get(key)
             if cls is None:
@@ -968,7 +967,9 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
                             f"{tokens!r}")
                     legal.add(tokens)
                 cls = classes[key] = PathClass(shared, path)
-            members.append(PathMember(cls, destination, hop, detector))
+            members.append(PathMember(
+                cls, destination, hop, detector,
+                _path_id(topology.direction, channel, destination)))
     return members
 
 

@@ -31,6 +31,7 @@ from photonlink.report import (
     render_json,
     render_text,
 )
+from photonlink.scenario import parse_scenario
 from photonlink.topology import ElementKind, NodeKind, enumerate_paths
 
 from conftest import (
@@ -206,6 +207,43 @@ def test_escaped_channel_ids(reference_scenario):
             detector = p["metrics"]["optical_ledger"][-1]["element_id"]
             assert detector.endswith(".pd." + p["channel"])
         assert_renders_per_path(report, analog_ids(scenario))
+
+
+def test_hostile_channel_and_part_names():
+    """Channel ids and part names that are a NUL followed by digits, or hold
+    a quote, a backslash, non-ASCII text and such a NUL, with every analog
+    detector saturated so each of its paths has a flag: every report of
+    every variant equals the per-path oracle, so no scenario text is read as
+    a template's gap."""
+    doc = json.loads(reference_scenario_path().read_text(encoding="utf-8"))
+    doc["components"]["analog_pd"]["saturation_power_dbm"] = -40.0
+
+    def hostile(name, k):
+        return f'{name} "\\é中\U0001f600\x00{k}' if k % 2 else f"\x00{k}"
+
+    parts = {name: hostile(name, k) for k, name in enumerate(doc["components"])}
+
+    def renamed(value):
+        if isinstance(value, dict):
+            return {key: renamed(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [renamed(item) for item in value]
+        return parts.get(value, value) if isinstance(value, str) else value
+
+    topology = renamed(doc["topology"])
+    for k, channel in enumerate(topology["channels"]):
+        channel["id"] = hostile(channel["id"], k)
+    scenario = parse_scenario({
+        **doc, "topology": topology,
+        "components": {parts[name]: spec
+                       for name, spec in doc["components"].items()}})
+    assert set(scenario.library) == set(parts.values())
+    report = cli.run("tradeoff", scenario)
+    analog = analog_ids(scenario)
+    assert len(report.variants) == 6
+    assert all(pr.flags for variant in report.variants for pr in variant.paths
+               if pr.path.channel in analog)
+    assert_renders_per_path(report, analog)
 
 
 @pytest.mark.parametrize("ids", [

@@ -404,10 +404,10 @@ class TestCrosstalk:
         edge_path = next(p for p in paths if p.channel == "alpha")
         middle_path = next(p for p in paths if p.channel == "bravo")
         # alpha (grid edge): one adjacent at 30 dB + one distant at 45 dB
-        assert crosstalk_db(edge_path, topology, CONFIG) == pytest.approx(
+        assert crosstalk_db(edge_path, topology) == pytest.approx(
             power_sum_dbc([-30.0, -45.0]), abs=1e-9)
         # bravo (middle): two adjacent neighbors
-        assert crosstalk_db(middle_path, topology, CONFIG) == pytest.approx(
+        assert crosstalk_db(middle_path, topology) == pytest.approx(
             power_sum_dbc([-30.0, -30.0]), abs=1e-9)
 
 

@@ -280,3 +280,25 @@ def test_a_library_that_is_not_an_object_is_listed_once(tmp_path, capsys,
     assert capsys.readouterr().err == (
         "error: scenario is invalid:\n"
         "  - components: component library must be a JSON object\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("absent", [True, False], ids=["absent", "null"])
+@pytest.mark.parametrize("where, key", [("bindings", "trunk_fiber"),
+                                        ("bindings", "drop_fiber"),
+                                        ("return", "fiber")])
+def test_every_fiber_is_required(tmp_path, capsys, where, key, absent, command):
+    """A network without its fiber never builds, so a fiber left out or null
+    is one parse problem, not one violation per edge that lacks it."""
+    doc = copy.deepcopy(REFERENCE)
+    if absent:
+        del doc["topology"][where][key]
+    else:
+        doc["topology"][where][key] = None
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--scenario", str(path)]) == EXIT_INPUT
+    problem = "required" if absent else "must be a non-empty string, got None"
+    assert capsys.readouterr().err == (
+        "error: scenario is invalid:\n"
+        f"  - topology.{where}.{key}: {problem}\n")
