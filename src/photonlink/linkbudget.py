@@ -40,6 +40,7 @@ from .units import (
     db_to_linear,
     dbm_to_watts,
     power_sum_db,
+    sum_to_db,
     watts_to_dbm,
     wavelength_nm_to_hz,
 )
@@ -319,10 +320,15 @@ def apply_edfa_gains(path: SignalPath, gains_db: Mapping[str, float]) -> SignalP
     elements = []
     for element in path.elements:
         if element.kind is ElementKind.EDFA and element.element_id in gains_db:
-            spec = element.spec._replace(gain_db=gains_db[element.element_id])
-            element = element._replace(spec=spec)
+            spec = element.spec
+            element = PathElement(
+                element.element_id, element.kind, element.component,
+                EdfaSpec(gains_db[element.element_id], spec.max_gain_db,
+                         spec.noise_figure_db, spec.saturation_output_power_dbm),
+                element.node)
         elements.append(element)
-    return path._replace(elements=tuple(elements))
+    return SignalPath(path.channel, path.direction, path.destination,
+                      path.wavelength_nm, tuple(elements))
 
 
 def autogained(path: SignalPath) -> SignalPath:
@@ -482,6 +488,11 @@ def crosstalk_db(path: SignalPath, topology: OpticalTopology) -> float | None:
     Spectrally adjacent co-channels leak at the demux adjacent isolation, the
     rest at the nonadjacent isolation; equal per-channel powers are assumed.
     Returns None when the channel rides its fiber alone.
+
+    Each isolation is made a linear leakage once per call, and the
+    neighbours' leakages are added left to right in name order: the terms,
+    in their order, of ``crosstalk_power_sum_db`` of the per-neighbour
+    isolations, so the result is the same float.
     """
     demux = None
     for element in path.elements:
@@ -489,17 +500,21 @@ def crosstalk_db(path: SignalPath, topology: OpticalTopology) -> float | None:
             demux = element
     if demux is None:
         raise AnalysisError(f"path {path.path_id} has no demux")
-    by_name, ordered = co_propagating_at(topology, path.channel, demux.node)
-    neighbors = [ch for ch in by_name if ch != path.channel]
-    if not neighbors:
+    channel = path.channel
+    # Both hold the path's own channel.
+    by_name, ordered = co_propagating_at(topology, channel, demux.node)
+    if len(by_name) == 1:
         return None
-    index = ordered.index(path.channel)
+    index = ordered.index(channel)
     adjacent = {ordered[i] for i in (index - 1, index + 1) if 0 <= i < len(ordered)}
     spec = demux.spec
-    isolations = [spec.adjacent_isolation_db if ch in adjacent
-                  else spec.nonadjacent_isolation_db
-                  for ch in neighbors]
-    return crosstalk_power_sum_db(isolations)
+    near = db_to_linear(-spec.adjacent_isolation_db)
+    far = db_to_linear(-spec.nonadjacent_isolation_db)
+    total = 0.0
+    for ch in by_name:
+        if ch != channel:
+            total += near if ch in adjacent else far
+    return sum_to_db(total)
 
 
 def phase_noise_degradation_db(

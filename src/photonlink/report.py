@@ -23,6 +23,7 @@ from collections.abc import Iterator
 from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _ESCAPE
+from operator import attrgetter
 from typing import NamedTuple, TextIO
 
 from .digitalpath import GroupCapacity
@@ -116,10 +117,13 @@ class ClassResult(Frozen):
     @cached_property
     def csv_tail(self) -> list[str]:
         """A member's CSV rows, split before each row's metric cells; a
-        leading empty string puts the path's cells before every row."""
-        return ["", *("," + _csv_line((name, unit, "" if value is None else repr(value)))
-                      for name, unit in METRIC_COLUMNS
-                      for value in (getattr(self.metrics, name),))]
+        leading empty string puts the path's cells before every row. Only
+        the value cells are formatted here, once per class: each metric's
+        name and unit cells are quoted once, at import, and a number's repr
+        holds nothing that needs quotes."""
+        return ["", *[f",{cells},{'' if value is None else repr(value)}\n"
+                      for cells, value in zip(_METRIC_CELLS,
+                                              _metric_values(self.metrics))]]
 
 
 class PathResult(Frozen):
@@ -564,12 +568,32 @@ def render_json(report: Report, out: TextIO) -> None:
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
+def _csv_cell(cell: str) -> str:
+    """One CSV cell of the string ``cell``, quoted, with each quote doubled,
+    when it holds a comma, a quote, a CR or an LF: what ``csv.writer`` writes
+    on Python 3.13, here on every Python."""
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES(cell) else cell
+
+
 def _csv_line(cells) -> str:
-    """One CSV row of the string ``cells``, as a line. A cell is quoted, with
-    each quote doubled, when it holds a comma, a quote, a CR or an LF: what
-    ``csv.writer`` writes on Python 3.13, here on every Python."""
-    return ",".join(['"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES(cell)
-                     else cell for cell in cells]) + "\n"
+    """One CSV row of the string ``cells``, as a line."""
+    return ",".join([_csv_cell(cell) for cell in cells]) + "\n"
+
+
+# The header line, each metric's name and unit cells, and a bundle's metric
+# values in the same order.
+_CSV_HEADER = _csv_line(["variant", "path_id", "channel", "destination",
+                         "metric", "unit", "value"])
+_METRIC_CELLS = tuple(_csv_line(columns)[:-1] for columns in METRIC_COLUMNS)
+_metric_values = attrgetter(*[name for name, _ in METRIC_COLUMNS])
+
+
+class _Cells(dict):
+    """Quoted CSV cells by their text, each quoted on first read."""
+
+    def __missing__(self, text: str) -> str:
+        cell = self[text] = _csv_cell(text)
+        return cell
 
 
 def render_csv(report: Report, out: TextIO) -> None:
@@ -577,15 +601,19 @@ def render_csv(report: Report, out: TextIO) -> None:
     evaluated.
 
     Each cell is quoted on its own, so a row is its path's four leading
-    cells, a comma and its metric's three cells. The metric cells are
-    formatted once per analysis class, and a path's rows are one join of its
+    cells, a comma and its metric's three cells. Work is done where it
+    varies: the header and each metric's name and unit cells are quoted once
+    per process, a variant's label once per variant, a channel or a
+    destination once per report, and only the path id on every path. The
+    value cells are formatted once per analysis class
+    (``ClassResult.csv_tail``), and a path's rows are one join of its
     leading cells with them, written with one ``out.write``."""
-    out.write(_csv_line(["variant", "path_id", "channel", "destination",
-                         "metric", "unit", "value"]))
+    out.write(_CSV_HEADER)
+    cells = _Cells()
     for variant in report.variants:
-        label = variant.variant.label
+        label = _csv_cell(variant.variant.label)
         for pr in variant.paths:
             member = pr.member
-            head = _csv_line((label, member.path_id, member.cls.path.channel,
-                              member.destination))[:-1]
+            head = (f"{label},{_csv_cell(member.path_id)},"
+                    f"{cells[member.cls.path.channel]},{cells[member.destination]}")
             out.write(head.join(pr.class_result.csv_tail))

@@ -115,8 +115,10 @@ class PathElement(NamedTuple):
     node: str
 
 
-def _path_id(direction: Direction, channel: str, destination: str) -> str:
-    return f"{direction.value}:{channel}->{destination}"
+def _path_id(direction: str, channel: str, destination: str) -> str:
+    """The id of ``channel``'s path to ``destination``, where ``direction``
+    is the path's direction's value."""
+    return f"{direction}:{channel}->{destination}"
 
 
 class SignalPath(NamedTuple):
@@ -130,7 +132,7 @@ class SignalPath(NamedTuple):
 
     @property
     def path_id(self) -> str:
-        return _path_id(self.direction, self.channel, self.destination)
+        return _path_id(self.direction.value, self.channel, self.destination)
 
     def kind_tokens(self) -> str:
         return "".join(_KIND_TOKENS[e.kind] for e in self.elements)
@@ -407,6 +409,7 @@ def build_forward_network(
         for ch in plan
     }
 
+    # Each node kind's parts, one tuple per network.
     otxc_parts: list[str] = []
     for ch_id in sorted(plan):
         otxc_parts.append(lasers[ch_id])
@@ -415,23 +418,15 @@ def build_forward_network(
         otxc_parts.append(bindings.mux)
         if bindings.otxc_edfa is not None:
             otxc_parts.append(bindings.otxc_edfa)
-
-    fojb_parts: list[str] = []
-    for _ in lanes:
-        fojb_parts.append(bindings.fojb_edfa)
-        fojb_parts.append(bindings.splitter)
-
-    orxc_parts: list[str] = []
-    for _ in lanes:
-        orxc_parts.append(bindings.demux)
-    for ch_id in sorted(plan):
-        orxc_parts.append(detectors[ch_id])
+    fojb_parts = (bindings.fojb_edfa, bindings.splitter) * len(lanes)
+    orxc_parts = ((bindings.demux,) * len(lanes)
+                  + tuple([detectors[ch_id] for ch_id in sorted(plan)]))
 
     width = _id_width(n_dtrm)
     nodes: list[Node] = [
         Node("exciter", NodeKind.EXCITER),
         Node("otxc", NodeKind.OTXC, tuple(otxc_parts)),
-        Node("fojb", NodeKind.FOJB, tuple(fojb_parts)),
+        Node("fojb", NodeKind.FOJB, fojb_parts),
     ]
     # One channel set per lane, shared by every edge of the lane.
     carried = [frozenset(lane) for lane in lanes]
@@ -442,7 +437,7 @@ def build_forward_network(
     for i in range(1, n_dtrm + 1):
         orxc_id = f"orxc{i:0{width}d}"
         dtrm_id = f"dtrm{i:0{width}d}"
-        nodes.append(Node(orxc_id, NodeKind.ORXC, tuple(orxc_parts)))
+        nodes.append(Node(orxc_id, NodeKind.ORXC, orxc_parts))
         nodes.append(Node(dtrm_id, NodeKind.DTRM))
         for lane_index, lane in enumerate(carried):
             edges.append(FiberEdge("fojb", orxc_id, bindings.drop_fiber,
@@ -500,17 +495,15 @@ def build_return_network(
     nodes: list[Node] = []
     edges: list[FiberEdge] = []
 
-    otxc_parts: list[str] = []
-    for laser_name in bindings.lasers:
-        otxc_parts.append(laser_name)
-        otxc_parts.append(bindings.modulator)
-    otxc_parts.append(bindings.mux)
+    # Each node kind's parts, one tuple per network.
+    otxc_parts = (*[part for laser_name in bindings.lasers
+                    for part in (laser_name, bindings.modulator)], bindings.mux)
     rx_parts = (bindings.demux,) + (bindings.detector,) * group
 
     for g in range(1, n_groups + 1):
         dotxc_id = f"dotxc{g:0{gwidth}d}"
         rx_id = f"dbfu_rx{g:0{gwidth}d}"
-        nodes.append(Node(dotxc_id, NodeKind.DIGITAL_OTXC, tuple(otxc_parts)))
+        nodes.append(Node(dotxc_id, NodeKind.DIGITAL_OTXC, otxc_parts))
         nodes.append(Node(rx_id, NodeKind.ORXC, rx_parts))
         group_channels: list[str] = []
         for j in range(group):
@@ -905,20 +898,24 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
 
     A channel's elements up to a trail's last edge (laser to splitter on the
     forward network) are built once per such prefix. The last edge's fiber
-    and demux are built once per (edge, lane) and shared by every channel
-    that lands there. Paths of one prefix whose last hop has the same
-    component names and co-propagating channels form one class; only the
-    class's first path is built as a ``SignalPath``, detector included, and
-    the element order is checked once per distinct kind sequence."""
+    and demux, its destination and the channels that share its demux are
+    found once per (edge, lane) and shared by every channel that lands
+    there. Paths of one prefix whose last hop has the same component names
+    and co-propagating channels form one class; only the class's first path
+    is built as a ``SignalPath``, detector included, and the element order
+    is checked once per distinct kind sequence."""
     report = validate_topology(topology)
     if not report.ok:
         raise TopologyError("topology is invalid", report.messages())
     members: list[PathMember] = []
     legal: set[str] = set()
-    # (last edge, launch lane) -> its elements, their component names and
-    # the destination past the edge's receiver chip.
+    direction = topology.direction.value
+    # (last edge, launch lane) -> its elements, their component names, the
+    # destination past the edge's receiver chip and the channels that share
+    # its demux (None where they depend on the channel).
     drops: dict[tuple[FiberEdge, int],
-                tuple[tuple[PathElement, ...], tuple[str, ...], str]] = {}
+                tuple[tuple[PathElement, ...], tuple[str, ...], str,
+                      tuple[str, ...] | None]] = {}
     for channel in sorted(topology.wavelength_plan):
         # Trail head -> its elements and its classes by last hop.
         prefixes: dict[tuple[FiberEdge, ...],
@@ -942,12 +939,14 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
                 elements = tuple(_hop(topology, last, lane))
                 drop = drops[last, lane] = (
                     elements, tuple([e.component for e in elements]),
-                    _destination(topology, terminal))
-            hop, names, destination = drop
+                    _destination(topology, terminal), _sharing(topology, last))
+            hop, names, destination, sharing = drop
             detector = f"{terminal}.pd.{channel}"
             # The last hop is a fiber into a receiver chip's demux, so its
             # component names fix its elements.
-            key = (names, co_propagating_at(topology, channel, terminal)[0])
+            if sharing is None:
+                sharing = co_propagating_at(topology, channel, terminal)[0]
+            key = (names, sharing)
             cls = classes.get(key)
             if cls is None:
                 path = SignalPath(
@@ -969,24 +968,41 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
                 cls = classes[key] = PathClass(shared, path)
             members.append(PathMember(
                 cls, destination, hop, detector,
-                _path_id(topology.direction, channel, destination)))
+                _path_id(direction, channel, destination)))
     return members
+
+
+def _sharing(topology: OpticalTopology, edge: FiberEdge) -> tuple[str, ...] | None:
+    """``co_propagating_at(topology, channel, edge.target)[0]`` for every
+    channel that ``edge`` carries, or None where that differs between them:
+    where an edge ahead of it into the same node carries some of them."""
+    for other in topology.incoming(edge.target):
+        if other.channels == edge.channels:
+            return _lane(topology, edge.channels)[0]
+        if not other.channels.isdisjoint(edge.channels):
+            return None
+    return None
 
 
 def co_propagating_at(topology: OpticalTopology, channel: str,
                       terminal: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The channels that enter ``terminal`` on its first incoming edge that
-    carries ``channel`` (itself included), by name and by wavelength. Each
-    distinct channel set is sorted once per topology."""
+    carries ``channel`` (itself included), by name and by wavelength."""
     for edge in topology.incoming(terminal):
         if channel in edge.channels:
-            lane = topology._lanes.get(edge.channels)
-            if lane is None:
-                by_name = tuple(sorted(edge.channels))
-                lane = topology._lanes[edge.channels] = (by_name, tuple(
-                    sorted(by_name, key=topology.wavelength_plan.__getitem__)))
-            return lane
+            return _lane(topology, edge.channels)
     return (channel,), (channel,)
+
+
+def _lane(topology: OpticalTopology,
+          channels: frozenset[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``channels`` by name and by wavelength, sorted once per topology."""
+    lane = topology._lanes.get(channels)
+    if lane is None:
+        by_name = tuple(sorted(channels))
+        lane = topology._lanes[channels] = (by_name, tuple(
+            sorted(by_name, key=topology.wavelength_plan.__getitem__)))
+    return lane
 
 
 def adjacency_dump(topology: OpticalTopology) -> list[str]:

@@ -53,6 +53,11 @@ def power_sum_db(terms_db: Iterable[float]) -> float:
     total = 0.0
     for t in terms_db:
         total += db_to_linear(t)
+    return sum_to_db(total)
+
+
+def sum_to_db(total: float) -> float:
+    """dB of a sum of power ratios; -inf for a sum of zero."""
     if total <= 0.0:
         return -math.inf
     return 10.0 * math.log10(total)

@@ -323,3 +323,34 @@ def test_partition_channel_moved_to_the_other_lane(reference_scenario):
     assert len(classes) == 2 * len(topology.wavelength_plan)
     assert {paths[c[0]].destination for c in classes if len(c) == 1} == {"dtrm03"}
     assert_matches_per_path(scenario, variant, topology)
+
+
+def test_partition_channel_on_two_drops_into_one_receiver(reference_scenario):
+    # On split lanes, one analog channel also rides the digital lane's drop
+    # into orxc03 and leaves the analog drop into orxc04, so it still reaches
+    # as many receivers as there are modules. At orxc03 the two drops carry
+    # different channel sets that share it: its co-propagating set there is
+    # the first incoming edge's for both of its paths, which makes them one
+    # class, while the digital channels keep their own drop's set.
+    scenario = reference_scenario._replace(shared_fiber=False)
+    variant = scenario.variants[0]
+    built = cli._forward_topology(scenario, variant)
+    moved = sorted(built.edges[1].channels)[0]
+    assert built.edges[1].lane == 0
+
+    def edited(edge):
+        if edge.source == "fojb" and (edge.target, edge.lane) == ("orxc03", 1):
+            return edge._replace(channels=edge.channels | {moved})
+        if edge.source == "fojb" and (edge.target, edge.lane) == ("orxc04", 0):
+            return edge._replace(channels=edge.channels - {moved})
+        return edge
+
+    topology = built._replace(edges=tuple(map(edited, built.edges)))
+    paths, classes = assert_partition_matches(topology)
+    twice = [i for i, p in enumerate(paths)
+             if p.path_id == f"forward:{moved}->dtrm03"]
+    assert len(twice) == 2
+    assert paths[twice[0]].elements[-3].element_id == "fojb->orxc03"
+    assert paths[twice[1]].elements[-3].element_id == "fojb->orxc03.lane1"
+    assert any(set(twice) <= set(c) for c in classes)
+    assert_matches_per_path(scenario, variant, topology)

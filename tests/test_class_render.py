@@ -40,6 +40,7 @@ from conftest import (
     per_path_payload,
     redrawn_scenario,
     rendered,
+    workload_document,
 )
 
 
@@ -294,6 +295,32 @@ def test_csv_quoting_matches_csv_writer():
         assert line == buffer.getvalue(), row
         compared += 1
     assert compared > 500
+
+
+def test_csv_cells_are_quoted_where_they_vary(monkeypatch):
+    """``render_csv`` of the benchmark's seed-1 48-channel report quotes no
+    line, since the header and each metric's name and unit cells are quoted
+    at import, and quotes each cell at the level where it varies: a label
+    once per variant, a channel or a destination once per report, and a
+    path id once per row of a path."""
+    report = cli.run("analyze", parse_scenario(
+        workload_document("analyze-dwdm48-csv", 1)))
+    lines, cells = [], []
+    real_line, real_cell = report_module._csv_line, report_module._csv_cell
+    monkeypatch.setattr(report_module, "_csv_line",
+                        lambda row: lines.append(row) or real_line(row))
+    monkeypatch.setattr(report_module, "_csv_cell",
+                        lambda cell: cells.append(cell) or real_cell(cell))
+    text = rendered(render_csv, report)
+    assert lines == []
+    paths = [pr for variant in report.variants for pr in variant.paths]
+    assert len(paths) == 6 * 48 * 8
+    assert sorted(cells) == sorted(
+        [variant.variant.label for variant in report.variants]
+        + [pr.member.path_id for pr in paths]
+        + list({pr.path.channel for pr in paths})
+        + list({pr.path.destination for pr in paths}))
+    assert text == per_path_csv(report)
 
 
 def test_only_the_worst_case_anchor_is_relabeled(reference_scenario, monkeypatch):

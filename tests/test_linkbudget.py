@@ -10,7 +10,7 @@ import typing
 
 import pytest
 
-from photonlink import linkbudget
+from photonlink import cli, linkbudget
 from photonlink.components import Modulation
 from photonlink.errors import AnalysisError
 from photonlink.linkbudget import (
@@ -35,6 +35,14 @@ from photonlink.linkbudget import (
     timing_jitter_s,
     worst_case,
 )
+from photonlink.scenario import parse_scenario
+from photonlink.topology import (
+    ChannelPlan,
+    ElementKind,
+    build_forward_network,
+    co_propagating_at,
+    enumerate_paths,
+)
 from photonlink.units import db_to_linear
 
 from conftest import (
@@ -50,6 +58,7 @@ from conftest import (
     mk_mux,
     mk_pd,
     mk_splitter,
+    workload_document,
 )
 from oracles import (
     brute_force_cascade_nf_db,
@@ -396,7 +405,6 @@ class TestCrosstalk:
             assert total >= -min(isolations) - 1e-12
 
     def test_path_level_uses_adjacency_of_the_plan(self):
-        from photonlink.topology import build_forward_network, enumerate_paths
         library = forward_fixture_library()
         topology = build_forward_network(
             2, forward_fixture_channels(), library, forward_fixture_bindings())
@@ -409,6 +417,63 @@ class TestCrosstalk:
         # bravo (middle): two adjacent neighbors
         assert crosstalk_db(middle_path, topology) == pytest.approx(
             power_sum_dbc([-30.0, -30.0]), abs=1e-9)
+
+    @pytest.mark.parametrize("adjacent, nonadjacent", [(17.8, 37.8), (37.8, 17.8)])
+    @pytest.mark.parametrize("size", [1, 2, 3, 48])
+    def test_every_lane_position_sums_its_isolation_list(self, size, adjacent,
+                                                         nonadjacent):
+        """Dual route, exact: at every channel position of a lane of
+        ``size`` channels, whose names do not sort in wavelength order, with
+        the adjacent isolation below and above the non-adjacent one. The
+        demux is swapped into each path, since validation refuses an
+        adjacent isolation above the non-adjacent one."""
+        library = forward_fixture_library()
+        names = [f"ch{i:02d}" for i in range(size)]
+        random.Random(size).shuffle(names)
+        channels = []
+        for i, name in enumerate(names):
+            library[f"laser_{name}"] = mk_laser(nm=1530.0 + 0.8 * i)
+            channels.append(ChannelPlan(name, f"laser_{name}"))
+        topology = build_forward_network(1, channels, library,
+                                         forward_fixture_bindings())
+        demux = mk_mux(adj=adjacent, nonadj=nonadjacent)
+        positions = []
+        for member in enumerate_paths(topology):
+            path = member.path._replace(elements=tuple(
+                e._replace(spec=demux) if e.kind is ElementKind.DEMUX else e
+                for e in member.path.elements))
+            got = crosstalk_db(path, topology)
+            assert got == isolation_sum_db(path, topology), path.path_id
+            assert (got is None) == (size == 1)
+            positions.append(names.index(path.channel))
+        assert sorted(positions) == list(range(size))
+
+    def test_every_dwdm48_class_sums_its_isolation_list(self):
+        """Dual route, exact: every class of every variant of the
+        benchmark's seed-1 48-channel scenario."""
+        scenario = parse_scenario(workload_document("analyze-dwdm48-csv", 1))
+        classes = 0
+        for variant in scenario.variants:
+            topology = cli._forward_topology(scenario, variant)
+            for cls in dict.fromkeys(m.cls for m in enumerate_paths(topology)):
+                assert crosstalk_db(cls.path, topology) == isolation_sum_db(
+                    cls.path, topology), cls.path.path_id
+                classes += 1
+        assert classes == 6 * 48
+
+
+def isolation_sum_db(path, topology):
+    """``crosstalk_db`` by its definition: ``crosstalk_power_sum_db`` of each
+    neighbour's isolation at the path's demux, adjacent in wavelength or
+    not, in ``co_propagating_at``'s name order."""
+    (demux,) = [e for e in path.elements if e.kind is ElementKind.DEMUX]
+    by_name, ordered = co_propagating_at(topology, path.channel, demux.node)
+    index = ordered.index(path.channel)
+    adjacent = ordered[max(index - 1, 0):index + 2]
+    return crosstalk_power_sum_db([
+        demux.spec.adjacent_isolation_db if ch in adjacent
+        else demux.spec.nonadjacent_isolation_db
+        for ch in by_name if ch != path.channel])
 
 
 def skew_against(reference, path):
@@ -580,17 +645,58 @@ def test_per_modulation_intercept_map():
 def reference_paths(reference_scenario):
     """(modulation, topology, path) for every forward path of every feasible
     variant of the reference scenario."""
-    from photonlink.topology import build_forward_network, enumerate_paths
-    scenario = reference_scenario
+    return forward_paths(reference_scenario)
+
+
+def forward_paths(scenario, *, classes_only=False):
+    """(modulation, topology, path) for every forward path of every feasible
+    variant of ``scenario``, or only for each analysis class's own path."""
     out = []
     for variant in scenario.variants:
         topology = build_forward_network(
             scenario.n_dtrm, scenario.channels, scenario.library,
             scenario.forward_bindings(variant), shared_fiber=scenario.shared_fiber,
             min_channel_spacing_nm=scenario.min_channel_spacing_nm)
-        out.extend((variant.modulation, topology, member.path)
-                   for member in enumerate_paths(topology))
+        members = enumerate_paths(topology)
+        paths = ([cls.path for cls in dict.fromkeys(m.cls for m in members)]
+                 if classes_only else [m.path for m in members])
+        out.extend((variant.modulation, topology, path) for path in paths)
     return out
+
+
+def assert_matches_public_functions(paths, config):
+    """Each path's single-walk bundle against each public function run on
+    its own ledger walk of the same autogained path, which equals the path
+    with each amplifier's spec replaced field by field."""
+    assert config.edfa_autogain
+    for modulation, topology, path in paths:
+        metrics = analyze_path(path, modulation, config, topology=topology)
+        tuned = autogained(path)
+        gains = edfa_autogain(path).gains_db
+        assert tuned == path._replace(elements=tuple(
+            e._replace(spec=e.spec._replace(gain_db=gains[e.element_id]))
+            if e.element_id in gains else e for e in path.elements))
+        nf, breakdown = noise_figure_db(tuned, modulation, config)
+        per_offset = phase_noise_degradation_db(
+            config.phase_noise_profile, tuned, modulation, config)
+        assert metrics.rf_gain_db == rf_gain_db(tuned, modulation, config)
+        assert metrics.noise_figure_db == nf
+        assert metrics.noise == breakdown
+        assert metrics.phase_noise_degradation_db == max(d for _, d in per_offset)
+        assert metrics.optical_ledger == optical_ledger(tuned)
+
+
+def clamped_amplifier(scenario):
+    """``scenario`` with a junction-box amplifier capped at 1 dB of gain,
+    well short of the loss it covers, and detectors whose sensitivity the
+    short-changed power misses."""
+    library = dict(scenario.library)
+    bindings = scenario.forward_bindings(scenario.variants[0])
+    library[bindings.fojb_edfa] = library[bindings.fojb_edfa]._replace(
+        max_gain_db=1.0)
+    for name in (bindings.analog_detector, bindings.digital_detector):
+        library[name] = library[name]._replace(sensitivity_dbm=3.0)
+    return scenario._replace(library=library)
 
 
 class TestOneLedgerWalk:
@@ -614,21 +720,29 @@ class TestOneLedgerWalk:
     def test_analyze_path_matches_the_public_functions(self, reference_paths,
                                                        reference_scenario):
         """Dual route: the single-walk bundle against each public function run
-        on its own ledger walk of the same autogained path."""
-        config = reference_scenario.analysis
-        assert config.edfa_autogain
+        on its own ledger walk of the same autogained path. Every path of the
+        reference scenario, with its amplifiers as bound and with one capped
+        below its need, and each class's path of the benchmark's three seed-1
+        workloads, the paths that the CLI analyzes."""
         assert len(reference_paths) == 6 * 128
-        for modulation, topology, path in reference_paths:
-            metrics = analyze_path(path, modulation, config, topology=topology)
-            tuned = autogained(path)
-            nf, breakdown = noise_figure_db(tuned, modulation, config)
-            per_offset = phase_noise_degradation_db(
-                config.phase_noise_profile, tuned, modulation, config)
-            assert metrics.rf_gain_db == rf_gain_db(tuned, modulation, config)
-            assert metrics.noise_figure_db == nf
-            assert metrics.noise == breakdown
-            assert metrics.phase_noise_degradation_db == max(d for _, d in per_offset)
-            assert metrics.optical_ledger == optical_ledger(tuned)
+        assert_matches_public_functions(reference_paths,
+                                        reference_scenario.analysis)
+        for name in ("tradeoff-n32-json", "validate-n1024", "analyze-dwdm48-csv"):
+            scenario = parse_scenario(workload_document(name, 1))
+            paths = forward_paths(scenario, classes_only=True)
+            assert len(paths) == 6 * len(scenario.channels)
+            assert_matches_public_functions(paths, scenario.analysis)
+
+        scenario = clamped_amplifier(reference_scenario)
+        paths = forward_paths(scenario)
+        assert len(paths) == 6 * 128
+        for _, _, path in paths:
+            assert edfa_autogain(path).shortfall_db > 0.0
+            ledger = optical_ledger(autogained(path))
+            assert [e.note for e in ledger.entries].count("gain clamped at max") == 1
+            (flag,) = ledger.flags
+            assert flag.endswith("below sensitivity 3.00 dBm")
+        assert_matches_public_functions(paths, scenario.analysis)
 
     def test_ase_reads_each_amplifier_input_power(self):
         """Oracle, linear domain: two amplifiers at known input powers; the

@@ -19,6 +19,7 @@ from photonlink.components import (
 )
 from photonlink import cli, topology as topology_module
 from photonlink.errors import BuildError, TopologyError
+from photonlink.scenario import parse_scenario
 from photonlink.topology import (
     ChannelPlan,
     Direction,
@@ -42,6 +43,7 @@ from conftest import (
     mk_laser,
     return_fixture_bindings,
     return_fixture_library,
+    workload_document,
 )
 from oracles import count_laser_to_detector_routes
 
@@ -99,6 +101,25 @@ class TestForwardBuild:
         # the clock lane only propagates clock channels
         assert all(co_propagating_at(topology, p.channel, p.elements[-1].node)[0]
                    == ("clk",) for p in clock_paths)
+
+
+def test_each_node_kind_holds_one_parts_tuple():
+    """The builders make a node kind's parts once per network: the modules'
+    receiver chips, and the return groups' transmitters and receiver chips,
+    each share one tuple."""
+    networks = [
+        build_reference_forward(n=16),
+        build_reference_forward(n=16, shared_fiber=False),
+        build_return_network(16, return_fixture_library(),
+                             return_fixture_bindings()),
+    ]
+    for topology in networks:
+        by_kind = {}
+        for node in topology.nodes:
+            by_kind.setdefault(node.kind, set()).add(id(node.components))
+        assert all(len(ids) == 1 for ids in by_kind.values()), by_kind
+    assert len([n for n in networks[-1].nodes
+                if n.kind is NodeKind.DIGITAL_OTXC]) == 4
 
 
 class TestReturnBuild:
@@ -331,6 +352,31 @@ class TestEnumeration:
         walks.clear()
         enumerate_paths(topology._replace())
         assert walks == ["ch0", "ch6"]
+
+    def test_co_propagating_sets_are_found_once_per_drop(self, monkeypatch):
+        # 48 channels on two lanes to 8 modules: the channels that share a
+        # demux are found once per last edge and launch lane, not per path.
+        scenario = parse_scenario(workload_document("analyze-dwdm48-csv", 1))
+        topology = cli._forward_topology(scenario, scenario.variants[0])
+        lookups, drops = [], []
+        real_lookup = topology_module.co_propagating_at
+        real_sharing = topology_module._sharing
+
+        def counting_lookup(topology, channel, terminal):
+            lookups.append((channel, terminal))
+            return real_lookup(topology, channel, terminal)
+
+        def counting_sharing(topology, edge):
+            drops.append(edge)
+            return real_sharing(topology, edge)
+
+        monkeypatch.setattr(topology_module, "co_propagating_at", counting_lookup)
+        monkeypatch.setattr(topology_module, "_sharing", counting_sharing)
+        members = enumerate_paths(topology)
+        assert len(members) == 48 * 8
+        assert len(lookups) < len(members)
+        assert lookups == []
+        assert len(drops) == len(set(drops)) == 2 * 8
 
     def test_co_propagating_set(self):
         topology = build_reference_forward(n=2)
