@@ -207,28 +207,19 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def validate_component(spec: ComponentSpec, *, name: str = "component",
-                       in_wdm_plan: bool = False) -> ValidationReport:
-    """Check every invariant of a single element; violations are data.
-
-    ``in_wdm_plan`` additionally enforces the 1300-1650 nm source band on
-    lasers, which only applies once a laser is attached to a wavelength plan.
-    """
+def validate_component(spec: ComponentSpec, *,
+                       name: str = "component") -> ValidationReport:
+    """Check every invariant of a single element on its own; violations are
+    data. The WDM source band is a rule of the wavelength plan, so a laser
+    is checked against it per channel by ``topology.validate_topology``."""
     c = _Checker(name)
     if isinstance(spec, LaserSpec):
         if c.finite("output_power_w", spec.output_power_w) and spec.output_power_w <= 0:
             c.add("output_power_w", f"must be > 0 W, got {spec.output_power_w}")
         if c.finite("rin_db_hz", spec.rin_db_hz) and spec.rin_db_hz >= 0:
             c.add("rin_db_hz", f"must be < 0 dB/Hz, got {spec.rin_db_hz}")
-        if c.finite("wavelength_nm", spec.wavelength_nm):
-            if spec.wavelength_nm <= 0:
-                c.add("wavelength_nm", f"must be > 0 nm, got {spec.wavelength_nm}")
-            elif in_wdm_plan:
-                lo, hi = WDM_BAND_NM
-                if spec.wavelength_nm < lo:
-                    c.add("wavelength_nm", f"wavelength below {lo:.0f} nm source band")
-                elif spec.wavelength_nm > hi:
-                    c.add("wavelength_nm", f"wavelength above {hi:.0f} nm source band")
+        if c.finite("wavelength_nm", spec.wavelength_nm) and spec.wavelength_nm <= 0:
+            c.add("wavelength_nm", f"must be > 0 nm, got {spec.wavelength_nm}")
         if (c.finite("slope_efficiency_w_per_a", spec.slope_efficiency_w_per_a)
                 and spec.slope_efficiency_w_per_a <= 0):
             c.add("slope_efficiency_w_per_a",

@@ -30,6 +30,7 @@ from .topology import (
     CHANNELS_PER_RETURN_GROUP,
     ChannelPlan,
     DEFAULT_CHANNEL_SPACING_NM,
+    ElementKind,
     FORWARD_ROLES,
     ForwardBindings,
     LASER,
@@ -222,8 +223,7 @@ def _parse_analysis(payload: Mapping, problems: _Problems) -> AnalysisConfig:
     if not isinstance(raw_jitter, dict):
         problems.add(f"{where}.jitter_rms_s: must map element kinds to seconds")
     else:
-        kinds = {"laser", "modulator", "mux", "edfa", "fiber", "splitter",
-                 "demux", "detector"}
+        kinds = {k.value for k in ElementKind}
         for kind, value in raw_jitter.items():
             if kind not in kinds:
                 problems.add(f"{where}.jitter_rms_s: unknown element kind {kind!r}")

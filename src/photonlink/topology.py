@@ -592,7 +592,6 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
     # A check runs at the first member of a class, keyed by all it reads but
     # channel names; a part's key is its name. Only passes are kept, so each
     # member of a failing class is checked on its own and names its channels.
-    plan_lasers = set(topology.channel_lasers.values())
     passed: set = set()
     for node in topology.nodes:
         for name in node.components:
@@ -602,12 +601,17 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
             if spec is None:
                 bad(node.id, "components", f"unknown component {name!r}")
                 continue
-            in_plan = isinstance(spec, LaserSpec) and name in plan_lasers
-            report = validate_component(spec, name=f"{node.id}:{name}",
-                                        in_wdm_plan=in_plan)
+            report = validate_component(spec, name=f"{node.id}:{name}")
             if report.ok:
                 passed.add(name)
             issues.extend(report.violations)
+
+    # The source band is a rule of the plan: one violation per channel.
+    lo, hi = WDM_BAND_NM
+    for ch, nm in sorted(topology.wavelength_plan.items()):
+        if not lo <= nm <= hi:
+            bad("topology", "channels",
+                f"channel {ch!r} at {nm} nm outside [{lo:.0f}, {hi:.0f}] nm")
 
     # Each channel's (wavelength, kind, bound detector), None where the plan
     # lacks it, sorted and interned to an int once per distinct tuple of sets.
@@ -680,7 +684,6 @@ def _edge_checks(topology: OpticalTopology, fiber: str | None,
     """(field, message) of each wavelength-bookkeeping violation on an edge
     with this fiber and channel set."""
     found: list[tuple[str, str]] = []
-    lo, hi = WDM_BAND_NM
     if channels and fiber is None:
         found.append(("fiber", "edge carries channels but has no fiber"))
     if fiber is not None and not isinstance(topology.library.get(fiber), FiberSpec):
@@ -692,9 +695,6 @@ def _edge_checks(topology: OpticalTopology, fiber: str | None,
             found.append(("channels", f"channel {ch!r} missing from wavelength plan"))
             continue
         wavelengths.append((nm, ch))
-        if not lo <= nm <= hi:
-            found.append(("channels",
-                          f"channel {ch!r} at {nm} nm outside [{lo:.0f}, {hi:.0f}] nm"))
     wavelengths.sort()
     for (nm_a, ch_a), (nm_b, ch_b) in zip(wavelengths, wavelengths[1:]):
         gap = nm_b - nm_a

@@ -358,26 +358,16 @@ def recommend(outcomes: Sequence[VariantOutcome]) -> Recommendation:
     ordered = sorted(outcomes, key=_sort_key)
     rationale: list[str] = []
     for upper, lower in zip(ordered, ordered[1:]):
-        a, b = upper.variant.label, lower.variant.label
-        if upper.compliance.passed_count != lower.compliance.passed_count:
-            rationale.append(
-                f"{a} over {b}: more requirements met "
-                f"({upper.compliance.passed_count} vs "
-                f"{lower.compliance.passed_count})")
-        elif upper.score.power_rank != lower.score.power_rank:
-            rationale.append(
-                f"{a} over {b}: lower power rank "
-                f"({upper.score.power_rank} vs {lower.score.power_rank})")
-        elif upper.score.size_rank != lower.score.size_rank:
-            rationale.append(
-                f"{a} over {b}: lower size rank "
-                f"({upper.score.size_rank} vs {lower.score.size_rank})")
-        elif upper.score.weight_rank != lower.score.weight_rank:
-            rationale.append(
-                f"{a} over {b}: lower weight rank "
-                f"({upper.score.weight_rank} vs {lower.score.weight_rank})")
-        else:
-            rationale.append(f"{a} over {b}: tie broken by enumeration order")
+        # The levels of ``_sort_key``; the first that differs is the reason.
+        hi, lo = upper.score, lower.score
+        levels = (("more requirements met", upper.compliance.passed_count,
+                   lower.compliance.passed_count),
+                  ("lower power rank", hi.power_rank, lo.power_rank),
+                  ("lower size rank", hi.size_rank, lo.size_rank),
+                  ("lower weight rank", hi.weight_rank, lo.weight_rank))
+        reason = next((f"{why} ({x} vs {y})" for why, x, y in levels if x != y),
+                      "tie broken by enumeration order")
+        rationale.append(f"{upper.variant.label} over {lower.variant.label}: {reason}")
     notes = ["silicon-specific size preference is vacuous: the Bragg-grating "
              "silicon combination is infeasible"]
     for outcome in ordered:

@@ -337,7 +337,8 @@ def analyze_variant(scenario, variant, digital_groups):
 def per_member_validation(topology) -> ValidationReport:
     """Per-member oracle of ``validate_topology``: the composition rules run
     at every node and the wavelength bookkeeping at every edge, as they did
-    before the checks were keyed by node and edge class."""
+    before the checks were keyed by node and edge class; the source band is
+    checked once per channel of the plan."""
     issues: list[Violation] = []
 
     def bad(subject: str, field_name: str, message: str) -> None:
@@ -355,7 +356,6 @@ def per_member_validation(topology) -> ValidationReport:
 
     # Component resolution and per-component invariants. A part that passes
     # once passes everywhere; one that fails is reported at every node.
-    plan_lasers = set(topology.channel_lasers.values())
     passed: set[str] = set()
     for node in topology.nodes:
         for name in node.components:
@@ -365,15 +365,19 @@ def per_member_validation(topology) -> ValidationReport:
             if spec is None:
                 bad(node.id, "components", f"unknown component {name!r}")
                 continue
-            in_plan = isinstance(spec, LaserSpec) and name in plan_lasers
-            report = validate_component(spec, name=f"{node.id}:{name}",
-                                        in_wdm_plan=in_plan)
+            report = validate_component(spec, name=f"{node.id}:{name}")
             if report.ok:
                 passed.add(name)
             issues.extend(report.violations)
 
-    # Per-edge wavelength bookkeeping.
+    # The source band, once per channel of the plan.
     lo, hi = WDM_BAND_NM
+    for ch, nm in sorted(topology.wavelength_plan.items()):
+        if not lo <= nm <= hi:
+            bad("topology", "channels",
+                f"channel {ch!r} at {nm} nm outside [{lo:.0f}, {hi:.0f}] nm")
+
+    # Per-edge wavelength bookkeeping.
     for e in topology.edges:
         label = f"{e.source}->{e.target}"
         if e.channels and e.fiber is None:
@@ -388,9 +392,6 @@ def per_member_validation(topology) -> ValidationReport:
                 bad(label, "channels", f"channel {ch!r} missing from wavelength plan")
                 continue
             wavelengths.append((nm, ch))
-            if not lo <= nm <= hi:
-                bad(label, "channels",
-                    f"channel {ch!r} at {nm} nm outside [{lo:.0f}, {hi:.0f}] nm")
         wavelengths.sort()
         for (nm_a, ch_a), (nm_b, ch_b) in zip(wavelengths, wavelengths[1:]):
             gap = nm_b - nm_a

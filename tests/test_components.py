@@ -19,8 +19,16 @@ from photonlink.components import (
 from photonlink.data import reference_scenario_path
 from photonlink.errors import ScenarioError
 from photonlink.scenario import load_scenario_document, parse_scenario
+from photonlink.topology import (
+    build_forward_network,
+    build_return_network,
+    validate_topology,
+)
 
 from conftest import (
+    forward_fixture_bindings,
+    forward_fixture_channels,
+    forward_fixture_library,
     mk_edfa,
     mk_fiber,
     mk_laser,
@@ -29,6 +37,8 @@ from conftest import (
     mk_mux,
     mk_pd,
     mk_splitter,
+    return_fixture_bindings,
+    return_fixture_library,
 )
 
 
@@ -37,16 +47,29 @@ class TestLaserValidation:
         spec = LaserSpec(output_power_w=0.1, rin_db_hz=-160.0, wavelength_nm=1550.0)
         assert validate_component(spec).ok
 
-    def test_wavelength_below_band_flagged_only_in_wdm_plan(self):
-        spec = mk_laser(nm=1250.0)
-        assert validate_component(spec).ok
-        report = validate_component(spec, in_wdm_plan=True)
-        assert not report.ok
-        assert any("below 1300 nm" in m for m in report.messages())
+    @pytest.mark.parametrize("nm", [1250.0, 1700.0])
+    def test_out_of_band_laser_passes_on_its_own(self, nm):
+        """The source band is a rule of the wavelength plan, not of a part."""
+        assert validate_component(mk_laser(nm=nm)).ok
 
-    def test_wavelength_above_band(self):
-        report = validate_component(mk_laser(nm=1700.0), in_wdm_plan=True)
-        assert any("above 1650 nm" in m for m in report.messages())
+    def test_plan_lists_one_band_violation_per_channel(self):
+        """An out-of-band laser is listed once per channel it drives, under
+        ``topology.channels``, and nowhere else: not at its nodes, not on
+        the edges that carry it."""
+        library = forward_fixture_library()
+        library["laser_a"] = mk_laser(nm=1250.0)
+        forward = build_forward_network(
+            16, forward_fixture_channels(), library, forward_fixture_bindings())
+        assert validate_topology(forward).messages() == [
+            "topology.channels: channel 'alpha' at 1250.0 nm outside "
+            "[1300, 1650] nm"]
+
+        library = return_fixture_library()
+        library["dlaser2"] = library["dlaser2"]._replace(wavelength_nm=1700.0)
+        back = build_return_network(16, library, return_fixture_bindings())
+        assert validate_topology(back).messages() == [
+            f"topology.channels: channel 'rx{m:02d}' at 1700.0 nm outside "
+            "[1300, 1650] nm" for m in (2, 6, 10, 14)]
 
     def test_nonpositive_power_and_rin_sign(self):
         report = validate_component(mk_laser(power_w=0.0, rin=3.0))
@@ -123,7 +146,7 @@ def test_validation_is_total_over_nan_and_inf():
         field = rng.choice(numeric_fields[factory])
         value = rng.choice(poison)
         spec = spec._replace(**{field: value})
-        report = validate_component(spec, in_wdm_plan=True)
+        report = validate_component(spec)
         if value is None and (factory, field) in optional:
             assert report.ok
             continue

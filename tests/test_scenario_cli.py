@@ -14,6 +14,7 @@ from photonlink.data import reference_scenario_path
 from photonlink.errors import ScenarioError
 from photonlink.report import METRIC_COLUMNS, render_csv, render_json, render_text
 from photonlink.scenario import MAX_N_DTRM, parse_scenario, scenario_fingerprint
+from photonlink.topology import ElementKind
 from photonlink.tradeoff import ALL_VARIANTS, DesignVariant, is_feasible
 
 from conftest import rendered
@@ -82,6 +83,19 @@ class TestParseScenario:
             assert done.stdout.split() == [
                 "requirements.rf_freq_max_hz", "requirements.rx_power_min_dbm",
                 "requirements.sfdr_min_db"]
+
+    def test_jitter_keys_are_the_element_kinds(self, raw_reference):
+        """Every element kind is a ``jitter_rms_s`` key, and any other key
+        is listed as an unknown element kind."""
+        doc = copy.deepcopy(raw_reference)
+        jitter = {kind.value: 1e-13 for kind in ElementKind}
+        doc["analysis"]["jitter_rms_s"] = jitter
+        assert parse_scenario(doc).analysis.jitter_rms_s == jitter
+        doc["analysis"]["jitter_rms_s"] = dict(jitter, booster=1e-13)
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(doc)
+        assert excinfo.value.problems == (
+            "analysis.jitter_rms_s: unknown element kind 'booster'",)
 
     def test_unknown_keys_rejected(self, raw_reference):
         doc = mutate(raw_reference, extra_section={})

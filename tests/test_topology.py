@@ -40,7 +40,9 @@ from conftest import (
     forward_fixture_bindings,
     forward_fixture_channels,
     forward_fixture_library,
+    mk_edfa,
     mk_laser,
+    mk_splitter,
     return_fixture_bindings,
     return_fixture_library,
     workload_document,
@@ -239,9 +241,9 @@ class TestValidation:
         calls = []
         real = topology_module.validate_component
 
-        def counting(spec, *, name, in_wdm_plan):
+        def counting(spec, *, name):
             calls.append(name)
-            return real(spec, name=name, in_wdm_plan=in_wdm_plan)
+            return real(spec, name=name)
 
         monkeypatch.setattr(topology_module, "validate_component", counting)
         report = validate_topology(topology)
@@ -297,6 +299,27 @@ class TestEnumeration:
                 assert legal.match(path.kind_tokens()), path.kind_tokens()
                 assert path.elements[0].kind is ElementKind.LASER
                 assert path.elements[-1].kind is ElementKind.DETECTOR
+
+    def test_a_path_through_two_junction_boxes_is_refused(self):
+        """A return group fiber that passes two junction boxes, each with an
+        amplifier and a fanout-1 splitter, breaks no node or edge rule, but
+        its paths meet two splitter stages: enumeration refuses the order."""
+        library = dict(return_fixture_library(), jb_edfa=mk_edfa(),
+                       jb_splitter=mk_splitter(fanout=1, excess=0.5))
+        topology = build_return_network(4, library, return_fixture_bindings())
+        group = next(e for e in topology.edges if e.channels)
+        assert (group.source, group.target) == ("dotxc01", "dbfu_rx01")
+        boxes = tuple(Node(f"fojb{i}", NodeKind.FOJB, ("jb_edfa", "jb_splitter"))
+                      for i in (1, 2))
+        chain = [group.source, "fojb1", "fojb2", group.target]
+        edges = [e for e in topology.edges if e is not group] + [
+            group._replace(source=a, target=b) for a, b in zip(chain, chain[1:])]
+        topology = topology._replace(nodes=topology.nodes + boxes,
+                                     edges=tuple(edges))
+        assert validate_topology(topology).ok
+        with pytest.raises(TopologyError,
+                           match="illegal element order 'LMUFESFESFDP'"):
+            enumerate_paths(topology)
 
     def test_forward_path_traverses_expected_elements(self):
         topology = build_reference_forward(n=4)

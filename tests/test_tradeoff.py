@@ -178,6 +178,22 @@ class TestRecommendation:
         assert result.ranking[0].variant == winner.variant
         assert "more requirements met" in result.rationale[0]
 
+    @pytest.mark.parametrize("lower_scores, reason", [
+        ((8, 1, 1, 1), "more requirements met (9 vs 8)"),
+        ((9, 3, 1, 1), "lower power rank (2 vs 3)"),
+        ((9, 2, 4, 1), "lower size rank (2 vs 4)"),
+        ((9, 2, 2, 5), "lower weight rank (2 vs 5)"),
+        ((9, 2, 2, 2), "tie broken by enumeration order"),
+    ], ids=["requirements", "power", "size", "weight", "tie"])
+    def test_rationale_names_the_first_level_that_differs(self, lower_scores,
+                                                          reason):
+        upper = outcome(variant(DM, VBG, HIP), 9, power=2, size=2, weight=2)
+        lower = outcome(variant(EM, AWG, HIP), *lower_scores)
+        result = recommend([lower, upper])
+        assert [o.variant for o in result.ranking] == [upper.variant, lower.variant]
+        assert result.rationale == (
+            f"{upper.variant.label} over {lower.variant.label}: {reason}",)
+
     def test_single_variant_is_recommended(self):
         only = outcome(variant(DM, AWG, SI), 5, power=9, size=9, weight=9)
         result = recommend([only])

@@ -346,3 +346,35 @@ def test_wrong_kind_detector_messages_ignore_the_hash_seed(tmp_path):
         f"  - dotxc{g:02d}->dbfu_rx{g:02d}.channels: channels 'rx{4 * g - 3:02d}'/"
         f"'rx{4 * g - 2:02d}' spaced 0.100 nm < minimum 0.8 nm".encode()
         for g in range(1, 5)]
+
+
+@pytest.mark.parametrize("name, nm, channels", [
+    ("lo1_laser", 1250.0, ["lo1"]),
+    ("dret1_laser", 1700.0, ["rx01", "rx05", "rx09", "rx13"]),
+])
+def test_out_of_band_laser_is_listed_once_per_channel(tmp_path, capsys,
+                                                      name, nm, channels):
+    """An out-of-band laser on the reference scenario is one violation per
+    channel it drives: not one more at each node that holds the part, nor
+    on each edge that carries the channel. The report is the same under any
+    hash seed."""
+    document = json.loads(reference_scenario_path().read_text())
+    document["components"][name]["wavelength_nm"] = nm
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(document))
+    assert cli.main(["validate", "--scenario", str(scenario)]) == cli.EXIT_INPUT
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("  - ")] == [
+        f"  - topology.channels: channel {ch!r} at {nm} nm outside "
+        "[1300, 1650] nm" for ch in channels]
+    src = Path(topology_module.__file__).resolve().parents[1]
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        done = subprocess.run(
+            [sys.executable, "-m", "photonlink.cli", "validate",
+             "--scenario", str(scenario)],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            capture_output=True)
+        assert done.returncode == cli.EXIT_INPUT, done.stderr
+        outputs.add(done.stdout)
+    assert outputs == {"\n".join(lines).encode() + b"\n"}
