@@ -305,15 +305,6 @@ def validate_component(spec: ComponentSpec, *,
     return ValidationReport(tuple(c.items))
 
 
-def component_from_dict(payload: dict, *, name: str = "component") -> ComponentSpec:
-    """The spec of one ``type``-tagged entry; raises ValueError listing its
-    shape errors, one a line."""
-    spec, problems = _read_entry(payload, name)
-    if problems:
-        raise ValueError("\n".join(problems))
-    return spec
-
-
 def _read_entry(payload, name: str) -> tuple[ComponentSpec | None, list[str]]:
     """The spec of one ``type``-tagged entry, or None and its shape errors:
     a missing object or unknown type alone, else the unknown fields, each

@@ -214,15 +214,6 @@ def added_phase_noise_dbc(input_dbc_hz: float, floor_dbc_hz: float) -> float:
     return power_sum_db((input_dbc_hz, floor_dbc_hz))
 
 
-def crosstalk_power_sum_db(isolations_db: Sequence[float]) -> float | None:
-    """Aggregate leakage-to-signal ratio from per-interferer isolations, dB.
-
-    Returns None for the single-channel case (no interferers)."""
-    if not isolations_db:
-        return None
-    return power_sum_db([-iso for iso in isolations_db])
-
-
 # ---------------------------------------------------------------------------
 # Path-level helpers
 
@@ -491,7 +482,7 @@ def crosstalk_db(path: SignalPath, topology: OpticalTopology) -> float | None:
 
     Each isolation is made a linear leakage once per call, and the
     neighbours' leakages are added left to right in name order: the terms,
-    in their order, of ``crosstalk_power_sum_db`` of the per-neighbour
+    in their order, of ``power_sum_db`` of the negated per-neighbour
     isolations, so the result is the same float.
     """
     demux = None

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .components import (
@@ -77,6 +80,23 @@ _KIND_TOKENS = {
     ElementKind.DETECTOR: "P",
 }
 _LEGAL_PATH_RE = re.compile(r"^LMUE?F*(E?SF*)?DP$")
+
+# A node's kind, an edge's ends and channels, and the orders of a node's
+# outgoing and of its incoming edges.
+_KIND = attrgetter("kind")
+_SOURCE = attrgetter("source")
+_TARGET = attrgetter("target")
+_CHANNELS = attrgetter("channels")
+_BY_TARGET = attrgetter("target", "lane")
+_BY_SOURCE = attrgetter("source", "lane")
+
+# Member lookups on an enum class are slow, so the kind sets that per-node
+# loops test are made once.
+_TRANSMITTER_KINDS = frozenset({NodeKind.OTXC, NodeKind.DIGITAL_OTXC})
+# The node kinds whose checks read the lanes of their outgoing edges.
+_FAN_OUT_KINDS = _TRANSMITTER_KINDS | {NodeKind.FOJB}
+# The node kinds a path's destination may have.
+_TERMINAL_KINDS = frozenset({NodeKind.DTRM, NodeKind.DBFU})
 
 
 class ChannelPlan(NamedTuple):
@@ -175,6 +195,28 @@ class PathMember(NamedTuple):
                           self.cls.prefix + self.hop + (detector,))
 
 
+def _edge_index(edges: tuple[FiberEdge, ...], end: attrgetter,
+                order: attrgetter) -> dict[str, tuple[FiberEdge, ...]]:
+    """``edges`` by the node at their ``end``, each node's sorted by
+    ``order``. The sort is stable, so ties keep edge order; a node with one
+    edge gets its tuple at once, and only the others a list to sort."""
+    index: dict = {}
+    for e in edges:
+        node_id = end(e)
+        bucket = index.get(node_id)
+        if bucket is None:
+            index[node_id] = (e,)
+        elif type(bucket) is tuple:
+            index[node_id] = [*bucket, e]
+        else:
+            bucket.append(e)
+    for node_id, bucket in index.items():
+        if type(bucket) is list:
+            bucket.sort(key=order)
+            index[node_id] = tuple(bucket)
+    return index
+
+
 class OpticalTopology(Frozen):
     """An immutable network graph with its component table and wavelength
     plan, indexed for lookup when it is built."""
@@ -199,44 +241,44 @@ class OpticalTopology(Frozen):
             channel_detectors=channel_detectors, n_dtrm=n_dtrm,
             min_channel_spacing_nm=min_channel_spacing_nm)
         # Lookup index; on a duplicate id the first node wins (validate flags it).
-        out: dict[str, list[FiberEdge]] = {}
-        into: dict[str, list[FiberEdge]] = {}
-        for e in sorted(edges, key=lambda e: (e.target, e.lane)):
-            out.setdefault(e.source, []).append(e)
-        for e in sorted(edges, key=lambda e: (e.source, e.lane)):
-            into.setdefault(e.target, []).append(e)
+        out = _edge_index(edges, _SOURCE, _BY_TARGET)
+        into = _edge_index(edges, _TARGET, _BY_SOURCE)
+        # Component names by spec type per distinct components tuple
+        # (components_of), the channel sets that carry each channel and the
+        # edge trails of each lane (_reachable_terminals), and each channel
+        # set carried into a demux by name and by wavelength
+        # (co_propagating_at): each filled on first use.
         self.__dict__.update(_by_id={n.id: n for n in reversed(nodes)},
-                             _out={k: tuple(v) for k, v in out.items()},
-                             _in={k: tuple(v) for k, v in into.items()})
-        # Component names by spec type, one entry per distinct components tuple.
-        typed: dict[tuple[str, ...], dict[type, tuple[str, ...]]] = {}
-        # Groups may share laser names, so a channel's source is the first
-        # transmitter in node order that holds its laser and launches it.
+                             _out=out, _in=into, _typed={}, _carriers={},
+                             _trails={}, _lanes={})
+
+    @cached_property
+    def _sources(self) -> dict[str, Node]:
+        """Each launched channel's transmitter. Groups may share laser names,
+        so it is the first transmitter in node order that holds the
+        channel's laser and launches it."""
         sources: dict[str, Node] = {}
-        for n in nodes:
-            if n.components not in typed:
-                buckets: dict[type, list[str]] = {}
-                for name in n.components:
-                    buckets.setdefault(type(library.get(name)), []).append(name)
-                typed[n.components] = {t: tuple(v) for t, v in buckets.items()}
-            if n.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC):
+        for n in self.nodes:
+            if n.kind in _TRANSMITTER_KINDS:
                 for e in self.outgoing(n.id):
                     for ch in e.channels:
-                        if ch not in sources and channel_lasers.get(ch) in n.components:
+                        if ch not in sources and self.channel_lasers.get(ch) in n.components:
                             sources[ch] = n
-        # The channel sets that carry each channel and the edge trails of
-        # each lane, found on first use (_reachable_terminals), and each
-        # channel set carried into a demux by name and by wavelength, sorted
-        # on first use (co_propagating_at).
-        self.__dict__.update(_typed=typed, _sources=sources, _carriers={},
-                             _trails={}, _lanes={})
+        return sources
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
 
     def components_of(self, node: Node, spec_type: type) -> tuple[str, ...]:
         """Names in ``node.components`` whose library spec is a ``spec_type``."""
-        return self._typed[node.components].get(spec_type, ())
+        typed = self._typed.get(node.components)
+        if typed is None:
+            buckets: dict[type, list[str]] = {}
+            for name in node.components:
+                buckets.setdefault(type(self.library.get(name)), []).append(name)
+            typed = self._typed[node.components] = {
+                t: tuple(v) for t, v in buckets.items()}
+        return typed.get(spec_type, ())
 
     def source(self, channel: str) -> Node | None:
         """The transmitter that launches ``channel``, if any."""
@@ -340,8 +382,11 @@ def _check_roles(library: Mapping[str, ComponentSpec],
                 raise BuildError(f"{field_name}: {problem}")
 
 
-def _id_width(n: int) -> int:
-    return max(2, len(str(n)))
+def _numbers(n: int) -> list[str]:
+    """1 to ``n`` for node and channel ids, zero-padded to the digits of
+    ``n``, two at least."""
+    width = max(2, len(str(n)))
+    return [str(i).zfill(width) for i in range(1, n + 1)]
 
 
 def build_forward_network(
@@ -422,7 +467,6 @@ def build_forward_network(
     orxc_parts = ((bindings.demux,) * len(lanes)
                   + tuple([detectors[ch_id] for ch_id in sorted(plan)]))
 
-    width = _id_width(n_dtrm)
     nodes: list[Node] = [
         Node("exciter", NodeKind.EXCITER),
         Node("otxc", NodeKind.OTXC, tuple(otxc_parts)),
@@ -434,14 +478,15 @@ def build_forward_network(
     for lane_index, lane in enumerate(carried):
         edges.append(FiberEdge("otxc", "fojb", bindings.trunk_fiber,
                                lane, lane_index))
-    for i in range(1, n_dtrm + 1):
-        orxc_id = f"orxc{i:0{width}d}"
-        dtrm_id = f"dtrm{i:0{width}d}"
-        nodes.append(Node(orxc_id, NodeKind.ORXC, orxc_parts))
-        nodes.append(Node(dtrm_id, NodeKind.DTRM))
-        for lane_index, lane in enumerate(carried):
-            edges.append(FiberEdge("fojb", orxc_id, bindings.drop_fiber,
-                                   lane, lane_index))
+    receiver, module, drop = NodeKind.ORXC, NodeKind.DTRM, bindings.drop_fiber
+    legs = list(enumerate(carried))
+    for number in _numbers(n_dtrm):
+        orxc_id = "orxc" + number
+        dtrm_id = "dtrm" + number
+        nodes.append(Node(orxc_id, receiver, orxc_parts))
+        nodes.append(Node(dtrm_id, module))
+        for lane_index, lane in legs:
+            edges.append(FiberEdge("fojb", orxc_id, drop, lane, lane_index))
         edges.append(FiberEdge(orxc_id, dtrm_id, None))
 
     return OpticalTopology(
@@ -452,7 +497,7 @@ def build_forward_network(
         wavelength_plan=plan,
         channel_kinds=kinds,
         channel_lasers=lasers,
-        channel_modulators={ch: bindings.modulator for ch in plan},
+        channel_modulators=dict.fromkeys(plan, bindings.modulator),
         channel_detectors=detectors,
         n_dtrm=n_dtrm,
         min_channel_spacing_nm=min_channel_spacing_nm,
@@ -486,12 +531,8 @@ def build_return_network(
         raise BuildError("wavelength collision among the return-group lasers")
 
     n_groups = n_dtrm // group
-    width = _id_width(n_dtrm)
-    gwidth = _id_width(n_groups)
-
-    plan: dict[str, float] = {}
-    kinds: dict[str, DetectorKind] = {}
-    lasers: dict[str, str] = {}
+    numbers = _numbers(n_dtrm)
+    channel_ids = ["rx" + number for number in numbers]
     nodes: list[Node] = []
     edges: list[FiberEdge] = []
 
@@ -500,24 +541,21 @@ def build_return_network(
                     for part in (laser_name, bindings.modulator)], bindings.mux)
     rx_parts = (bindings.demux,) + (bindings.detector,) * group
 
-    for g in range(1, n_groups + 1):
-        dotxc_id = f"dotxc{g:0{gwidth}d}"
-        rx_id = f"dbfu_rx{g:0{gwidth}d}"
-        nodes.append(Node(dotxc_id, NodeKind.DIGITAL_OTXC, otxc_parts))
-        nodes.append(Node(rx_id, NodeKind.ORXC, rx_parts))
-        group_channels: list[str] = []
-        for j in range(group):
-            module = (g - 1) * group + j + 1
-            ch_id = f"rx{module:0{width}d}"
-            plan[ch_id] = group_wavelengths[j]
-            kinds[ch_id] = DetectorKind.DIGITAL
-            lasers[ch_id] = bindings.lasers[j]
-            group_channels.append(ch_id)
-            dtrm_id = f"dtrm{module:0{width}d}"
-            nodes.append(Node(dtrm_id, NodeKind.DTRM))
+    transmitter, receiver, module = (NodeKind.DIGITAL_OTXC, NodeKind.ORXC,
+                                     NodeKind.DTRM)
+    start = 0
+    for group_number in _numbers(n_groups):
+        dotxc_id = "dotxc" + group_number
+        rx_id = "dbfu_rx" + group_number
+        nodes.append(Node(dotxc_id, transmitter, otxc_parts))
+        nodes.append(Node(rx_id, receiver, rx_parts))
+        for number in numbers[start:start + group]:
+            dtrm_id = "dtrm" + number
+            nodes.append(Node(dtrm_id, module))
             edges.append(FiberEdge(dtrm_id, dotxc_id, None))
         edges.append(FiberEdge(dotxc_id, rx_id, bindings.fiber,
-                               frozenset(group_channels)))
+                               frozenset(channel_ids[start:start + group])))
+        start += group
         edges.append(FiberEdge(rx_id, "dbfu", None))
     nodes.append(Node("dbfu", NodeKind.DBFU))
 
@@ -526,11 +564,11 @@ def build_return_network(
         nodes=tuple(nodes),
         edges=tuple(edges),
         library=dict(library),
-        wavelength_plan=plan,
-        channel_kinds=kinds,
-        channel_lasers=lasers,
-        channel_modulators={ch: bindings.modulator for ch in plan},
-        channel_detectors={ch: bindings.detector for ch in plan},
+        wavelength_plan=dict(zip(channel_ids, group_wavelengths * n_groups)),
+        channel_kinds=dict.fromkeys(channel_ids, DetectorKind.DIGITAL),
+        channel_lasers=dict(zip(channel_ids, bindings.lasers * n_groups)),
+        channel_modulators=dict.fromkeys(channel_ids, bindings.modulator),
+        channel_detectors=dict.fromkeys(channel_ids, bindings.detector),
         n_dtrm=n_dtrm,
         min_channel_spacing_nm=min_channel_spacing_nm,
     )
@@ -539,36 +577,45 @@ def build_return_network(
 def return_groups(topology: OpticalTopology) -> list[tuple[str, tuple[str, ...]]]:
     """Digitized groups as (group node id, sorted channel ids)."""
     groups = []
+    transmitter = NodeKind.DIGITAL_OTXC
     for node in topology.nodes:
-        if node.kind is not NodeKind.DIGITAL_OTXC:
-            continue
-        carried: set[str] = set()
-        for edge in topology.outgoing(node.id):
-            carried.update(edge.channels)
-        groups.append((node.id, tuple(sorted(carried))))
+        if node.kind is transmitter:
+            carried: set[str] = set()
+            for edge in topology.outgoing(node.id):
+                carried.update(edge.channels)
+            groups.append((node.id, tuple(sorted(carried))))
     return sorted(groups)
 
 
 def _has_cycle(topology: OpticalTopology) -> bool:
-    """Depth-first search over an explicit stack of (node on the walk, its
-    edges not yet followed)."""
+    """Depth-first search from each node in node order, over an explicit
+    stack of (node on the walk, iterator over its edges not yet followed).
+    A node without outgoing edges is done as soon as it is reached."""
+    out = topology._out
     state: dict[str, int] = {}  # 1 while on the walk, 2 once done
     for root in topology.nodes:
         if root.id in state:
             continue
         state[root.id] = 1
-        stack = [(root.id, iter(topology.outgoing(root.id)))]
+        stack = [(root.id, iter(out.get(root.id, ())))]
         while stack:
             node_id, edges = stack[-1]
-            edge = next(edges, None)
-            if edge is None:
+            for edge in edges:
+                target = edge.target
+                seen = state.get(target)
+                if seen is None:
+                    ahead = out.get(target)
+                    if ahead is None:
+                        state[target] = 2
+                        continue
+                    state[target] = 1
+                    stack.append((target, iter(ahead)))
+                    break
+                if seen == 1:
+                    return True
+            else:
                 state[node_id] = 2
                 stack.pop()
-            elif state.get(edge.target) == 1:
-                return True
-            elif edge.target not in state:
-                state[edge.target] = 1
-                stack.append((edge.target, iter(topology.outgoing(edge.target))))
     return False
 
 
@@ -579,12 +626,17 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
     def bad(subject: str, field_name: str, message: str) -> None:
         issues.append(Violation(subject, field_name, message))
 
+    nodes, edges, library = topology.nodes, topology.edges, topology.library
     known = topology._by_id
-    if len(known) != len(topology.nodes):
+    if len(known) != len(nodes):
         bad("topology", "nodes", "duplicate node ids")
-    for e in topology.edges:
-        if e.source not in known or e.target not in known:
-            bad(f"{e.source}->{e.target}", "edge", "references unknown node")
+    # The edge index holds every edge end, so the ends that are not nodes
+    # are its keys less the node ids.
+    stray = (topology._out.keys() | topology._in.keys()) - known.keys()
+    if stray:
+        for e in edges:
+            if e.source in stray or e.target in stray:
+                bad(f"{e.source}->{e.target}", "edge", "references unknown node")
 
     if _has_cycle(topology):
         bad("topology", "edges", "graph contains a cycle")
@@ -592,12 +644,17 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
     # A check runs at the first member of a class, keyed by all it reads but
     # channel names; a part's key is its name. Only passes are kept, so each
     # member of a failing class is checked on its own and names its channels.
+    # A components tuple all of whose parts passed is skipped whole.
     passed: set = set()
-    for node in topology.nodes:
-        for name in node.components:
+    clean: set[tuple[str, ...]] = set()
+    for node in nodes:
+        parts = node.components
+        if parts in clean:
+            continue
+        for name in parts:
             if name in passed:
                 continue
-            spec = topology.library.get(name)
+            spec = library.get(name)
             if spec is None:
                 bad(node.id, "components", f"unknown component {name!r}")
                 continue
@@ -605,62 +662,83 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
             if report.ok:
                 passed.add(name)
             issues.extend(report.violations)
+        if passed.issuperset(parts):
+            clean.add(parts)
 
     # The source band is a rule of the plan: one violation per channel.
+    plan = topology.wavelength_plan
     lo, hi = WDM_BAND_NM
-    for ch, nm in sorted(topology.wavelength_plan.items()):
+    for ch, nm in sorted(plan.items()):
         if not lo <= nm <= hi:
             bad("topology", "channels",
                 f"channel {ch!r} at {nm} nm outside [{lo:.0f}, {hi:.0f}] nm")
 
     # Each channel's (wavelength, kind, bound detector), None where the plan
-    # lacks it, sorted and interned to an int once per distinct tuple of sets.
-    interned: dict[tuple, int] = {}
+    # lacks it, is interned to an int, and a channel multiset to the sorted
+    # tuple of its channels' ints, interned in turn: once per distinct
+    # tuple of channel sets.
+    kinds, detectors = topology.channel_kinds, topology.channel_detectors
+    traits: dict[tuple, int] = {}
+    multisets: dict[tuple[int, ...], int] = {}
     carried_ids: dict[tuple[frozenset[str], ...], int] = {}
 
     def carried(sets: tuple[frozenset[str], ...]) -> int:
-        if sets not in carried_ids:
-            multiset = tuple(sorted([
-                (topology.wavelength_plan.get(ch), topology.channel_kinds.get(ch),
-                 topology.channel_detectors.get(ch))
-                for ch in frozenset().union(*sets)], key=repr))
-            carried_ids[sets] = interned.setdefault(multiset, len(interned))
-        return carried_ids[sets]
+        found = carried_ids.get(sets)
+        if found is None:
+            multiset = sorted([
+                traits.setdefault((plan.get(ch), kinds.get(ch), detectors.get(ch)),
+                                  len(traits))
+                for ch in frozenset().union(*sets)])
+            found = carried_ids[sets] = multisets.setdefault(
+                tuple(multiset), len(multisets))
+        return found
 
-    for e in topology.edges:
-        key = (e.fiber, carried((e.channels,)))
+    edge_ids = {channels: carried((channels,))
+                for channels in set(map(_CHANNELS, edges))}
+    for e in edges:
+        key = (e.fiber, edge_ids[e.channels])
         if key not in passed:
             found = _edge_checks(topology, e.fiber, e.channels)
             if not found:
                 passed.add(key)
             for field_name, message in found:
                 bad(f"{e.source}->{e.target}", field_name, message)
-    for node in topology.nodes:
-        out_edges = topology.outgoing(node.id)
-        in_edges = topology.incoming(node.id)
-        key = (node.kind, node.components,
-               tuple([(e.lane, bool(e.channels)) for e in out_edges]),
-               tuple([(e.lane, bool(e.channels)) for e in in_edges]),
-               carried(tuple([e.channels for e in in_edges])))
+
+    # A node check reads the node's kind and parts; at a transmitter chip
+    # or junction box, also the lanes of its outgoing edges; at a receiver
+    # chip, those of its incoming edges and what they carry. The checks of
+    # the other kinds read nothing.
+    out, into = topology._out, topology._in
+    receiver = NodeKind.ORXC
+    for node in nodes:
+        kind = node.kind
+        if kind is receiver:
+            in_edges = into.get(node.id, ())
+            key = (kind, node.components,
+                   tuple([(e.lane, not e.channels) for e in in_edges]),
+                   carried(tuple([e.channels for e in in_edges])))
+        elif kind in _FAN_OUT_KINDS:
+            key = (kind, node.components, tuple([
+                (e.lane, not e.channels) for e in out.get(node.id, ())]))
+        else:
+            key = (kind,)
         if key not in passed:
-            found = _node_checks(topology, node, out_edges, in_edges)
+            found = _node_checks(topology, node)
             if not found:
                 passed.add(key)
             for field_name, message in found:
                 bad(node.id, field_name, message)
 
     # Structural chain checks per direction.
-    kind_counts: dict[NodeKind, int] = {}
-    for node in topology.nodes:
-        kind_counts[node.kind] = kind_counts.get(node.kind, 0) + 1
+    kind_counts = Counter(map(_KIND, nodes))
     if topology.direction is Direction.FORWARD:
         for kind, want in ((NodeKind.EXCITER, 1), (NodeKind.OTXC, 1),
                            (NodeKind.FOJB, 1), (NodeKind.ORXC, topology.n_dtrm),
                            (NodeKind.DTRM, topology.n_dtrm)):
-            if kind_counts.get(kind, 0) != want:
+            if kind_counts[kind] != want:
                 bad("topology", "nodes",
                     f"expected {want} {kind.value} node(s), found "
-                    f"{kind_counts.get(kind, 0)}")
+                    f"{kind_counts[kind]}")
         for ch in sorted(topology.wavelength_plan):
             reached = _reachable_terminals(topology, ch)
             if len(reached) != topology.n_dtrm:
@@ -669,11 +747,11 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
                     f"{topology.n_dtrm} modules")
     else:
         n_groups = topology.n_dtrm // CHANNELS_PER_RETURN_GROUP
-        if kind_counts.get(NodeKind.DIGITAL_OTXC, 0) != n_groups:
+        if kind_counts[NodeKind.DIGITAL_OTXC] != n_groups:
             bad("topology", "nodes",
                 f"expected {n_groups} digital transmitter group(s), found "
-                f"{kind_counts.get(NodeKind.DIGITAL_OTXC, 0)}")
-        if kind_counts.get(NodeKind.DBFU, 0) != 1:
+                f"{kind_counts[NodeKind.DIGITAL_OTXC]}")
+        if kind_counts[NodeKind.DBFU] != 1:
             bad("topology", "nodes", "expected exactly one beam-former node")
 
     return ValidationReport(tuple(issues))
@@ -709,11 +787,12 @@ def _edge_checks(topology: OpticalTopology, fiber: str | None,
     return found
 
 
-def _node_checks(topology: OpticalTopology, node: Node,
-                 out_edges: tuple[FiberEdge, ...],
-                 in_edges: tuple[FiberEdge, ...]) -> list[tuple[str, str]]:
+def _node_checks(topology: OpticalTopology,
+                 node: Node) -> list[tuple[str, str]]:
     """(field, message) of each composition-rule violation at ``node``."""
     found: list[tuple[str, str]] = []
+    out_edges = topology.outgoing(node.id)
+    in_edges = topology.incoming(node.id)
     lasers = topology.components_of(node, LaserSpec)
     modulators = topology.components_of(node, ModulatorSpec)
     muxes = topology.components_of(node, MuxDemuxSpec)
@@ -723,7 +802,7 @@ def _node_checks(topology: OpticalTopology, node: Node,
     out_lanes = sorted({e.lane for e in out_edges if e.channels})
     in_lanes = sorted({e.lane for e in in_edges if e.channels})
 
-    if node.kind in (NodeKind.OTXC, NodeKind.DIGITAL_OTXC):
+    if node.kind in _TRANSMITTER_KINDS:
         if not lasers:
             found.append(("components", "transmitter chip needs at least one laser"))
         if len(modulators) != len(lasers):
@@ -816,10 +895,11 @@ def _walk_trails(topology: OpticalTopology,
         return ()
     trails: list[tuple[FiberEdge, ...]] = []
     stack: list[tuple[str, tuple[FiberEdge, ...]]] = [(source.id, ())]
+    receiver = NodeKind.ORXC
     while stack:
         node_id, trail = stack.pop()
         node = topology._by_id.get(node_id)
-        if node is not None and node.kind is NodeKind.ORXC:
+        if node is not None and node.kind is receiver:
             trails.append(trail)
             continue
         passed = {source.id, *(e.target for e in trail)}
@@ -886,7 +966,7 @@ def _hop(topology: OpticalTopology, edge: FiberEdge,
 
 def _destination(topology: OpticalTopology, terminal: str) -> str:
     for edge in topology.outgoing(terminal):
-        if topology.node(edge.target).kind in (NodeKind.DTRM, NodeKind.DBFU):
+        if topology.node(edge.target).kind in _TERMINAL_KINDS:
             return edge.target
     return terminal
 
@@ -1006,23 +1086,25 @@ def _lane(topology: OpticalTopology,
 
 
 def adjacency_dump(topology: OpticalTopology) -> list[str]:
-    """Plain-text adjacency listing for inspection via the CLI. Each distinct
-    channel set is listed once."""
+    """Plain-text adjacency listing for inspection via the CLI. Each node's
+    head, each kind's label and each distinct channel set are formatted
+    once."""
     lines = []
+    labels = {kind: f" [{kind.value}]" for kind in NodeKind}
     listed: dict[frozenset[str], str] = {}
+    out = topology._out
     for node in topology.nodes:
-        out = topology.outgoing(node.id)
-        if not out:
-            lines.append(f"{node.id} [{node.kind.value}]")
+        head = node.id + labels[node.kind]
+        edges = out.get(node.id)
+        if edges is None:
+            lines.append(head)
             continue
-        for edge in out:
+        for edge in edges:
             carried = listed.get(edge.channels)
             if carried is None:
                 carried = listed[edge.channels] = (
                     ",".join(sorted(edge.channels)) if edge.channels else "-")
             fiber = edge.fiber if edge.fiber else "direct"
             lane = f" lane={edge.lane}" if edge.lane else ""
-            lines.append(
-                f"{node.id} [{node.kind.value}] -> {edge.target} "
-                f"({fiber}{lane}; channels: {carried})")
+            lines.append(f"{head} -> {edge.target} ({fiber}{lane}; channels: {carried})")
     return lines

@@ -23,13 +23,6 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def linear_to_db(ratio: float) -> float:
-    """dB from a positive power ratio."""
-    if ratio <= 0.0 or math.isnan(ratio):
-        raise ValueError(f"ratio must be positive and finite, got {ratio!r}")
-    return 10.0 * math.log10(ratio)
-
-
 def dbm_to_watts(power_dbm: float) -> float:
     return 1e-3 * 10.0 ** (power_dbm / 10.0)
 

@@ -48,13 +48,14 @@ from photonlink.topology import (
     _LEGAL_PATH_RE,
     _destination,
     _element,
-    _has_cycle,
     _hop,
     _launch,
     _reachable_terminals,
     validate_topology,
 )
 from photonlink.errors import TopologyError
+
+from oracles import has_cycle
 
 
 def mk_laser(power_w=0.1, rin=-160.0, nm=1550.0, slope=0.3, tunable=False):
@@ -338,7 +339,8 @@ def per_member_validation(topology) -> ValidationReport:
     """Per-member oracle of ``validate_topology``: the composition rules run
     at every node and the wavelength bookkeeping at every edge, as they did
     before the checks were keyed by node and edge class; the source band is
-    checked once per channel of the plan."""
+    checked once per channel of the plan, and cycles by the recursive search
+    of ``oracles.has_cycle`` over the raw edge list."""
     issues: list[Violation] = []
 
     def bad(subject: str, field_name: str, message: str) -> None:
@@ -351,7 +353,7 @@ def per_member_validation(topology) -> ValidationReport:
         if e.source not in known or e.target not in known:
             bad(f"{e.source}->{e.target}", "edge", "references unknown node")
 
-    if _has_cycle(topology):
+    if has_cycle(topology.nodes, topology.edges):
         bad("topology", "edges", "graph contains a cycle")
 
     # Component resolution and per-component invariants. A part that passes

@@ -83,6 +83,29 @@ def count_laser_to_detector_routes(topology) -> int:
     return total
 
 
+def has_cycle(nodes, edges) -> bool:
+    """Whether a directed cycle is reachable from any of ``nodes`` (whose
+    ids may repeat) over ``edges`` (whose ends need not be nodes): a
+    recursive three-colour depth-first search over the raw edge list, from
+    each node in node order not yet reached."""
+    successors: dict[str, list[str]] = {}
+    for edge in edges:
+        successors.setdefault(edge.source, []).append(edge.target)
+    colour: dict[str, str] = {}  # none yet: white
+
+    def reaches_grey(node_id: str) -> bool:
+        colour[node_id] = "grey"
+        for target in successors.get(node_id, ()):
+            seen = colour.get(target)
+            if seen == "grey" or (seen is None and reaches_grey(target)):
+                return True
+        colour[node_id] = "black"
+        return False
+
+    return any(node.id not in colour and reaches_grey(node.id)
+               for node in nodes)
+
+
 def group_capacity_holds(line_rate_bps: float, encoding: str,
                          framing_overhead: float, channels: int,
                          bar_bytes_per_8ch: float,

@@ -12,7 +12,7 @@ from photonlink.components import (
     ModulatorBias,
     ModulatorSpec,
     SplitterSpec,
-    component_from_dict,
+    _read_entry,
     parse_component_library,
     validate_component,
 )
@@ -40,6 +40,15 @@ from conftest import (
     return_fixture_bindings,
     return_fixture_library,
 )
+
+
+def component_from_dict(payload, *, name="component"):
+    """The spec of one ``type``-tagged entry; raises ValueError listing its
+    shape errors, one a line."""
+    spec, problems = _read_entry(payload, name)
+    if problems:
+        raise ValueError("\n".join(problems))
+    return spec
 
 
 class TestLaserValidation:

