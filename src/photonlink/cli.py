@@ -106,8 +106,8 @@ def _summary(topology: OpticalTopology, path_count: int) -> TopologySummary:
     )
 
 
-def _analyze_classes(topology: OpticalTopology, members: list[PathMember],
-                     modulation: Modulation, config: AnalysisConfig
+def _analyze_classes(members: list[PathMember], modulation: Modulation,
+                     config: AnalysisConfig
                      ) -> tuple[list[ClassResult], list[PathResult]]:
     """One result per class, in order of first member, and one per path.
     ``analyze_path`` runs once per class, on its own path, with skew taken
@@ -122,7 +122,7 @@ def _analyze_classes(topology: OpticalTopology, members: list[PathMember],
         cls = member.cls
         found = classes.get(cls)
         if found is None:
-            metrics = analyze_path(cls.path, modulation, config, topology=topology,
+            metrics = analyze_path(cls.path, modulation, config,
                                    reference_delay_s=reference_delay)
             found = classes[cls] = (ClassResult(cls, metrics), own_flags(
                 metrics, cls.path, stop=len(cls.prefix)))
@@ -137,15 +137,10 @@ def _worst_case(classes: list[ClassResult],
                 results: list[PathResult]) -> LinkMetrics:
     """``worst_case`` of every result's ``metrics``, where ``classes`` are
     the results' classes in order of first member: the scalars are equal
-    within a class, the flags are each path's own, and only the anchor
-    path's ledger is relabeled."""
-    worst = worst_case([c.metrics for c in classes])
-    # worst_case's anchor rule: the first path of largest noise figure.
-    top = max(classes, key=lambda c: c.metrics.noise_figure_db)
-    anchor = next(r for r in results if r.class_result is top)
+    within a class and the flags are each path's own. The ledger is the
+    anchor class's, which names the elements of its first member's path."""
     flags = tuple(dict.fromkeys(f for r in results for f in r.flags))
-    return worst._replace(optical_ledger=anchor.metrics.optical_ledger,
-                          flags=flags)
+    return worst_case([c.metrics for c in classes])._replace(flags=flags)
 
 
 class _ForwardAnalysis(NamedTuple):
@@ -168,7 +163,7 @@ def _analyze_forward(scenario: Scenario,
                      variant: DesignVariant) -> _ForwardAnalysis:
     topology = _forward_topology(scenario, variant)
     members = enumerate_paths(topology)
-    classes, results = _analyze_classes(topology, members, variant.modulation,
+    classes, results = _analyze_classes(members, variant.modulation,
                                         scenario.analysis)
     # Requirement checks apply to the RF (analog) distribution paths; the
     # forward clock channels are reported but not held to the RF bounds.

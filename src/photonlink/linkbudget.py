@@ -1,8 +1,11 @@
 """Analog link-metric engine: optical power ledger, RF gain, noise figure,
 dynamic range, crosstalk, timing and phase-noise figures per signal path.
 
-Every operation is a pure function of immutable inputs; identical inputs give
-bit-identical outputs, so paths may be analyzed concurrently.
+A path is analyzed from the path alone: its elements carry their specs, and
+its crosstalk reads the channels that enter its demux with it, which the path
+carries too. No operation reads the network graph. Every operation is a pure
+function of immutable inputs; identical inputs give bit-identical outputs, so
+paths may be analyzed concurrently.
 """
 
 from __future__ import annotations
@@ -23,13 +26,7 @@ from .components import (
     SplitterSpec,
 )
 from .errors import AnalysisError
-from .topology import (
-    ElementKind,
-    OpticalTopology,
-    PathElement,
-    SignalPath,
-    co_propagating_at,
-)
+from .topology import ElementKind, PathElement, SignalPath
 from .units import (
     BOLTZMANN_J_PER_K,
     ELEMENTARY_CHARGE_C,
@@ -319,7 +316,7 @@ def apply_edfa_gains(path: SignalPath, gains_db: Mapping[str, float]) -> SignalP
                 element.node)
         elements.append(element)
     return SignalPath(path.channel, path.direction, path.destination,
-                      path.wavelength_nm, tuple(elements))
+                      path.wavelength_nm, tuple(elements), path.co_propagating)
 
 
 def autogained(path: SignalPath) -> SignalPath:
@@ -473,18 +470,23 @@ def timing_jitter_s(path: SignalPath, config: AnalysisConfig) -> float:
     return rss_jitter_s(contributions)
 
 
-def crosstalk_db(path: SignalPath, topology: OpticalTopology) -> float | None:
+def crosstalk_db(path: SignalPath) -> float | None:
     """Aggregate leakage-to-signal ratio at the path's demux, dB.
 
-    Spectrally adjacent co-channels leak at the demux adjacent isolation, the
-    rest at the nonadjacent isolation; equal per-channel powers are assumed.
-    Returns None when the channel rides its fiber alone.
+    The path's co-propagating channels leak through its demux: spectrally
+    adjacent ones at the demux adjacent isolation, the rest at the
+    nonadjacent isolation; equal per-channel powers are assumed. Returns
+    None when the channel rides its fiber alone.
 
     Each isolation is made a linear leakage once per call, and the
     neighbours' leakages are added left to right in name order: the terms,
     in their order, of ``power_sum_db`` of the negated per-neighbour
     isolations, so the result is the same float.
     """
+    # Both hold the path's own channel.
+    by_name, ordered = path.co_propagating
+    if len(by_name) == 1:
+        return None
     demux = None
     for element in path.elements:
         if element.kind is ElementKind.DEMUX and isinstance(element.spec, MuxDemuxSpec):
@@ -492,10 +494,6 @@ def crosstalk_db(path: SignalPath, topology: OpticalTopology) -> float | None:
     if demux is None:
         raise AnalysisError(f"path {path.path_id} has no demux")
     channel = path.channel
-    # Both hold the path's own channel.
-    by_name, ordered = co_propagating_at(topology, channel, demux.node)
-    if len(by_name) == 1:
-        return None
     index = ordered.index(channel)
     adjacent = {ordered[i] for i in (index - 1, index + 1) if 0 <= i < len(ordered)}
     spec = demux.spec
@@ -550,7 +548,6 @@ def analyze_path(
     modulation: Modulation,
     config: AnalysisConfig,
     *,
-    topology: OpticalTopology | None = None,
     reference_delay_s: float | None = None,
 ) -> LinkMetrics:
     """Full metric bundle for one path; internally consistent by construction
@@ -560,8 +557,7 @@ def analyze_path(
     Inputs that take the arithmetic out of floating-point range (an overflow,
     a vanishing gain, a NaN) raise AnalysisError naming the path's parts."""
     try:
-        metrics = _analyze_path(path, modulation, config, topology,
-                                reference_delay_s)
+        metrics = _analyze_path(path, modulation, config, reference_delay_s)
         values = [*metrics, *metrics.noise,
                   *(e.power_dbm for e in metrics.optical_ledger.entries)]
     except (OverflowError, ZeroDivisionError):
@@ -575,7 +571,6 @@ def analyze_path(
 
 
 def _analyze_path(path: SignalPath, modulation: Modulation, config: AnalysisConfig,
-                  topology: OpticalTopology | None,
                   reference_delay_s: float | None) -> LinkMetrics:
     if config.edfa_autogain:
         path = autogained(path)
@@ -591,7 +586,7 @@ def _analyze_path(path: SignalPath, modulation: Modulation, config: AnalysisConf
     delay = propagation_delay_s(path)
     skew = 0.0 if reference_delay_s is None else delay - reference_delay_s
     jitter = timing_jitter_s(path, config)
-    leakage = crosstalk_db(path, topology) if topology is not None else None
+    leakage = crosstalk_db(path)
     degradation = nf_degradation_db(gain, nf, config)
     phase_deg: float | None = None
     if config.phase_noise_profile and config.carrier_power_dbm is not None:

@@ -142,13 +142,17 @@ def _path_id(direction: str, channel: str, destination: str) -> str:
 
 
 class SignalPath(NamedTuple):
-    """Ordered laser-to-detector traversal with per-element parameter snapshot."""
+    """Ordered laser-to-detector traversal with per-element parameter
+    snapshot, and the channels that enter its demux with it (itself
+    included), by name and by wavelength: ``co_propagating_at`` of its
+    channel at its receiver chip."""
 
     channel: str
     direction: Direction
     destination: str
     wavelength_nm: float
     elements: tuple[PathElement, ...]
+    co_propagating: tuple[tuple[str, ...], tuple[str, ...]]
 
     @property
     def path_id(self) -> str:
@@ -192,7 +196,8 @@ class PathMember(NamedTuple):
                                last.spec, self.hop[-1].node)
         return SignalPath(path.channel, path.direction, self.destination,
                           path.wavelength_nm,
-                          self.cls.prefix + self.hop + (detector,))
+                          self.cls.prefix + self.hop + (detector,),
+                          path.co_propagating)
 
 
 def _edge_index(edges: tuple[FiberEdge, ...], end: attrgetter,
@@ -245,12 +250,13 @@ class OpticalTopology(Frozen):
         into = _edge_index(edges, _TARGET, _BY_SOURCE)
         # Component names by spec type per distinct components tuple
         # (components_of), the channel sets that carry each channel and the
-        # edge trails of each lane (_reachable_terminals), and each channel
-        # set carried into a demux by name and by wavelength
-        # (co_propagating_at): each filled on first use.
+        # edge trails of each lane (_reachable_terminals), each channel set
+        # carried into a demux by name and by wavelength (_lane), and the
+        # channels that enter each node with each channel (_arrivals): each
+        # filled on first use.
         self.__dict__.update(_by_id={n.id: n for n in reversed(nodes)},
                              _out=out, _in=into, _typed={}, _carriers={},
-                             _trails={}, _lanes={})
+                             _trails={}, _lanes={}, _arrivals={})
 
     @cached_property
     def _sources(self) -> dict[str, Node]:
@@ -978,12 +984,13 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
 
     A channel's elements up to a trail's last edge (laser to splitter on the
     forward network) are built once per such prefix. The last edge's fiber
-    and demux, its destination and the channels that share its demux are
-    found once per (edge, lane) and shared by every channel that lands
-    there. Paths of one prefix whose last hop has the same component names
-    and co-propagating channels form one class; only the class's first path
-    is built as a ``SignalPath``, detector included, and the element order
-    is checked once per distinct kind sequence."""
+    and demux, its destination and its receiver chip's arrivals are found
+    once per (edge, lane) and shared by every channel that lands there.
+    Paths of one prefix whose last hop has the same component names and
+    co-propagating channels form one class; only the class's first path is
+    built as a ``SignalPath``, detector and co-propagating channels
+    included, and the element order is checked once per distinct kind
+    sequence."""
     report = validate_topology(topology)
     if not report.ok:
         raise TopologyError("topology is invalid", report.messages())
@@ -991,11 +998,10 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
     legal: set[str] = set()
     direction = topology.direction.value
     # (last edge, launch lane) -> its elements, their component names, the
-    # destination past the edge's receiver chip and the channels that share
-    # its demux (None where they depend on the channel).
+    # destination past the edge's receiver chip and the chip's arrivals.
     drops: dict[tuple[FiberEdge, int],
                 tuple[tuple[PathElement, ...], tuple[str, ...], str,
-                      tuple[str, ...] | None]] = {}
+                      dict[str, tuple[tuple[str, ...], tuple[str, ...]]]]] = {}
     for channel in sorted(topology.wavelength_plan):
         # Trail head -> its elements and its classes by last hop.
         prefixes: dict[tuple[FiberEdge, ...],
@@ -1019,14 +1025,14 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
                 elements = tuple(_hop(topology, last, lane))
                 drop = drops[last, lane] = (
                     elements, tuple([e.component for e in elements]),
-                    _destination(topology, terminal), _sharing(topology, last))
-            hop, names, destination, sharing = drop
+                    _destination(topology, terminal), _arrivals(topology, terminal))
+            hop, names, destination, arrivals = drop
             detector = f"{terminal}.pd.{channel}"
+            # The last edge carries the channel into the chip.
+            sharing = arrivals[channel]
             # The last hop is a fiber into a receiver chip's demux, so its
             # component names fix its elements.
-            if sharing is None:
-                sharing = co_propagating_at(topology, channel, terminal)[0]
-            key = (names, sharing)
+            key = (names, sharing[0])
             cls = classes.get(key)
             if cls is None:
                 path = SignalPath(
@@ -1037,6 +1043,7 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
                     elements=shared + hop + (_element(
                         topology, detector, ElementKind.DETECTOR,
                         topology.channel_detectors[channel], terminal),),
+                    co_propagating=sharing,
                 )
                 tokens = path.kind_tokens()
                 if tokens not in legal:
@@ -1052,26 +1059,26 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
     return members
 
 
-def _sharing(topology: OpticalTopology, edge: FiberEdge) -> tuple[str, ...] | None:
-    """``co_propagating_at(topology, channel, edge.target)[0]`` for every
-    channel that ``edge`` carries, or None where that differs between them:
-    where an edge ahead of it into the same node carries some of them."""
-    for other in topology.incoming(edge.target):
-        if other.channels == edge.channels:
-            return _lane(topology, edge.channels)[0]
-        if not other.channels.isdisjoint(edge.channels):
-            return None
-    return None
-
-
 def co_propagating_at(topology: OpticalTopology, channel: str,
                       terminal: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The channels that enter ``terminal`` on its first incoming edge that
     carries ``channel`` (itself included), by name and by wavelength."""
-    for edge in topology.incoming(terminal):
-        if channel in edge.channels:
-            return _lane(topology, edge.channels)
-    return (channel,), (channel,)
+    return _arrivals(topology, terminal).get(channel, ((channel,), (channel,)))
+
+
+def _arrivals(topology: OpticalTopology, terminal: str
+              ) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Each channel that enters ``terminal``, mapped to the channels of the
+    first incoming edge, in index order, that carries it, by name and by
+    wavelength. Built once per node."""
+    arrivals = topology._arrivals.get(terminal)
+    if arrivals is None:
+        arrivals = topology._arrivals[terminal] = {}
+        for edge in topology.incoming(terminal):
+            lane = _lane(topology, edge.channels)
+            for channel in edge.channels:
+                arrivals.setdefault(channel, lane)
+    return arrivals
 
 
 def _lane(topology: OpticalTopology,

@@ -55,7 +55,7 @@ from photonlink.topology import (
 )
 from photonlink.errors import TopologyError
 
-from oracles import has_cycle
+from oracles import co_propagating, has_cycle
 
 
 def mk_laser(power_w=0.1, rin=-160.0, nm=1550.0, slope=0.3, tunable=False):
@@ -105,7 +105,8 @@ _KIND_BY_TYPE = {
 def make_path(*specs, channel="ch1", wavelength_nm=1550.0,
               direction=Direction.FORWARD, destination="dtrm01") -> SignalPath:
     """Assemble a SignalPath from bare specs; mux/demux disambiguated by
-    position (first MuxDemuxSpec is the mux, any later one the demux)."""
+    position (first MuxDemuxSpec is the mux, any later one the demux). The
+    channel rides its fiber alone."""
     elements = []
     seen_mux = False
     for index, spec in enumerate(specs):
@@ -122,7 +123,7 @@ def make_path(*specs, channel="ch1", wavelength_nm=1550.0,
             node="test",
         ))
     return SignalPath(channel, direction, destination, wavelength_nm,
-                      tuple(elements))
+                      tuple(elements), ((channel,), (channel,)))
 
 
 def forward_fixture_library():
@@ -257,7 +258,9 @@ def per_path_enumeration(topology) -> list[SignalPath]:
     elements up to a trail's last edge are built once per channel and shared
     by every destination that reaches them; the last edge's fiber and demux
     are built once per (edge, lane); the detector is built per path, and
-    every path's element order is checked."""
+    every path's element order is checked. Each path's co-propagating
+    channels come from ``oracles.co_propagating``, a scan of the raw edge
+    list."""
     report = validate_topology(topology)
     if not report.ok:
         raise TopologyError("topology is invalid", report.messages())
@@ -296,6 +299,7 @@ def per_path_enumeration(topology) -> list[SignalPath]:
                 destination=destination,
                 wavelength_nm=wavelength,
                 elements=shared + hop,
+                co_propagating=co_propagating(topology, channel, terminal),
             )
             tokens = path.kind_tokens()
             if not _LEGAL_PATH_RE.match(tokens):

@@ -83,6 +83,22 @@ def count_laser_to_detector_routes(topology) -> int:
     return total
 
 
+def co_propagating(topology, channel, terminal):
+    """The channels that enter ``terminal`` with ``channel``, by name and
+    by wavelength, from the raw edge list: of the edges into ``terminal``,
+    sorted stably by (source, lane), the first that carries ``channel``.
+    A channel that enters nowhere rides alone."""
+    into = sorted((edge for edge in topology.edges if edge.target == terminal),
+                  key=lambda edge: (edge.source, edge.lane))
+    for edge in into:
+        if channel in edge.channels:
+            by_name = tuple(sorted(edge.channels))
+            by_wavelength = tuple(sorted(
+                by_name, key=lambda name: topology.wavelength_plan[name]))
+            return by_name, by_wavelength
+    return (channel,), (channel,)
+
+
 def has_cycle(nodes, edges) -> bool:
     """Whether a directed cycle is reachable from any of ``nodes`` (whose
     ids may repeat) over ``edges`` (whose ends need not be nodes): a

@@ -10,6 +10,7 @@ from photonlink import cli
 from photonlink import topology as topology_module
 from photonlink.linkbudget import (
     analyze_path,
+    autogained,
     propagation_delay_s,
     worst_case,
 )
@@ -39,10 +40,10 @@ def analyze_calls(monkeypatch):
     return calls
 
 
-def per_path(topology, paths, modulation, config):
+def per_path(paths, modulation, config):
     reference = propagation_delay_s(paths[0])
-    return [analyze_path(p, modulation, config, topology=topology,
-                         reference_delay_s=reference) for p in paths]
+    return [analyze_path(p, modulation, config, reference_delay_s=reference)
+            for p in paths]
 
 
 def assert_matches_per_path(scenario, variant, topology=None):
@@ -51,10 +52,10 @@ def assert_matches_per_path(scenario, variant, topology=None):
     topology = topology or cli._forward_topology(scenario, variant)
     members = enumerate_paths(topology)
     paths = [m.path for m in members]
-    classes, results = cli._analyze_classes(topology, members, variant.modulation,
+    classes, results = cli._analyze_classes(members, variant.modulation,
                                             scenario.analysis)
     assert [c.cls for c in classes] == list(dict.fromkeys(m.cls for m in members))
-    want = per_path(topology, paths, variant.modulation, scenario.analysis)
+    want = per_path(paths, variant.modulation, scenario.analysis)
     assert len(results) == len(want) == len(paths)
     for path, result, theirs in zip(paths, results, want):
         assert result.metrics == theirs, path.path_id
@@ -125,7 +126,7 @@ def test_swapped_drop_fiber_splits_its_destination(reference_scenario,
     analyze_calls.clear()
     members = enumerate_paths(topology)
     metrics = [r.metrics for r in cli._analyze_classes(
-        topology, members, variant.modulation, scenario.analysis)[1]]
+        members, variant.modulation, scenario.analysis)[1]]
     channels = len(scenario.channels)
     assert len(analyze_calls) == 2 * channels
     assert sorted(p.destination for p in analyze_calls) == (
@@ -167,8 +168,9 @@ def test_detector_saturation_flags_name_each_path(reference_scenario):
 
 def assert_partition_matches(topology):
     """The paths of ``enumerate_paths(topology)`` and their classes, checked
-    against the oracles. A class's own path is its first member's, and every
-    member starts with the class's prefix."""
+    against the oracles. A class's own path is its first member's, every
+    member starts with the class's prefix, and every member's path, tuned
+    or not, carries the class path's co-propagating channels."""
     members = enumerate_paths(topology)
     paths = [m.path for m in members]
     assert paths == per_path_enumeration(topology)
@@ -180,6 +182,9 @@ def assert_partition_matches(topology):
         assert cls.path == paths[indices[0]]
         assert all(paths[i].elements[:len(cls.prefix)] == cls.prefix
                    for i in indices)
+        for i in indices:
+            assert paths[i].co_propagating == cls.path.co_propagating
+            assert autogained(paths[i]).co_propagating == cls.path.co_propagating
     return paths, classes
 
 
@@ -290,10 +295,10 @@ def test_each_prefix_of_a_class_flags_its_own_elements(reference_scenario):
                 prefix, member.path._replace(elements=(
                     prefix + member.path.elements[len(prefix):])))
         renamed[i] = member._replace(cls=copy)
-    classes, results = cli._analyze_classes(topology, renamed, variant.modulation,
+    classes, results = cli._analyze_classes(renamed, variant.modulation,
                                             scenario.analysis)
     assert len(classes) == 2 * len(copies) == 2 * len(scenario.channels)
-    want = per_path(topology, [m.path for m in renamed], variant.modulation,
+    want = per_path([m.path for m in renamed], variant.modulation,
                     scenario.analysis)
     assert all(m.flags for m in want)
     assert [r.flags for r in results] == [m.flags for m in want]

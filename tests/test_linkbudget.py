@@ -39,7 +39,6 @@ from photonlink.topology import (
     ChannelPlan,
     ElementKind,
     build_forward_network,
-    co_propagating_at,
     enumerate_paths,
 )
 from photonlink.units import db_to_linear, power_sum_db
@@ -61,6 +60,7 @@ from conftest import (
 )
 from oracles import (
     brute_force_cascade_nf_db,
+    co_propagating,
     link_noise_figure_db,
     power_sum_dbc,
 )
@@ -420,10 +420,10 @@ class TestCrosstalk:
         edge_path = next(p for p in paths if p.channel == "alpha")
         middle_path = next(p for p in paths if p.channel == "bravo")
         # alpha (grid edge): one adjacent at 30 dB + one distant at 45 dB
-        assert crosstalk_db(edge_path, topology) == pytest.approx(
+        assert crosstalk_db(edge_path) == pytest.approx(
             power_sum_dbc([-30.0, -45.0]), abs=1e-9)
         # bravo (middle): two adjacent neighbors
-        assert crosstalk_db(middle_path, topology) == pytest.approx(
+        assert crosstalk_db(middle_path) == pytest.approx(
             power_sum_dbc([-30.0, -30.0]), abs=1e-9)
 
     @pytest.mark.parametrize("adjacent, nonadjacent", [(17.8, 37.8), (37.8, 17.8)])
@@ -450,7 +450,7 @@ class TestCrosstalk:
             path = member.path._replace(elements=tuple(
                 e._replace(spec=demux) if e.kind is ElementKind.DEMUX else e
                 for e in member.path.elements))
-            got = crosstalk_db(path, topology)
+            got = crosstalk_db(path)
             assert got == isolation_sum_db(path, topology), path.path_id
             assert (got is None) == (size == 1)
             positions.append(names.index(path.channel))
@@ -464,7 +464,7 @@ class TestCrosstalk:
         for variant in scenario.variants:
             topology = cli._forward_topology(scenario, variant)
             for cls in dict.fromkeys(m.cls for m in enumerate_paths(topology)):
-                assert crosstalk_db(cls.path, topology) == isolation_sum_db(
+                assert crosstalk_db(cls.path) == isolation_sum_db(
                     cls.path, topology), cls.path.path_id
                 classes += 1
         assert classes == 6 * 48
@@ -473,9 +473,9 @@ class TestCrosstalk:
 def isolation_sum_db(path, topology):
     """``crosstalk_db`` by its definition: ``crosstalk_power_sum_db`` of each
     neighbour's isolation at the path's demux, adjacent in wavelength or
-    not, in ``co_propagating_at``'s name order."""
+    not, in name order, over the oracle's co-propagating channels."""
     (demux,) = [e for e in path.elements if e.kind is ElementKind.DEMUX]
-    by_name, ordered = co_propagating_at(topology, path.channel, demux.node)
+    by_name, ordered = co_propagating(topology, path.channel, demux.node)
     index = ordered.index(path.channel)
     adjacent = ordered[max(index - 1, 0):index + 2]
     return crosstalk_power_sum_db([
@@ -651,14 +651,14 @@ def test_per_modulation_intercept_map():
 
 @pytest.fixture(scope="module")
 def reference_paths(reference_scenario):
-    """(modulation, topology, path) for every forward path of every feasible
-    variant of the reference scenario."""
+    """(modulation, path) for every forward path of every feasible variant
+    of the reference scenario."""
     return forward_paths(reference_scenario)
 
 
 def forward_paths(scenario, *, classes_only=False):
-    """(modulation, topology, path) for every forward path of every feasible
-    variant of ``scenario``, or only for each analysis class's own path."""
+    """(modulation, path) for every forward path of every feasible variant
+    of ``scenario``, or only for each analysis class's own path."""
     out = []
     for variant in scenario.variants:
         topology = build_forward_network(
@@ -668,7 +668,7 @@ def forward_paths(scenario, *, classes_only=False):
         members = enumerate_paths(topology)
         paths = ([cls.path for cls in dict.fromkeys(m.cls for m in members)]
                  if classes_only else [m.path for m in members])
-        out.extend((variant.modulation, topology, path) for path in paths)
+        out.extend((variant.modulation, path) for path in paths)
     return out
 
 
@@ -677,8 +677,8 @@ def assert_matches_public_functions(paths, config):
     its own ledger walk of the same autogained path, which equals the path
     with each amplifier's spec replaced field by field."""
     assert config.edfa_autogain
-    for modulation, topology, path in paths:
-        metrics = analyze_path(path, modulation, config, topology=topology)
+    for modulation, path in paths:
+        metrics = analyze_path(path, modulation, config)
         tuned = autogained(path)
         gains = edfa_autogain(path).gains_db
         assert tuned == path._replace(elements=tuple(
@@ -720,9 +720,9 @@ class TestOneLedgerWalk:
         monkeypatch.setattr(linkbudget, "optical_ledger", counting)
         config = reference_scenario.analysis
         assert config.phase_noise_profile and config.carrier_power_dbm is not None
-        for modulation, topology, path in reference_paths:
+        for modulation, path in reference_paths:
             walks.clear()
-            analyze_path(path, modulation, config, topology=topology)
+            analyze_path(path, modulation, config)
             assert walks == [path.path_id]
 
     def test_analyze_path_matches_the_public_functions(self, reference_paths,
@@ -744,7 +744,7 @@ class TestOneLedgerWalk:
         scenario = clamped_amplifier(reference_scenario)
         paths = forward_paths(scenario)
         assert len(paths) == 6 * 128
-        for _, _, path in paths:
+        for _, path in paths:
             assert edfa_autogain(path).shortfall_db > 0.0
             ledger = optical_ledger(autogained(path))
             assert [e.note for e in ledger.entries].count("gain clamped at max") == 1

@@ -164,8 +164,7 @@ def check(faults: dict[str, tuple[str, str]]) -> None:
         network = networks[0 if token == "dm" else 2]
         path = enumerate_paths(network)[0].cls.path
         with pytest.raises(AnalysisError, match="modulator"):
-            analyze_path(path, Modulation.from_token(token), ANALYSIS,
-                         topology=network)
+            analyze_path(path, Modulation.from_token(token), ANALYSIS)
 
 
 def test_the_roles_here_are_the_tables_roles():

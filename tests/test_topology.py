@@ -48,7 +48,7 @@ from conftest import (
     return_fixture_library,
     workload_document,
 )
-from oracles import count_laser_to_detector_routes, has_cycle
+from oracles import co_propagating, count_laser_to_detector_routes, has_cycle
 
 
 def build_reference_forward(n=4, channels=None, **kwargs):
@@ -426,35 +426,66 @@ class TestEnumeration:
         assert walks == ["ch0", "ch6"]
 
     def test_co_propagating_sets_are_found_once_per_drop(self, monkeypatch):
-        # 48 channels on two lanes to 8 modules: the channels that share a
-        # demux are found once per last edge and launch lane, not per path.
+        # 48 channels on two lanes to 8 modules: the channels that enter each
+        # receiver chip are found once per chip, not per drop or per path.
         scenario = parse_scenario(workload_document("analyze-dwdm48-csv", 1))
         topology = cli._forward_topology(scenario, scenario.variants[0])
-        lookups, drops = [], []
+        lookups, built = [], []
         real_lookup = topology_module.co_propagating_at
-        real_sharing = topology_module._sharing
+        real_arrivals = topology_module._arrivals
 
         def counting_lookup(topology, channel, terminal):
             lookups.append((channel, terminal))
             return real_lookup(topology, channel, terminal)
 
-        def counting_sharing(topology, edge):
-            drops.append(edge)
-            return real_sharing(topology, edge)
+        def counting_arrivals(topology, terminal):
+            if terminal not in topology._arrivals:
+                built.append(terminal)
+            return real_arrivals(topology, terminal)
 
         monkeypatch.setattr(topology_module, "co_propagating_at", counting_lookup)
-        monkeypatch.setattr(topology_module, "_sharing", counting_sharing)
+        monkeypatch.setattr(topology_module, "_arrivals", counting_arrivals)
         members = enumerate_paths(topology)
         assert len(members) == 48 * 8
-        assert len(lookups) < len(members)
         assert lookups == []
-        assert len(drops) == len(set(drops)) == 2 * 8
+        receivers = [n.id for n in topology.nodes if n.kind is NodeKind.ORXC]
+        assert len(receivers) == 8
+        assert sorted(built) == sorted(receivers)
+        for member in members:
+            path = member.path
+            assert path.co_propagating == real_lookup(
+                topology, path.channel, path.elements[-1].node)
+        # Two lanes: each channel shares its demux with its own lane's.
+        lanes = {m.cls.path.co_propagating[0] for m in members}
+        assert len(lanes) == 2
+        assert sorted(ch for lane in lanes for ch in lane) == sorted(
+            topology.wavelength_plan)
 
     def test_co_propagating_set(self):
         topology = build_reference_forward(n=2)
         path = enumerate_paths(topology)[0].path
         assert co_propagating_at(topology, path.channel, path.elements[-1].node)[0] \
             == ("alpha", "bravo", "clk")
+
+    def test_co_propagating_matches_the_raw_scan(self):
+        """``co_propagating_at`` against ``oracles.co_propagating`` on 200
+        random small graphs, at every node id and edge end, for every plan
+        channel and one that enters nowhere. Their nodes take parallel
+        edges whose channel sets overlap, so which edge is first counts."""
+        rng = random.Random(7400)
+        contested = 0
+        for case in range(200):
+            topology = random_graph(rng)
+            ends = {n.id for n in topology.nodes} | {e.target for e in topology.edges}
+            for terminal in sorted(ends):
+                for channel in [*sorted(topology.wavelength_plan), "nowhere"]:
+                    want = co_propagating(topology, channel, terminal)
+                    assert co_propagating_at(topology, channel, terminal) == want, \
+                        (case, terminal, channel)
+                    carriers = {e.channels for e in topology.edges
+                                if e.target == terminal and channel in e.channels}
+                    contested += len(carriers) > 1
+        assert contested >= 100
 
 
 def test_adjacency_dump_mentions_every_edge():
