@@ -19,10 +19,10 @@ import sys
 import tempfile
 from contextlib import nullcontext
 from pathlib import Path
-from typing import NamedTuple
 
 from . import __version__
 from .errors import PhotonlinkError
+from .frozen import NamedTuple
 from .digitalpath import check_group_capacity
 from .linkbudget import (
     AnalysisConfig,

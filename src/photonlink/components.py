@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import Union
+
+from .frozen import NamedTuple
 
 # Usable source band for the WDM plan, nm.
 WDM_BAND_NM = (1300.0, 1650.0)

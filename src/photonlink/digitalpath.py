@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import AnalysisError
+from .frozen import NamedTuple
 from .topology import OpticalTopology, return_groups
 
 # Payload bar per eight receiver channels, byte/s.

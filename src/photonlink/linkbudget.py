@@ -6,14 +6,30 @@ its crosstalk reads the channels that enter its demux with it, which the path
 carries too. No operation reads the network graph. Every operation is a pure
 function of immutable inputs; identical inputs give bit-identical outputs, so
 paths may be analyzed concurrently.
+
+``analyze_path`` walks a path's elements twice. The optical walk
+(``_optical_budget``) takes each element's optical delta once, sets the
+amplifiers' gains in that list when autogain is on, and walks the ledger
+once over it; it reads no RF model, so it alone gives a path of either
+direction its ledger and detector saturation margin. The second pass, beside
+the ledger, finds what the RF metrics read of each element: the first
+modulator, the last demux, each amplifier's input power, the smallest
+electrical bandwidth, the fiber delay and the jitter sum of squares. Each
+public function (``edfa_autogain``, ``optical_ledger``, ``rf_gain_db``,
+``noise_figure_db``, ``effective_bandwidth_hz``, ``propagation_delay_s``,
+``timing_jitter_s``, ``crosstalk_db``) still finds its figure from a path on
+its own. Run on the autogained path (``autogained``), it does the same
+operations in the same order, so it gives the float that ``analyze_path``
+gives.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from operator import ne
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .components import (
     EdfaSpec,
@@ -26,6 +42,7 @@ from .components import (
     SplitterSpec,
 )
 from .errors import AnalysisError
+from .frozen import NamedTuple
 from .topology import ElementKind, PathElement, SignalPath
 from .units import (
     BOLTZMANN_J_PER_K,
@@ -47,6 +64,14 @@ RISE_TIME_BANDWIDTH_PRODUCT = 0.35
 
 # Output-referred thermal floor of a passively matched link, dB.
 NOISE_FIGURE_FLOOR_DB = 10.0 * math.log10(2.0)
+
+# Member lookups on an enum class are slow, so the kinds that the per-element
+# code tests are looked up once, and each kind's token, the key of its jitter
+# contribution, is read from a map.
+_LASER, _MODULATOR, _EDFA, _DEMUX, _DETECTOR = (
+    ElementKind.LASER, ElementKind.MODULATOR, ElementKind.EDFA,
+    ElementKind.DEMUX, ElementKind.DETECTOR)
+_TOKEN = {kind: kind.value for kind in ElementKind}
 
 
 class AnalysisConfig(NamedTuple):
@@ -237,24 +262,23 @@ def _element_delta_db(element: PathElement) -> float:
 
 def _laser_of(path: SignalPath) -> LaserSpec:
     first = path.elements[0]
-    if first.kind is not ElementKind.LASER or not isinstance(first.spec, LaserSpec):
+    if first.kind is not _LASER or not isinstance(first.spec, LaserSpec):
         raise AnalysisError(f"path {path.path_id} does not start at a laser")
     return first.spec
 
 
 def _detector_of(path: SignalPath) -> PhotodetectorSpec:
     last = path.elements[-1]
-    if last.kind is not ElementKind.DETECTOR \
-            or not isinstance(last.spec, PhotodetectorSpec):
+    if last.kind is not _DETECTOR or not isinstance(last.spec, PhotodetectorSpec):
         raise AnalysisError(f"path {path.path_id} does not end at a detector")
     return last.spec
 
 
-def _modulator_of(path: SignalPath) -> PathElement:
+def _modulator_of(path: SignalPath) -> PathElement | None:
     for element in path.elements:
-        if element.kind is ElementKind.MODULATOR:
+        if element.kind is _MODULATOR:
             return element
-    raise AnalysisError(f"path {path.path_id} has no modulator")
+    return None
 
 
 def edfa_autogain(path: SignalPath) -> AutogainResult:
@@ -265,23 +289,31 @@ def edfa_autogain(path: SignalPath) -> AutogainResult:
     so an unclamped chain lands the detector exactly at the laser power. Gains
     clamp at max_gain and any remainder is reported as a shortfall.
     """
-    edfas = [e for e in path.elements if e.kind is ElementKind.EDFA]
+    return _autogain(path.elements, [_element_delta_db(e) for e in path.elements])
+
+
+def _autogain(elements: tuple[PathElement, ...],
+              deltas: list[float]) -> AutogainResult:
+    """``edfa_autogain`` of the path of ``elements``, read from each
+    element's optical delta in ``deltas``. Each amplifier's delta is then
+    set to its gain, as ``apply_edfa_gains`` sets its spec's."""
+    edfas = [index for index, e in enumerate(elements) if e.kind is _EDFA]
     gains: dict[str, float] = {}
     notes: list[str] = []
     if not edfas:
         return AutogainResult(gains, 0.0)
 
-    last_edfa_id = edfas[-1].element_id
+    last_edfa_id = elements[edfas[-1]].element_id
     pending_loss = 0.0
     downstream = 0.0
     past_last = False
-    for element in path.elements[1:]:
-        if element.kind is ElementKind.EDFA:
+    for element, delta in zip(elements[1:], deltas[1:]):
+        if element.kind is _EDFA:
             gains[element.element_id] = pending_loss
             pending_loss = 0.0
             past_last = element.element_id == last_edfa_id
         else:
-            loss = -_element_delta_db(element)
+            loss = -delta
             if past_last:
                 downstream += loss
             else:
@@ -289,7 +321,8 @@ def edfa_autogain(path: SignalPath) -> AutogainResult:
     gains[last_edfa_id] += downstream
 
     shortfall = 0.0
-    for element in edfas:
+    for index in edfas:
+        element = elements[index]
         spec = element.spec
         want = gains[element.element_id]
         got = min(want, spec.max_gain_db)
@@ -300,6 +333,8 @@ def edfa_autogain(path: SignalPath) -> AutogainResult:
                 f"{element.element_id}: under-compensated by {missing:.2f} dB "
                 f"(gain clamped at max {spec.max_gain_db:.2f} dB)")
         gains[element.element_id] = got
+    for index in edfas:
+        deltas[index] = gains[elements[index].element_id]
     return AutogainResult(gains, shortfall, tuple(notes))
 
 
@@ -307,7 +342,7 @@ def apply_edfa_gains(path: SignalPath, gains_db: Mapping[str, float]) -> SignalP
     """New path whose amplifier specs carry the given gain settings."""
     elements = []
     for element in path.elements:
-        if element.kind is ElementKind.EDFA and element.element_id in gains_db:
+        if element.kind is _EDFA and element.element_id in gains_db:
             spec = element.spec
             element = PathElement(
                 element.element_id, element.kind, element.component,
@@ -323,23 +358,45 @@ def autogained(path: SignalPath) -> SignalPath:
     return apply_edfa_gains(path, edfa_autogain(path).gains_db)
 
 
-def optical_ledger(path: SignalPath) -> OpticalLedger:
+def optical_ledger(path: SignalPath,
+                   deltas: Sequence[float] | None = None) -> OpticalLedger:
     """Walk the path applying per-element dB deltas; flags saturation and
-    sensitivity breaches instead of raising."""
+    sensitivity breaches instead of raising. ``deltas`` holds each
+    element's delta, an amplifier's being its gain (as ``_autogain`` sets
+    it); by default each is the element's ``_element_delta_db``."""
     laser = _laser_of(path)
+    elements = path.elements
+    if deltas is None:
+        deltas = [_element_delta_db(e) for e in elements]
     power = watts_to_dbm(laser.output_power_w)
-    entries = [LedgerEntry(path.elements[0].element_id, 0.0, power, "source")]
+    entries = [LedgerEntry(elements[0].element_id, 0.0, power, "source")]
     flags: list[str] = []
-    for element in path.elements[1:]:
-        delta = _element_delta_db(element)
+    for element, delta in zip(elements[1:], deltas[1:]):
         power += delta
         note = None
-        if isinstance(element.spec, EdfaSpec) \
-                and element.spec.gain_db >= element.spec.max_gain_db:
-            note = "gain clamped at max"
-        _flag_breaches(element, power, flags)
+        spec = element.spec
+        # Only an amplifier or a detector can breach (_flag_breaches).
+        if isinstance(spec, EdfaSpec):
+            if delta >= spec.max_gain_db:
+                note = "gain clamped at max"
+            _flag_breaches(element, power, flags)
+        elif isinstance(spec, PhotodetectorSpec):
+            _flag_breaches(element, power, flags)
         entries.append(LedgerEntry(element.element_id, delta, power, note))
     return OpticalLedger(tuple(entries), tuple(flags))
+
+
+def _optical_budget(path: SignalPath,
+                    autogain: bool) -> tuple[OpticalLedger, float]:
+    """The optical part of a path's budget, which reads no RF model: its
+    ledger, with the amplifiers' gains set by autogain when ``autogain``
+    holds, and its detector's saturation margin, dB. Each element's delta
+    is taken once, and the ledger is walked once."""
+    deltas = [_element_delta_db(e) for e in path.elements]
+    if autogain:
+        _autogain(path.elements, deltas)
+    ledger = optical_ledger(path, deltas)
+    return ledger, _detector_of(path).saturation_power_dbm - ledger.end_dbm
 
 
 def _flag_breaches(element: PathElement, power_dbm: float, flags: list[str]) -> None:
@@ -372,7 +429,8 @@ def rf_gain_db(path: SignalPath, modulation: Modulation,
     quadrature-biased interferometric small-signal slope pi*P*R/(2*Vpi), whose
     feed-forward loss is already inside t_opt.
     """
-    return _rf_gain_db(path, optical_ledger(path), modulation, config)
+    return _rf_gain_db(path, optical_ledger(path), _modulator_of(path),
+                       modulation, config)
 
 
 def noise_figure_db(path: SignalPath, modulation: Modulation,
@@ -384,13 +442,17 @@ def noise_figure_db(path: SignalPath, modulation: Modulation,
     the result is floored at the 3 dB passive matched-load limit.
     """
     ledger = optical_ledger(path)
-    gain_db = _rf_gain_db(path, ledger, modulation, config)
-    return _noise_figure_db(path, ledger, gain_db, config)
+    gain_db = _rf_gain_db(path, ledger, _modulator_of(path), modulation, config)
+    return _noise_figure_db(path, ledger, _amplifier_inputs(path, ledger),
+                            gain_db, config)
 
 
-def _rf_gain_db(path: SignalPath, ledger: OpticalLedger, modulation: Modulation,
+def _rf_gain_db(path: SignalPath, ledger: OpticalLedger,
+                modulator: PathElement | None, modulation: Modulation,
                 config: AnalysisConfig) -> float:
-    modulator = _modulator_of(path)
+    """``rf_gain_db`` of ``path``, given its ledger and its first modulator."""
+    if modulator is None:
+        raise AnalysisError(f"path {path.path_id} has no modulator")
     spec = modulator.spec
     if not isinstance(spec, ModulatorSpec) or spec.scheme is not modulation:
         raise AnalysisError(
@@ -412,8 +474,20 @@ def _rf_gain_db(path: SignalPath, ledger: OpticalLedger, modulation: Modulation,
     return 20.0 * math.log10(chain)
 
 
-def _noise_figure_db(path: SignalPath, ledger: OpticalLedger, gain_db: float,
+def _amplifier_inputs(path: SignalPath,
+                      ledger: OpticalLedger) -> list[tuple[float, float]]:
+    """(input power, dBm; noise figure, dB) of each amplifier after the
+    laser. An amplifier's input power is the ledger entry just before it."""
+    return [(upstream.power_dbm, element.spec.noise_figure_db)
+            for element, upstream in zip(path.elements[1:], ledger.entries)
+            if element.kind is _EDFA and isinstance(element.spec, EdfaSpec)]
+
+
+def _noise_figure_db(path: SignalPath, ledger: OpticalLedger,
+                     amplifiers: Sequence[tuple[float, float]], gain_db: float,
                      config: AnalysisConfig) -> tuple[float, NoiseBreakdown]:
+    """``noise_figure_db`` of ``path``, given its ledger, its amplifiers'
+    inputs (``_amplifier_inputs``) and its RF gain."""
     gain_lin = db_to_linear(gain_db)
     detector = _detector_of(path)
     laser = _laser_of(path)
@@ -432,14 +506,12 @@ def _noise_figure_db(path: SignalPath, ledger: OpticalLedger, gain_db: float,
     shot = 2.0 * ELEMENTARY_CHARGE_C * dc_current * load
     rin = db_to_linear(laser.rin_db_hz) * photocurrent ** 2 * load
 
-    # Each amplifier's input power is the ledger entry just before it.
     ase_rin = 0.0
     carrier_hz = wavelength_nm_to_hz(path.wavelength_nm)
-    for element, upstream in zip(path.elements[1:], ledger.entries):
-        if element.kind is ElementKind.EDFA and isinstance(element.spec, EdfaSpec):
-            input_w = dbm_to_watts(upstream.power_dbm)
-            ase_rin += (2.0 * PLANCK_J_S * carrier_hz
-                        * db_to_linear(element.spec.noise_figure_db) / input_w)
+    for input_dbm, amplifier_nf_db in amplifiers:
+        input_w = dbm_to_watts(input_dbm)
+        ase_rin += (2.0 * PLANCK_J_S * carrier_hz
+                    * db_to_linear(amplifier_nf_db) / input_w)
     ase = ase_rin * photocurrent ** 2 * load
 
     breakdown = NoiseBreakdown(thermal, shot, rin, ase)
@@ -483,14 +555,19 @@ def crosstalk_db(path: SignalPath) -> float | None:
     in their order, of ``power_sum_db`` of the negated per-neighbour
     isolations, so the result is the same float.
     """
+    demux = None
+    for element in path.elements:
+        if element.kind is _DEMUX and isinstance(element.spec, MuxDemuxSpec):
+            demux = element
+    return _crosstalk_db(path, demux)
+
+
+def _crosstalk_db(path: SignalPath, demux: PathElement | None) -> float | None:
+    """``crosstalk_db`` of ``path``, given its last demux."""
     # Both hold the path's own channel.
     by_name, ordered = path.co_propagating
     if len(by_name) == 1:
         return None
-    demux = None
-    for element in path.elements:
-        if element.kind is ElementKind.DEMUX and isinstance(element.spec, MuxDemuxSpec):
-            demux = element
     if demux is None:
         raise AnalysisError(f"path {path.path_id} has no demux")
     channel = path.channel
@@ -562,7 +639,9 @@ def analyze_path(
                   *(e.power_dbm for e in metrics.optical_ledger.entries)]
     except (OverflowError, ZeroDivisionError):
         values = [math.nan]
-    if any(v != v for v in values if isinstance(v, float)):
+    # Only a NaN is unequal to itself: the other values are None or tuples,
+    # whose items compare by identity first.
+    if any(map(ne, values, values)):
         parts = ", ".join(dict.fromkeys(e.component for e in path.elements))
         raise AnalysisError(
             f"path {path.path_id}: metrics out of floating-point range; check "
@@ -572,28 +651,57 @@ def analyze_path(
 
 def _analyze_path(path: SignalPath, modulation: Modulation, config: AnalysisConfig,
                   reference_delay_s: float | None) -> LinkMetrics:
-    if config.edfa_autogain:
-        path = autogained(path)
-    ledger = optical_ledger(path)
-    gain = _rf_gain_db(path, ledger, modulation, config)
-    nf, breakdown = _noise_figure_db(path, ledger, gain, config)
+    """Two walks over the path's elements: the ledger's, in
+    ``_optical_budget``, then one pass beside the ledger that finds what the
+    RF metrics read of each element. The pass does each public function's
+    arithmetic in its order (``_modulator_of``, ``crosstalk_db``'s demux,
+    ``_amplifier_inputs``, ``effective_bandwidth_hz``,
+    ``propagation_delay_s``, ``timing_jitter_s``), so each metric is the
+    same float."""
+    ledger, saturation_margin = _optical_budget(path, config.edfa_autogain)
+    jitter_of = config.jitter_rms_s
+    modulator = demux = bandwidth = upstream = None
+    amplifiers: list[tuple[float, float]] = []
+    delay = squares = 0.0
+    for element, entry in zip(path.elements, ledger.entries):
+        kind, spec = element.kind, element.spec
+        contribution = jitter_of.get(_TOKEN[kind], 0.0)
+        squares += contribution * contribution
+        if kind is _MODULATOR:
+            if modulator is None:
+                modulator = element
+        elif kind is _DEMUX:
+            if isinstance(spec, MuxDemuxSpec):
+                demux = element
+        elif kind is _EDFA:
+            if upstream is not None and isinstance(spec, EdfaSpec):
+                amplifiers.append((upstream, spec.noise_figure_db))
+        if isinstance(spec, FiberSpec):
+            delay += spec.group_index * spec.length_m / SPEED_OF_LIGHT_M_S
+        elif isinstance(spec, (ModulatorSpec, PhotodetectorSpec)):
+            # min() keeps the first of equal widths.
+            if bandwidth is None or spec.bandwidth_hz < bandwidth:
+                bandwidth = spec.bandwidth_hz
+        upstream = entry.power_dbm
+
+    gain = _rf_gain_db(path, ledger, modulator, modulation, config)
+    nf, breakdown = _noise_figure_db(path, ledger, amplifiers, gain, config)
     iip3 = config.iip3_for(modulation)
     if iip3 is None:
         raise AnalysisError("analysis needs iip3_dbm in the configuration")
     dynamic_range = sfdr_db(iip3, nf, config.bandwidth_hz)
-    bandwidth = effective_bandwidth_hz(path, config)
+    if bandwidth is None:
+        bandwidth = config.bandwidth_hz
     t_rise = rise_time_s(bandwidth)
-    delay = propagation_delay_s(path)
     skew = 0.0 if reference_delay_s is None else delay - reference_delay_s
-    jitter = timing_jitter_s(path, config)
-    leakage = crosstalk_db(path)
+    jitter = math.sqrt(squares)
+    leakage = _crosstalk_db(path, demux)
     degradation = nf_degradation_db(gain, nf, config)
     phase_deg: float | None = None
     if config.phase_noise_profile and config.carrier_power_dbm is not None:
         per_offset = _phase_noise_degradation_db(
             config.phase_noise_profile, nf, config.carrier_power_dbm)
         phase_deg = max(d for _, d in per_offset)
-    detector = _detector_of(path)
     return LinkMetrics(
         rf_gain_db=gain,
         noise_figure_db=nf,
@@ -603,7 +711,7 @@ def _analyze_path(path: SignalPath, modulation: Modulation, config: AnalysisConf
         pulse_skew_s=skew,
         timing_jitter_rms_s=jitter,
         detector_power_dbm=ledger.end_dbm,
-        detector_saturation_margin_db=detector.saturation_power_dbm - ledger.end_dbm,
+        detector_saturation_margin_db=saturation_margin,
         optical_ledger=ledger,
         noise=breakdown,
         nf_degradation_db=degradation,

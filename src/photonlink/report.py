@@ -24,10 +24,10 @@ from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _ESCAPE
 from operator import attrgetter
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 from .digitalpath import GroupCapacity
-from .frozen import Frozen
+from .frozen import Frozen, NamedTuple
 from .linkbudget import LinkMetrics, relabeled
 from .topology import Direction, PathClass, PathMember, SignalPath
 from .tradeoff import (ComplianceReport, DesignVariant, OrdinalScore, Recommendation,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Mapping
 
 from .components import (
     ComponentSpec,
@@ -25,6 +25,7 @@ from .components import (
 )
 from .digitalpath import AdcStreamSpec, DigitalLinkSpec, LineEncoding
 from .errors import ScenarioError
+from .frozen import NamedTuple
 from .linkbudget import AnalysisConfig
 from .topology import (
     CHANNELS_PER_RETURN_GROUP,

@@ -16,7 +16,7 @@ from collections import Counter
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .components import (
     ComponentSpec,
@@ -34,7 +34,7 @@ from .components import (
     validate_component,
 )
 from .errors import BuildError, TopologyError
-from .frozen import Frozen
+from .frozen import Frozen, NamedTuple
 
 DEFAULT_CHANNEL_SPACING_NM = 0.8  # 100 GHz ITU grid step near 1550 nm
 CHANNELS_PER_RETURN_GROUP = 4
@@ -97,6 +97,10 @@ _TRANSMITTER_KINDS = frozenset({NodeKind.OTXC, NodeKind.DIGITAL_OTXC})
 _FAN_OUT_KINDS = _TRANSMITTER_KINDS | {NodeKind.FOJB}
 # The node kinds a path's destination may have.
 _TERMINAL_KINDS = frozenset({NodeKind.DTRM, NodeKind.DBFU})
+# The element kinds that enumeration builds outside ``_hop``.
+_LASER, _MODULATOR, _MUX, _EDFA, _DETECTOR = (
+    ElementKind.LASER, ElementKind.MODULATOR, ElementKind.MUX, ElementKind.EDFA,
+    ElementKind.DETECTOR)
 
 
 class ChannelPlan(NamedTuple):
@@ -947,6 +951,21 @@ def _launch(topology: OpticalTopology, channel: str,
     return elements
 
 
+def _transmitter_lane(topology: OpticalTopology, source: Node,
+                      lane: int) -> tuple[PathElement, ...]:
+    """The transmitter's elements on ``lane`` that every channel of the lane
+    meets: its mux and any booster, as ``_launch`` builds them. ``_launch``
+    stays a route of its own, the one that the per-path enumeration oracle
+    in ``tests/conftest.py`` takes."""
+    suffix = f".lane{lane}" if lane else ""
+    mux = _element(topology, f"{source.id}.mux{suffix}", _MUX,
+                   _on_lane(topology, source, MuxDemuxSpec, lane), source.id)
+    if not topology.components_of(source, EdfaSpec):
+        return (mux,)
+    return mux, _element(topology, f"{source.id}.edfa{suffix}", _EDFA,
+                         _on_lane(topology, source, EdfaSpec, lane), source.id)
+
+
 def _hop(topology: OpticalTopology, edge: FiberEdge,
          lane: int) -> list[PathElement]:
     """The elements a channel meets over one edge, up to a receiver's
@@ -983,7 +1002,10 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
     validate.
 
     A channel's elements up to a trail's last edge (laser to splitter on the
-    forward network) are built once per such prefix. The last edge's fiber
+    forward network) are joined once per such prefix, from parts built where
+    they vary: the laser and modulator once per channel, the transmitter's
+    mux and booster once per (transmitter, lane), and each earlier edge's
+    elements (``_hop``) once per (edge, lane). The last edge's fiber
     and demux, its destination and its receiver chip's arrivals are found
     once per (edge, lane) and shared by every channel that lands there.
     Paths of one prefix whose last hop has the same component names and
@@ -997,26 +1019,50 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
     members: list[PathMember] = []
     legal: set[str] = set()
     direction = topology.direction.value
+    plan = topology.wavelength_plan
+    # (transmitter id, launch lane) -> its mux and booster; (edge before the
+    # last, launch lane) -> the edge's elements.
+    launches: dict[tuple[str, int], tuple[PathElement, ...]] = {}
+    hops: dict[tuple[FiberEdge, int], tuple[PathElement, ...]] = {}
     # (last edge, launch lane) -> its elements, their component names, the
     # destination past the edge's receiver chip and the chip's arrivals.
     drops: dict[tuple[FiberEdge, int],
                 tuple[tuple[PathElement, ...], tuple[str, ...], str,
                       dict[str, tuple[tuple[str, ...], tuple[str, ...]]]]] = {}
-    for channel in sorted(topology.wavelength_plan):
+    for channel in sorted(plan):
         # Trail head -> its elements and its classes by last hop.
         prefixes: dict[tuple[FiberEdge, ...],
                        tuple[tuple[PathElement, ...], dict[tuple, PathClass]]] = {}
+        # The channel's laser and modulator, on the transmitter that every
+        # one of its trails starts from.
+        own: tuple[PathElement, ...] | None = None
         trails = sorted(_reachable_terminals(topology, channel),
                         key=lambda trail: trail[-1].target)
         for trail in trails:
-            lane = trail[0].lane
+            first = trail[0]
+            lane = first.lane
             head = trail[:-1]
             prefix = prefixes.get(head)
             if prefix is None:
-                elements = _launch(topology, channel, trail[0])
+                source = first.source
+                if own is None:
+                    laser = topology.channel_lasers[channel]
+                    modulator = topology.channel_modulators[channel]
+                    own = (_element(topology, f"{source}.laser.{channel}", _LASER,
+                                    laser, source),
+                           _element(topology, f"{source}.mod.{channel}", _MODULATOR,
+                                    modulator, source))
+                launch = launches.get((source, lane))
+                if launch is None:
+                    launch = launches[source, lane] = _transmitter_lane(
+                        topology, topology.node(source), lane)
+                elements = own + launch
                 for edge in head:
-                    elements += _hop(topology, edge, lane)
-                prefix = prefixes[head] = (tuple(elements), {})
+                    hop = hops.get((edge, lane))
+                    if hop is None:
+                        hop = hops[edge, lane] = tuple(_hop(topology, edge, lane))
+                    elements += hop
+                prefix = prefixes[head] = (elements, {})
             shared, classes = prefix
             last = trail[-1]
             terminal = last.target
@@ -1039,9 +1085,9 @@ def enumerate_paths(topology: OpticalTopology) -> list[PathMember]:
                     channel=channel,
                     direction=topology.direction,
                     destination=destination,
-                    wavelength_nm=topology.wavelength_plan[channel],
+                    wavelength_nm=plan[channel],
                     elements=shared + hop + (_element(
-                        topology, detector, ElementKind.DETECTOR,
+                        topology, detector, _DETECTOR,
                         topology.channel_detectors[channel], terminal),),
                     co_propagating=sharing,
                 )

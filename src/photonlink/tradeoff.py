@@ -10,12 +10,12 @@ compliance first, then power, size and weight ranks.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .components import GratingTech, Modulation, is_finite_number
 from .digitalpath import DEFAULT_THROUGHPUT_BAR_BYTES_PER_S, GroupCapacity
 from .errors import AnalysisError
-from .frozen import Frozen
+from .frozen import Frozen, NamedTuple
 from .linkbudget import LinkMetrics
 from .units import THERMAL_FLOOR_DBM_PER_HZ
 

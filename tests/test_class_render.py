@@ -347,8 +347,17 @@ def test_only_the_worst_case_anchor_is_relabeled(reference_scenario, monkeypatch
 
 
 def test_each_channel_prefix_is_built_once(reference_scenario, monkeypatch):
-    variant = reference_scenario.variants[0]
-    topology = cli._forward_topology(reference_scenario, variant)
+    """On the reference scenario (one lane) and the benchmark's seed-1
+    48-channel workload (two lanes): a channel's laser and modulator are
+    built once per channel, the rest of its prefix once per lane."""
+    workload = parse_scenario(workload_document("analyze-dwdm48-csv", 1))
+    for scenario, lanes in ((reference_scenario, 1), (workload, 2)):
+        assert_prefixes_built_once(scenario, lanes, monkeypatch)
+
+
+def assert_prefixes_built_once(scenario, lane_count, monkeypatch):
+    variant = scenario.variants[0]
+    topology = cli._forward_topology(scenario, variant)
     built, paths_built = [], []
     real, real_path = topology_module.PathElement, topology_module.SignalPath
 
@@ -363,6 +372,7 @@ def test_each_channel_prefix_is_built_once(reference_scenario, monkeypatch):
     monkeypatch.setattr(topology_module, "PathElement", counting)
     monkeypatch.setattr(topology_module, "SignalPath", counting_path)
     members = enumerate_paths(topology)
+    monkeypatch.undo()
     classes = {m.cls for m in members}
     assert len(classes) == len(topology.wavelength_plan)
     # One SignalPath per class, and none per path.
@@ -373,26 +383,36 @@ def test_each_channel_prefix_is_built_once(reference_scenario, monkeypatch):
     kinds = [e.kind for e in paths[0].elements]
     prefix = kinds.index(ElementKind.SPLITTER) + 1
     suffix = len(kinds) - prefix
+    assert kinds[:2] == [ElementKind.LASER, ElementKind.MODULATOR]
     assert suffix == 3
     assert all(len(p.elements) == prefix + suffix for p in paths)
     channels = len(topology.wavelength_plan)
-    assert len(paths) == channels * reference_scenario.n_dtrm
-    # The drop fiber and demux are built once per (last edge, lane), and the
+    assert len(paths) == channels * scenario.n_dtrm
+    # The laser and modulator are built once per channel, the rest of the
+    # prefix (mux, trunk fiber, junction-box amplifier and splitter) once
+    # per lane, the drop fiber and demux once per (last edge, lane), and the
     # detector once per class, in the class's own path.
     lane_of = {ch: e.lane for e in topology.edges for ch in e.channels}
+    lanes = set(lane_of.values())
+    assert len(lanes) == lane_count
+    assert prefix - 2 == 4
     drops = {(e, e.lane) for e in topology.edges if e.channels
              and topology.node(e.target).kind is NodeKind.ORXC}
-    assert len(drops) == reference_scenario.n_dtrm
-    assert elements_built == channels * prefix + len(drops) * 2 + len(classes)
-    first, landed = {}, {}
+    assert len(drops) == scenario.n_dtrm * len(lanes)
+    assert elements_built == (channels * 2 + len(lanes) * (prefix - 2)
+                              + len(drops) * 2 + len(classes))
+    first, on_lane, landed = {}, {}, {}
     for path in paths:
         shared = first.setdefault(path.channel, path.elements[:prefix])
         assert all(a is b for a, b in zip(path.elements[:prefix], shared))
+        lane = on_lane.setdefault(lane_of[path.channel], path.elements[2:prefix])
+        assert all(a is b for a, b in zip(path.elements[2:prefix], lane))
         receiver = path.elements[-1].node
         drop = landed.setdefault((receiver, lane_of[path.channel]),
                                  path.elements[prefix:-1])
         assert all(a is b for a, b in zip(path.elements[prefix:-1], drop))
         assert path.elements[-1].element_id == f"{receiver}.pd.{path.channel}"
+    assert len(on_lane) == len(lanes)
     assert len(landed) == len(drops)
 
 

@@ -196,3 +196,23 @@ class TestImportCost:
              "'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"],
             env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_cli_import_builds_no_forward_reference(self):
+        """The records' string annotations stay strings: importing the CLI
+        compiles none of them into a ``typing.ForwardRef``, as
+        ``typing.NamedTuple`` does for every field."""
+        src = Path(photonlink.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import typing\n"
+             "built = []\n"
+             "init = typing.ForwardRef.__init__\n"
+             "def counting(self, *args, **kwargs):\n"
+             "    built.append(args[0])\n"
+             "    init(self, *args, **kwargs)\n"
+             "typing.ForwardRef.__init__ = counting\n"
+             "import photonlink.cli\n"
+             "print(len(built))\n"],
+            env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "0"

@@ -713,9 +713,9 @@ class TestOneLedgerWalk:
         walks = []
         real = linkbudget.optical_ledger
 
-        def counting(path):
+        def counting(path, *deltas):
             walks.append(path.path_id)
-            return real(path)
+            return real(path, *deltas)
 
         monkeypatch.setattr(linkbudget, "optical_ledger", counting)
         config = reference_scenario.analysis
@@ -724,6 +724,26 @@ class TestOneLedgerWalk:
             walks.clear()
             analyze_path(path, modulation, config)
             assert walks == [path.path_id]
+
+    def test_analyze_path_takes_each_delta_once(self, monkeypatch, reference_paths,
+                                                reference_scenario):
+        """Autogain and the ledger read one list of optical deltas: one
+        ``_element_delta_db`` per element, with autogain on and off."""
+        taken = []
+        real = linkbudget._element_delta_db
+
+        def counting(element):
+            taken.append(element.element_id)
+            return real(element)
+
+        monkeypatch.setattr(linkbudget, "_element_delta_db", counting)
+        config = reference_scenario.analysis
+        for autogain in (True, False):
+            config = config._replace(edfa_autogain=autogain)
+            for modulation, path in reference_paths:
+                taken.clear()
+                analyze_path(path, modulation, config)
+                assert taken == [e.element_id for e in path.elements]
 
     def test_analyze_path_matches_the_public_functions(self, reference_paths,
                                                        reference_scenario):
@@ -751,6 +771,43 @@ class TestOneLedgerWalk:
             (flag,) = ledger.flags
             assert flag.endswith("below sensitivity 3.00 dBm")
         assert_matches_public_functions(paths, scenario.analysis)
+
+    def test_analyze_path_matches_the_per_element_functions(self, reference_paths,
+                                                            reference_scenario):
+        """Dual route: the bandwidth, rise time, skew, jitter, crosstalk and
+        detector figures that ``analyze_path`` finds in its one pass over
+        the elements, against the public function of each on the same path,
+        with autogain on and off and a jitter term on every element kind.
+        Every path of the reference scenario, and each class's path of the
+        benchmark's three seed-1 workloads."""
+        jitter = {kind.value: (index + 1) * 1e-13
+                  for index, kind in enumerate(ElementKind)}
+        cases = [(reference_scenario.analysis, reference_paths)]
+        for name in ("tradeoff-n32-json", "validate-n1024", "analyze-dwdm48-csv"):
+            scenario = parse_scenario(workload_document(name, 1))
+            cases.append((scenario.analysis,
+                          forward_paths(scenario, classes_only=True)))
+        crosstalk = 0
+        for config, paths in cases:
+            reference = propagation_delay_s(paths[0][1])
+            for autogain in (True, False):
+                tuned = config._replace(edfa_autogain=autogain,
+                                        jitter_rms_s=jitter)
+                for modulation, path in paths:
+                    metrics = analyze_path(path, modulation, tuned,
+                                           reference_delay_s=reference)
+                    bandwidth = effective_bandwidth_hz(path, tuned)
+                    assert metrics.effective_bandwidth_hz == bandwidth
+                    assert metrics.rise_time_s == rise_time_s(bandwidth)
+                    assert metrics.pulse_skew_s == propagation_delay_s(path) - reference
+                    assert metrics.timing_jitter_rms_s == timing_jitter_s(path, tuned)
+                    assert metrics.crosstalk_db == crosstalk_db(path)
+                    crosstalk += metrics.crosstalk_db is not None
+                    ledger = metrics.optical_ledger
+                    assert metrics.detector_power_dbm == ledger.end_dbm
+                    assert metrics.detector_saturation_margin_db == (
+                        path.elements[-1].spec.saturation_power_dbm - ledger.end_dbm)
+        assert crosstalk > 0
 
     def test_ase_reads_each_amplifier_input_power(self):
         """Oracle, linear domain: two amplifiers at known input powers; the

@@ -1,7 +1,9 @@
-"""Whole-pipeline metamorphic checks: a change to the reference scenario's
-document moves the metrics of ``cli.run("analyze")`` as the physics says,
-through parse, build, class keys and analysis. Each relation is checked per
-path (``PathResult.metrics``) and per class (``ClassResult.metrics``)."""
+"""Whole-pipeline metamorphic checks: a change to a scenario document moves
+the metrics of ``cli.run("analyze")`` as the physics says, through parse,
+build, class keys and analysis. Each relation is checked per path
+(``PathResult.metrics``) and per class (``ClassResult.metrics``), on the
+reference scenario and on the seed-1 scenario of the benchmark's
+``analyze-dwdm48-csv`` workload (48 channels on two lanes at N=8)."""
 
 import copy
 import json
@@ -14,8 +16,11 @@ from photonlink import cli
 from photonlink.data import reference_scenario_path
 from photonlink.scenario import parse_scenario
 
+from conftest import workload_document
+
 TOLERANCE_DB = 1e-9
 FORWARD_PATHS = 6 * 8 * 16
+DWDM_CLASSES = 6 * 48
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +28,14 @@ def reference_document():
     with open(reference_scenario_path(), encoding="utf-8") as source:
         document = json.load(source)
     assert document["variant"] == "all"
+    return document
+
+
+@pytest.fixture(scope="module")
+def dwdm_document():
+    document = workload_document("analyze-dwdm48-csv", 1)
+    assert document["variant"] == "all"
+    assert document["topology"]["n_dtrm"] == 8
     return document
 
 
@@ -62,9 +75,17 @@ def both_levels(before, after):
 
 
 def test_autogain_restores_the_laser_power(reference_document):
-    paths, classes = analyzed(reference_document)
-    assert len(paths) == FORWARD_PATHS
-    assert len(classes) == 6 * 8
+    assert_autogain_restores_the_laser_power(reference_document, 6 * 8)
+
+
+def test_autogain_restores_the_laser_power_on_48_channels(dwdm_document):
+    assert_autogain_restores_the_laser_power(dwdm_document, DWDM_CLASSES)
+
+
+def assert_autogain_restores_the_laser_power(document, class_count):
+    paths, classes = analyzed(document)
+    assert len(paths) == class_count * document["topology"]["n_dtrm"]
+    assert len(classes) == class_count
     for level in (paths, classes):
         unclamped = 0
         for path, metrics in level.values():
@@ -105,12 +126,24 @@ def test_a_stronger_laser_raises_only_its_channel(reference_document, seed):
     else:
         rng = random.Random(seed)
         channel, factor = rng.choice(channels), rng.uniform(1.1, 8.0)
+    assert_a_stronger_laser_raises_only_its_channel(reference_document, channel,
+                                                    factor)
 
+
+def test_a_stronger_added_laser_raises_only_its_channel(dwdm_document):
+    """The workload's first channel beyond the reference's eight, with its
+    own laser part, at twice the power."""
+    channel = dwdm_document["topology"]["channels"][8]
+    assert channel == {"id": "analog09", "laser": "analog09_laser", "kind": "analog"}
+    assert_a_stronger_laser_raises_only_its_channel(dwdm_document, channel, 2.0)
+
+
+def assert_a_stronger_laser_raises_only_its_channel(document, channel, factor):
     def stronger(document):
         document["components"][channel["laser"]]["output_power_w"] *= factor
 
-    before = analyzed(reference_document)
-    after = analyzed(changed(reference_document, stronger))
+    before = analyzed(document)
+    after = analyzed(changed(document, stronger))
     rise = 10.0 * math.log10(factor)
     raised = 0
     for key, (path, old), (_, new) in both_levels(before, after):
@@ -120,23 +153,72 @@ def test_a_stronger_laser_raises_only_its_channel(reference_document, seed):
                 <= TOLERANCE_DB, key
         else:
             assert new.detector_power_dbm == old.detector_power_dbm, key
-    assert raised == 6 * 16 + 6
+    assert raised == 6 * document["topology"]["n_dtrm"] + 6
 
 
 def test_demux_isolation_moves_only_the_crosstalk(reference_document):
+    assert_demux_isolation_moves_only_the_crosstalk(reference_document,
+                                                    FORWARD_PATHS + 6 * 8)
+
+
+def test_demux_isolation_moves_only_the_crosstalk_on_48_channels(dwdm_document):
+    assert_demux_isolation_moves_only_the_crosstalk(dwdm_document,
+                                                    DWDM_CLASSES * (8 + 1))
+
+
+def assert_demux_isolation_moves_only_the_crosstalk(document, compared_count):
     def isolated(document):
         for spec in document["components"].values():
             if spec["type"] == "mux_demux":
                 spec["nonadjacent_isolation_db"] += 10.0
 
-    before = analyzed(reference_document)
-    after = analyzed(changed(reference_document, isolated))
+    before = analyzed(document)
+    after = analyzed(changed(document, isolated))
     compared = 0
     for key, (_, old), (_, new) in both_levels(before, after):
         compared += 1
         assert new.crosstalk_db < old.crosstalk_db, key
         assert new._replace(crosstalk_db=None) == old._replace(crosstalk_db=None), key
-    assert compared == FORWARD_PATHS + 6 * 8
+    assert compared == compared_count
+
+
+def renamed(document, old, new):
+    """A copy of ``document`` with the part ``old`` named ``new``, in its
+    place among the components and wherever the topology binds it."""
+    def rename(value):
+        if isinstance(value, dict):
+            return {key: rename(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [rename(item) for item in value]
+        return new if value == old else value
+
+    document = copy.deepcopy(document)
+    assert new not in document["components"]
+    document["components"] = {new if name == old else name: spec
+                              for name, spec in document["components"].items()}
+    topology = rename(document["topology"])
+    assert topology != document["topology"]
+    document["topology"] = topology
+    return document
+
+
+@pytest.mark.parametrize("part", ["analog09_laser", "em_modulator", "vbg_mux",
+                                  "trunk_fiber", "fojb_edfa", "fojb_splitter",
+                                  "drop_fiber", "awg_demux", "analog_pd"])
+def test_renaming_a_part_moves_no_metric(dwdm_document, part):
+    """A part's name is only a reference: renamed everywhere it is bound,
+    every path keeps its id and every path's and class's metrics stay
+    exactly equal."""
+    before = analyzed(dwdm_document)
+    after = analyzed(renamed(dwdm_document, part, f"renamed_{part}"))
+    compared = bound = 0
+    for key, (path, old), (renamed_path, new) in both_levels(before, after):
+        compared += 1
+        assert renamed_path.path_id == path.path_id, key
+        assert new == old, key
+        bound += any(e.component == f"renamed_{part}" for e in renamed_path.elements)
+    assert compared == DWDM_CLASSES * (8 + 1)
+    assert bound > 0
 
 
 def test_more_modules_raise_no_detector_power(reference_document):

@@ -1,6 +1,9 @@
-"""Every record of the package, pinned: whether it is a ``NamedTuple`` or a
-frozen class on ``photonlink.frozen.Frozen``. Neither kind generates code at
-import. A record is a ``NamedTuple``, whose methods are the tuple's and which
+"""Every record of the package, pinned: whether it is a ``NamedTuple`` (on
+``photonlink.frozen.NamedTuple``) or a frozen class on
+``photonlink.frozen.Frozen``. A ``NamedTuple`` is built by
+``collections.namedtuple``, which generates its ``__new__`` as source and
+evals it at import; a frozen class generates no code. A record is a
+``NamedTuple``, whose methods are the tuple's and which
 hashes and compares as the tuple of its fields, unless it must compare by
 identity, keep a cached property, build an index when constructed, or stay
 out of the JSON encoder (which writes any tuple as a list). Those are frozen
@@ -9,13 +12,18 @@ a record's kind means changing this table.
 
 Every field of every record refuses assignment."""
 
+import __future__
+import ast
 import inspect
 import sys
+import types
+import typing
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
-from photonlink import cli
+from photonlink import cli, frozen
 from photonlink.components import validate_component
 from photonlink.frozen import Frozen
 from photonlink.linkbudget import edfa_autogain
@@ -147,8 +155,10 @@ def instances(*roots) -> dict[type, object]:
     return found
 
 
-def test_no_field_of_any_record_can_be_assigned(reference_scenario):
-    scenario = reference_scenario
+def record_instances(scenario) -> dict[type, object]:
+    """One instance of every record type, from a ``tradeoff`` run of
+    ``scenario`` and the library calls that make the records it holds none
+    of."""
     variant = scenario.variants[0]
     report = cli.run("tradeoff", scenario)
     first = report.variants[0]
@@ -161,12 +171,110 @@ def test_no_field_of_any_record_can_be_assigned(reference_scenario):
         validate_component(laser._replace(output_power_w=-1.0)),
         VariantOutcome(first.variant, first.score, first.compliance),
         RETURN_ROLES)
-    records = package_records()
-    assert set(found) >= set(records.values())
-    for cls in records.values():
+    assert set(found) >= set(package_records().values())
+    return found
+
+
+def test_no_field_of_any_record_can_be_assigned(reference_scenario):
+    found = record_instances(reference_scenario)
+    for cls in package_records().values():
         record = found[cls]
         for field in cls._fields:
             with pytest.raises(AttributeError):
                 setattr(record, field, getattr(record, field))
             with pytest.raises(AttributeError):
                 delattr(record, field)
+
+
+def typing_built(cls: type) -> type:
+    """``cls`` built again by ``typing.NamedTuple``: its class body, taken
+    from its module's source and compiled at its own lines as the module is,
+    run in a copy of the module's globals in which ``NamedTuple`` is
+    typing's."""
+    module = sys.modules[cls.__module__]
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    (body,) = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == cls.__name__]
+    namespace = dict(vars(module), NamedTuple=typing.NamedTuple)
+    exec(compile(ast.Module(body=[body], type_ignores=[]), module.__file__,
+                 "exec", flags=__future__.annotations.compiler_flag,
+                 dont_inherit=True), namespace)
+    return namespace[cls.__name__]
+
+
+def attribute(value):
+    """A class attribute in a form that compares equal across two builds of
+    its class: a function by where its code starts, its names, annotations,
+    defaults and docstring (not by its bytecode, which the interpreter
+    rewrites in place as it runs), a property or a class or static method
+    by its functions, a field accessor by its index and docstring."""
+    if isinstance(value, (classmethod, staticmethod)):
+        return type(value), attribute(value.__func__)
+    if isinstance(value, property):
+        return property, *map(attribute, (value.fget, value.fset, value.fdel))
+    if isinstance(value, types.FunctionType):
+        code = value.__code__
+        return (code.co_filename, code.co_firstlineno, value.__qualname__,
+                value.__annotations__, value.__defaults__, value.__kwdefaults__,
+                value.__doc__)
+    if type(value).__name__ == "_tuplegetter":
+        return value.__reduce__()
+    return value
+
+
+def annotations(cls: type) -> dict:
+    """``cls.__annotations__`` with each ``typing.ForwardRef`` (how typing
+    stores a string annotation) read back as its string."""
+    return {name: getattr(kind, "__forward_arg__", kind)
+            for name, kind in cls.__annotations__.items()}
+
+
+def test_each_named_tuple_is_what_typing_builds(reference_scenario):
+    """Dual route: every pinned ``NamedTuple`` record, built again from its
+    own source by ``typing.NamedTuple``, has the same fields, defaults,
+    annotations, docstring, module, methods and other attributes, and an
+    instance of it has the same ``repr``. Typing keeps each string
+    annotation as a ``ForwardRef`` of that string, and sets dunders of its
+    own (``__orig_bases__``), which the comparison leaves out."""
+    records = package_records()
+    found = record_instances(reference_scenario)
+    for name in sorted(NAMED_TUPLES):
+        ours = records[name]
+        theirs = typing_built(ours)
+        assert ours is not theirs and type(ours) is type(theirs) is type, name
+        assert ours.__bases__ == theirs.__bases__ == (tuple,), name
+        assert ours._fields == theirs._fields, name
+        assert ours._field_defaults == theirs._field_defaults, name
+        assert ours.__new__.__defaults__ == theirs.__new__.__defaults__, name
+        assert ours.__annotations__ == annotations(theirs), name
+        assert ours.__new__.__annotations__ == ours.__annotations__, name
+        assert all(isinstance(kind, str) for kind in ours.__annotations__.values())
+        for dunder in ("__doc__", "__module__", "__qualname__"):
+            assert getattr(ours, dunder) == getattr(theirs, dunder), (name, dunder)
+        own = {key: attribute(value) for key, value in vars(ours).items()
+               if not (key.startswith("__") and key.endswith("__"))}
+        assert own == {key: attribute(value) for key, value in vars(theirs).items()
+                       if not (key.startswith("__") and key.endswith("__"))}, name
+        instance = found[ours]
+        assert repr(theirs._make(instance)) == repr(instance), name
+
+
+@pytest.mark.parametrize("body", [
+    "a: int = 0\n    b: int",
+    "a: int\n    def _replace(self):\n        pass",
+    "a: int\n    __slots__ = ()",
+])
+def test_a_body_that_typing_refuses_is_refused(body):
+    """A field without a default after one with a default, and a body that
+    overwrites what ``namedtuple`` makes, raise what typing raises."""
+    source = f"class R(NamedTuple):\n    {body}\n"
+    with pytest.raises((TypeError, AttributeError)) as refused:
+        exec(source, {"NamedTuple": typing.NamedTuple})
+    with pytest.raises(refused.type):
+        exec(source, {"NamedTuple": frozen.NamedTuple, "__name__": "m"})
+
+
+def test_a_named_tuple_record_has_no_other_base():
+    with pytest.raises(TypeError):
+        class Mixed(frozen.NamedTuple, dict):
+            a: int
