@@ -19,30 +19,14 @@ import sys
 import tempfile
 from contextlib import nullcontext
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__
+# The package's modules, lowest layer first. Without .pyc files each is
+# compiled as it is imported, and compiling ``topology``, the largest, before
+# the modules above it are held keeps down the peak memory of a run.
+from . import __version__, _lazy
 from .errors import PhotonlinkError
 from .frozen import NamedTuple
-from .digitalpath import check_group_capacity
-from .linkbudget import (
-    AnalysisConfig,
-    LinkMetrics,
-    analyze_path,
-    own_flags,
-    propagation_delay_s,
-    worst_case,
-)
-from .report import (
-    ClassResult,
-    PathResult,
-    Report,
-    TopologySummary,
-    VariantResult,
-    render_csv,
-    render_json,
-    render_text,
-)
-from .scenario import Scenario, load_scenario_document, parse_scenario
 from .components import DetectorKind, Modulation
 from .topology import (
     OpticalTopology,
@@ -55,13 +39,44 @@ from .topology import (
     return_groups,
     validate_topology,
 )
-from .tradeoff import (
+from .scenario import (
+    AnalysisConfig,
     DesignVariant,
-    check_requirements,
-    enumerate_variants,
-    recommend,
-    score_variant,
+    Scenario,
+    load_scenario_document,
+    parse_scenario,
 )
+from .report import (
+    ClassResult,
+    PathResult,
+    Report,
+    TopologySummary,
+    VariantResult,
+    render_csv,
+    render_json,
+    render_text,
+)
+
+if TYPE_CHECKING:
+    from .linkbudget import LinkMetrics
+
+# The analysis functions that ``analyze`` and ``tradeoff`` call, by the
+# module that defines them. Each is bound in this module on first read
+# (``__getattr__``), and ``run`` binds those still missing before it
+# analyzes, so ``validate`` loads no analysis module. A name set here
+# before, such as a wrapper, is kept.
+_ANALYSIS = {
+    "analyze_path": "linkbudget",
+    "own_flags": "linkbudget",
+    "propagation_delay_s": "linkbudget",
+    "worst_case": "linkbudget",
+    "check_group_capacity": "digitalpath",
+    "check_requirements": "tradeoff",
+    "enumerate_variants": "tradeoff",
+    "recommend": "tradeoff",
+    "score_variant": "tradeoff",
+}
+__getattr__ = _lazy(globals(), _ANALYSIS)
 
 EXIT_OK = 0
 EXIT_COMPLIANCE = 1
@@ -222,6 +237,8 @@ def run(command: str, scenario: Scenario) -> Report:
             notes=(f"validated with variant {variant.label}",),
         )
 
+    for name in _ANALYSIS:
+        __getattr__(name)
     if command == "analyze":
         variants = scenario.variants
     elif command == "tradeoff":

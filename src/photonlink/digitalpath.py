@@ -7,48 +7,21 @@ groups carry four channels, so each group owes half the bar by default.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from .errors import AnalysisError
 from .frozen import NamedTuple
+# The digital link and ADC specs are records of the input layer; this
+# module names them too.
+from .scenario import (
+    DEFAULT_THROUGHPUT_BAR_BYTES_PER_S,
+    AdcStreamSpec,
+    DigitalLinkSpec,
+    LineEncoding,
+)
 from .topology import OpticalTopology, return_groups
 
-# Payload bar per eight receiver channels, byte/s.
-DEFAULT_THROUGHPUT_BAR_BYTES_PER_S = 250e6
+# The receiver channels that the throughput bar is stated for.
 BAR_CHANNEL_BASIS = 8
-
-
-class LineEncoding(str, Enum):
-    E8B10B = "8b10b"
-    E64B66B = "64b66b"
-
-    @property
-    def efficiency(self) -> float:
-        if self is LineEncoding.E8B10B:
-            return 0.8
-        return 64 / 66
-
-
-class DigitalLinkSpec(NamedTuple):
-    """A digital return link: line rate, encoding and framing overhead."""
-
-    line_rate_bps: float
-    encoding: LineEncoding = LineEncoding.E8B10B
-    framing_overhead: float = 0.0
-
-
-class AdcStreamSpec(NamedTuple):
-    """The sample stream of one receiver channel's ADC."""
-
-    sample_rate_sps: float
-    bits_per_sample: int
-    complex_iq: bool = False
-
-    @property
-    def bits_per_s(self) -> float:
-        """Per-channel payload demand, bit/s; I+Q doubles it."""
-        return (self.sample_rate_sps * self.bits_per_sample
-                * (2.0 if self.complex_iq else 1.0))
 
 
 def _check_link(link: DigitalLinkSpec) -> None:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import sys
 from operator import ne
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .components import (
@@ -43,6 +42,7 @@ from .components import (
 )
 from .errors import AnalysisError
 from .frozen import NamedTuple
+from .scenario import AnalysisConfig
 from .topology import ElementKind, PathElement, SignalPath
 from .units import (
     BOLTZMANN_J_PER_K,
@@ -72,30 +72,6 @@ _LASER, _MODULATOR, _EDFA, _DEMUX, _DETECTOR = (
     ElementKind.LASER, ElementKind.MODULATOR, ElementKind.EDFA,
     ElementKind.DEMUX, ElementKind.DETECTOR)
 _TOKEN = {kind: kind.value for kind in ElementKind}
-
-
-class AnalysisConfig(NamedTuple):
-    """Knobs of the metric engine; scenario files populate one of these."""
-
-    bandwidth_hz: float = 1e7
-    temperature_k: float = 290.0
-    load_resistance_ohm: float = 50.0
-    # Link input intercept point; a plain number, or a per-modulation map
-    # keyed by "dm"/"em" when the two link flavors differ.
-    iip3_dbm: float | Mapping[str, float] | None = None
-    carrier_power_dbm: float | None = None
-    phase_noise_profile: tuple[tuple[float, float], ...] | None = None
-    front_end_gain_db: float | None = None
-    front_end_noise_figure_db: float | None = None
-    # Per-element rms jitter contributions, keyed by element kind token
-    # ("laser", "modulator", "edfa", "detector", ...).
-    jitter_rms_s: Mapping[str, float] = MappingProxyType({})
-    edfa_autogain: bool = True
-
-    def iip3_for(self, modulation: Modulation) -> float | None:
-        if self.iip3_dbm is None or isinstance(self.iip3_dbm, (int, float)):
-            return self.iip3_dbm
-        return self.iip3_dbm.get(modulation.token)
 
 
 class LedgerEntry(NamedTuple):

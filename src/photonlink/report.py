@@ -24,14 +24,22 @@ from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _ESCAPE
 from operator import attrgetter
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from .digitalpath import GroupCapacity
+from . import _lazy
 from .frozen import Frozen, NamedTuple
-from .linkbudget import LinkMetrics, relabeled
+from .scenario import DesignVariant, VariantOutcome, is_feasible
 from .topology import Direction, PathClass, PathMember, SignalPath
-from .tradeoff import (ComplianceReport, DesignVariant, OrdinalScore, Recommendation,
-                       VariantOutcome, is_feasible)
+
+if TYPE_CHECKING:
+    from .digitalpath import GroupCapacity
+    from .linkbudget import LinkMetrics
+    from .tradeoff import ComplianceReport, OrdinalScore, Recommendation
+
+# A report holds the analysis modules' results but calls only ``relabeled``
+# of their code, so loading it loads none of them: the name is bound on
+# first read, from the module that defines it.
+__getattr__ = _lazy(globals(), {"relabeled": "linkbudget"})
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -145,7 +153,7 @@ class PathResult(Frozen):
 
     @cached_property
     def metrics(self) -> LinkMetrics:
-        return relabeled(self.class_result.metrics, self.path)
+        return __getattr__("relabeled")(self.class_result.metrics, self.path)
 
 
 class VariantResult(VariantOutcome):

@@ -5,14 +5,23 @@ parameters and requirement overrides.
 Parsing is strict and aggregates every problem it finds instead of stopping at
 the first; a parsed Scenario is fully validated and carries a content
 fingerprint so reports are traceable to their exact inputs.
+
+The records that a scenario is parsed into (the analysis knobs, the design
+variants, the requirements and the digital link) are defined here, with the
+variant outcome that a report ranks, so that parsing a scenario, validating
+its networks and writing a report load none of the analysis modules
+(``linkbudget``, ``tradeoff``, ``digitalpath``), which import these records
+from here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .components import (
     ComponentSpec,
@@ -23,10 +32,8 @@ from .components import (
     loads_unique_keys,
     parse_component_library,
 )
-from .digitalpath import AdcStreamSpec, DigitalLinkSpec, LineEncoding
 from .errors import ScenarioError
-from .frozen import NamedTuple
-from .linkbudget import AnalysisConfig
+from .frozen import Frozen, NamedTuple
 from .topology import (
     CHANNELS_PER_RETURN_GROUP,
     ChannelPlan,
@@ -40,7 +47,9 @@ from .topology import (
     Role,
     unfit_part,
 )
-from .tradeoff import ALL_VARIANTS, DesignVariant, RequirementSet, is_feasible
+
+if TYPE_CHECKING:
+    from .tradeoff import ComplianceReport, OrdinalScore
 
 SCHEMA_VERSION = 1
 # Largest module count a scenario may ask for; it bounds the networks the
@@ -55,6 +64,150 @@ _TOKEN_ROLES: dict[str, dict[str, Role]] = {
     "mux": dict.fromkeys((g.value for g in GratingTech), FORWARD_ROLES["mux"]),
     "demux": dict.fromkeys((g.value for g in GratingTech), FORWARD_ROLES["demux"]),
 }
+
+
+# Payload bar per eight receiver channels, byte/s.
+DEFAULT_THROUGHPUT_BAR_BYTES_PER_S = 250e6
+
+
+class LineEncoding(str, Enum):
+    E8B10B = "8b10b"
+    E64B66B = "64b66b"
+
+    @property
+    def efficiency(self) -> float:
+        if self is LineEncoding.E8B10B:
+            return 0.8
+        return 64 / 66
+
+
+class DigitalLinkSpec(NamedTuple):
+    """A digital return link: line rate, encoding and framing overhead."""
+
+    line_rate_bps: float
+    encoding: LineEncoding = LineEncoding.E8B10B
+    framing_overhead: float = 0.0
+
+
+class AdcStreamSpec(NamedTuple):
+    """The sample stream of one receiver channel's ADC."""
+
+    sample_rate_sps: float
+    bits_per_sample: int
+    complex_iq: bool = False
+
+    @property
+    def bits_per_s(self) -> float:
+        """Per-channel payload demand, bit/s; I+Q doubles it."""
+        return (self.sample_rate_sps * self.bits_per_sample
+                * (2.0 if self.complex_iq else 1.0))
+
+
+class AnalysisConfig(NamedTuple):
+    """Knobs of the metric engine; scenario files populate one of these."""
+
+    bandwidth_hz: float = 1e7
+    temperature_k: float = 290.0
+    load_resistance_ohm: float = 50.0
+    # Link input intercept point; a plain number, or a per-modulation map
+    # keyed by "dm"/"em" when the two link flavors differ.
+    iip3_dbm: float | Mapping[str, float] | None = None
+    carrier_power_dbm: float | None = None
+    phase_noise_profile: tuple[tuple[float, float], ...] | None = None
+    front_end_gain_db: float | None = None
+    front_end_noise_figure_db: float | None = None
+    # Per-element rms jitter contributions, keyed by element kind token
+    # ("laser", "modulator", "edfa", "detector", ...).
+    jitter_rms_s: Mapping[str, float] = MappingProxyType({})
+    edfa_autogain: bool = True
+
+    def iip3_for(self, modulation: Modulation) -> float | None:
+        if self.iip3_dbm is None or isinstance(self.iip3_dbm, (int, float)):
+            return self.iip3_dbm
+        return self.iip3_dbm.get(modulation.token)
+
+
+class Integration(str, Enum):
+    SILICON = "si"
+    HIP = "hip"  # highly integrated III-V photonics
+
+
+class DesignVariant(NamedTuple):
+    """One design point: modulation, grating technology and integration."""
+
+    modulation: Modulation
+    grating: GratingTech
+    integration: Integration
+
+    @property
+    def label(self) -> str:
+        return f"{self.modulation.token}x{self.grating.value}x{self.integration.value}"
+
+    @classmethod
+    def from_label(cls, label: str) -> "DesignVariant":
+        parts = label.strip().lower().split("x")
+        if len(parts) != 3:
+            raise ValueError(
+                f"variant label must look like dmxvbgxhip, got {label!r}")
+        mod = Modulation.from_token(parts[0])
+        try:
+            grating = GratingTech(parts[1])
+            integration = Integration(parts[2])
+        except ValueError:
+            raise ValueError(f"unknown variant label {label!r}") from None
+        return cls(mod, grating, integration)
+
+
+ALL_VARIANTS: tuple[DesignVariant, ...] = tuple(
+    DesignVariant(m, g, i)
+    for m in (Modulation.DIRECT, Modulation.EXTERNAL)
+    for g in (GratingTech.VBG, GratingTech.AWG)
+    for i in (Integration.SILICON, Integration.HIP)
+)
+
+
+def is_feasible(variant: DesignVariant) -> bool:
+    """Volume Bragg grating designs cannot be realized in silicon photonics."""
+    return not (variant.grating is GratingTech.VBG
+                and variant.integration is Integration.SILICON)
+
+
+class RequirementSet(NamedTuple):
+    """Numeric bounds the link design must meet."""
+
+    rf_freq_min_hz: float = 1e7
+    rf_freq_max_hz: float = 18e9
+    rx_power_min_dbm: float = -130.0
+    rx_power_max_dbm: float = -10.0
+    wavelength_min_nm: float = 1300.0
+    wavelength_max_nm: float = 1650.0
+    nf_degradation_strict_db: float = 1.0
+    nf_degradation_relaxed_db: float = 2.0
+    phase_spur_degradation_db: float = 2.0
+    sfdr_min_db: float = 55.0
+    sfdr_bandwidth_hz: float = 1e7
+    throughput_bar_bytes_per_s: float = DEFAULT_THROUGHPUT_BAR_BYTES_PER_S
+
+    def problems(self) -> list[str]:
+        issues = []
+        for name in self._fields:
+            value = getattr(self, name)
+            if not is_finite_number(value):
+                issues.append(f"requirements.{name}: must be finite, got {value!r}")
+        if not issues and self.nf_degradation_strict_db > self.nf_degradation_relaxed_db:
+            issues.append("requirements: strict NF-degradation bound exceeds the "
+                          "relaxed bound")
+        return issues
+
+
+class VariantOutcome(Frozen):
+    """A variant with its ordinal scores and its compliance."""
+
+    _fields = ("variant", "score", "compliance")
+
+    def __init__(self, variant: DesignVariant, score: OrdinalScore,
+                 compliance: ComplianceReport):
+        self.__dict__.update(variant=variant, score=score, compliance=compliance)
 
 
 class Scenario(NamedTuple):

@@ -629,6 +629,17 @@ def _has_cycle(topology: OpticalTopology) -> bool:
     return False
 
 
+# Each spec that passed ``validate_component``, by its id: the check reads
+# the spec alone, so the networks of one run, which share their library's
+# specs, check each once. A spec is held while it is here, so its id names
+# it. Equal specs are not merged: ``True == 1.0`` and ``Modulation.DIRECT ==
+# "dm"``, yet the check tells them apart. The map is emptied when it holds
+# ``_SOUND_LIMIT`` specs, so a process that validates many libraries does
+# not keep them all.
+_SOUND_SPECS: dict[int, ComponentSpec] = {}
+_SOUND_LIMIT = 1024
+
+
 def validate_topology(topology: OpticalTopology) -> ValidationReport:
     """Structural and composition checks; violations are data, never raised."""
     issues: list[Violation] = []
@@ -654,7 +665,8 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
     # A check runs at the first member of a class, keyed by all it reads but
     # channel names; a part's key is its name. Only passes are kept, so each
     # member of a failing class is checked on its own and names its channels.
-    # A components tuple all of whose parts passed is skipped whole.
+    # A components tuple all of whose parts passed is skipped whole, and so
+    # is a spec that passed in any network validated before.
     passed: set = set()
     clean: set[tuple[str, ...]] = set()
     for node in nodes:
@@ -668,10 +680,15 @@ def validate_topology(topology: OpticalTopology) -> ValidationReport:
             if spec is None:
                 bad(node.id, "components", f"unknown component {name!r}")
                 continue
-            report = validate_component(spec, name=f"{node.id}:{name}")
-            if report.ok:
-                passed.add(name)
-            issues.extend(report.violations)
+            if _SOUND_SPECS.get(id(spec)) is not spec:
+                report = validate_component(spec, name=f"{node.id}:{name}")
+                issues.extend(report.violations)
+                if not report.ok:
+                    continue
+                if len(_SOUND_SPECS) >= _SOUND_LIMIT:
+                    _SOUND_SPECS.clear()
+                _SOUND_SPECS[id(spec)] = spec
+            passed.add(name)
         if passed.issuperset(parts):
             clean.add(parts)
 

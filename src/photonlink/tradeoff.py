@@ -9,60 +9,22 @@ compliance first, then power, size and weight ranks.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, Sequence
 
-from .components import GratingTech, Modulation, is_finite_number
-from .digitalpath import DEFAULT_THROUGHPUT_BAR_BYTES_PER_S, GroupCapacity
+from .components import GratingTech, Modulation
+from .digitalpath import GroupCapacity
 from .errors import AnalysisError
-from .frozen import Frozen, NamedTuple
+from .frozen import NamedTuple
 from .linkbudget import LinkMetrics
-from .units import THERMAL_FLOOR_DBM_PER_HZ
-
-
-class Integration(str, Enum):
-    SILICON = "si"
-    HIP = "hip"  # highly integrated III-V photonics
-
-
-class DesignVariant(NamedTuple):
-    """One design point: modulation, grating technology and integration."""
-
-    modulation: Modulation
-    grating: GratingTech
-    integration: Integration
-
-    @property
-    def label(self) -> str:
-        return f"{self.modulation.token}x{self.grating.value}x{self.integration.value}"
-
-    @classmethod
-    def from_label(cls, label: str) -> "DesignVariant":
-        parts = label.strip().lower().split("x")
-        if len(parts) != 3:
-            raise ValueError(
-                f"variant label must look like dmxvbgxhip, got {label!r}")
-        mod = Modulation.from_token(parts[0])
-        try:
-            grating = GratingTech(parts[1])
-            integration = Integration(parts[2])
-        except ValueError:
-            raise ValueError(f"unknown variant label {label!r}") from None
-        return cls(mod, grating, integration)
-
-
-ALL_VARIANTS: tuple[DesignVariant, ...] = tuple(
-    DesignVariant(m, g, i)
-    for m in (Modulation.DIRECT, Modulation.EXTERNAL)
-    for g in (GratingTech.VBG, GratingTech.AWG)
-    for i in (Integration.SILICON, Integration.HIP)
+from .scenario import (
+    ALL_VARIANTS,
+    DesignVariant,
+    Integration,
+    RequirementSet,
+    VariantOutcome,
+    is_feasible,
 )
-
-
-def is_feasible(variant: DesignVariant) -> bool:
-    """Volume Bragg grating designs cannot be realized in silicon photonics."""
-    return not (variant.grating is GratingTech.VBG
-                and variant.integration is Integration.SILICON)
+from .units import THERMAL_FLOOR_DBM_PER_HZ
 
 
 def enumerate_variants() -> list[tuple[DesignVariant, bool]]:
@@ -157,34 +119,6 @@ def score_variant(variant: DesignVariant) -> OrdinalScore:
         weight_rank=size,
         notes=tuple(notes),
     )
-
-
-class RequirementSet(NamedTuple):
-    """Numeric bounds the link design must meet."""
-
-    rf_freq_min_hz: float = 1e7
-    rf_freq_max_hz: float = 18e9
-    rx_power_min_dbm: float = -130.0
-    rx_power_max_dbm: float = -10.0
-    wavelength_min_nm: float = 1300.0
-    wavelength_max_nm: float = 1650.0
-    nf_degradation_strict_db: float = 1.0
-    nf_degradation_relaxed_db: float = 2.0
-    phase_spur_degradation_db: float = 2.0
-    sfdr_min_db: float = 55.0
-    sfdr_bandwidth_hz: float = 1e7
-    throughput_bar_bytes_per_s: float = DEFAULT_THROUGHPUT_BAR_BYTES_PER_S
-
-    def problems(self) -> list[str]:
-        issues = []
-        for name in self._fields:
-            value = getattr(self, name)
-            if not is_finite_number(value):
-                issues.append(f"requirements.{name}: must be finite, got {value!r}")
-        if not issues and self.nf_degradation_strict_db > self.nf_degradation_relaxed_db:
-            issues.append("requirements: strict NF-degradation bound exceeds the "
-                          "relaxed bound")
-        return issues
 
 
 class RequirementCheck(NamedTuple):
@@ -321,16 +255,6 @@ def check_requirements(
             "not evaluated"))
 
     return ComplianceReport(tuple(checks))
-
-
-class VariantOutcome(Frozen):
-    """A variant with its ordinal scores and its compliance."""
-
-    _fields = ("variant", "score", "compliance")
-
-    def __init__(self, variant: DesignVariant, score: OrdinalScore,
-                 compliance: ComplianceReport):
-        self.__dict__.update(variant=variant, score=score, compliance=compliance)
 
 
 class Recommendation(NamedTuple):

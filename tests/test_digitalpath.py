@@ -197,6 +197,31 @@ class TestImportCost:
             env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("run", [
+        *(f"photonlink.cli.main(['validate', '--scenario', scenario, "
+          f"'--format', '{fmt}', '--out', out])" for fmt in ("text", "json", "csv")),
+        "parse_scenario(scenario)",
+    ], ids=["validate-text", "validate-json", "validate-csv", "parse"])
+    def test_validate_loads_no_analysis_module(self, run, tmp_path):
+        """The input layer holds every record a scenario is parsed into and
+        the report loads its one analysis name on first use, so importing
+        the CLI and parsing a scenario, or a whole ``validate`` run in any
+        format, loads none of the analysis modules."""
+        src = Path(photonlink.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, photonlink.cli\n"
+             "from photonlink.data import reference_scenario_path\n"
+             "from photonlink.scenario import parse_scenario\n"
+             "scenario = str(reference_scenario_path())\n"
+             f"out = {str(tmp_path / 'report')!r}\n"
+             f"{run}\n"
+             "print(sorted({'photonlink.linkbudget', 'photonlink.tradeoff', "
+             "'photonlink.digitalpath'} & set(sys.modules)))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
     def test_cli_import_builds_no_forward_reference(self):
         """The records' string annotations stay strings: importing the CLI
         compiles none of them into a ``typing.ForwardRef``, as

@@ -2,8 +2,10 @@
 the metrics of ``cli.run("analyze")`` as the physics says, through parse,
 build, class keys and analysis. Each relation is checked per path
 (``PathResult.metrics``) and per class (``ClassResult.metrics``), on the
-reference scenario and on the seed-1 scenario of the benchmark's
-``analyze-dwdm48-csv`` workload (48 channels on two lanes at N=8)."""
+reference scenario and on the seed-1 scenarios of the benchmark's
+``analyze-dwdm48-csv`` workload (48 channels on two lanes at N=8) and of
+its ``tradeoff-n32-json`` workload, there through ``cli.run("tradeoff")``
+as the workload runs it (8 channels on one lane at N=32)."""
 
 import copy
 import json
@@ -15,12 +17,14 @@ import pytest
 from photonlink import cli
 from photonlink.data import reference_scenario_path
 from photonlink.scenario import parse_scenario
+from photonlink.topology import ElementKind
 
 from conftest import workload_document
 
 TOLERANCE_DB = 1e-9
 FORWARD_PATHS = 6 * 8 * 16
 DWDM_CLASSES = 6 * 48
+N32_CLASSES = 6 * 8
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +43,14 @@ def dwdm_document():
     return document
 
 
+@pytest.fixture(scope="module")
+def n32_document():
+    document = workload_document("tradeoff-n32-json", 1)
+    assert document["variant"] == "all"
+    assert document["topology"]["n_dtrm"] == 32
+    return document
+
+
 def changed(document, change):
     """A deep copy of ``document`` with ``change`` applied to it."""
     document = copy.deepcopy(document)
@@ -46,11 +58,11 @@ def changed(document, change):
     return document
 
 
-def analyzed(document):
-    """``cli.run("analyze")`` of ``document``, as two maps from (variant
+def analyzed(document, command="analyze"):
+    """``cli.run(command)`` of ``document``, as two maps from (variant
     label, path id) to (path, metrics): one entry per path, and one per
     class, keyed by the class's own path."""
-    report = cli.run("analyze", parse_scenario(document))
+    report = cli.run(command, parse_scenario(document))
     paths, classes = {}, {}
     for variant in report.variants:
         label = variant.variant.label
@@ -82,8 +94,13 @@ def test_autogain_restores_the_laser_power_on_48_channels(dwdm_document):
     assert_autogain_restores_the_laser_power(dwdm_document, DWDM_CLASSES)
 
 
-def assert_autogain_restores_the_laser_power(document, class_count):
-    paths, classes = analyzed(document)
+def test_autogain_restores_the_laser_power_in_a_tradeoff_at_n32(n32_document):
+    assert_autogain_restores_the_laser_power(n32_document, N32_CLASSES, "tradeoff")
+
+
+def assert_autogain_restores_the_laser_power(document, class_count,
+                                             command="analyze"):
+    paths, classes = analyzed(document, command)
     assert len(paths) == class_count * document["topology"]["n_dtrm"]
     assert len(classes) == class_count
     for level in (paths, classes):
@@ -166,14 +183,21 @@ def test_demux_isolation_moves_only_the_crosstalk_on_48_channels(dwdm_document):
                                                     DWDM_CLASSES * (8 + 1))
 
 
-def assert_demux_isolation_moves_only_the_crosstalk(document, compared_count):
+def test_demux_isolation_moves_only_the_crosstalk_in_a_tradeoff_at_n32(
+        n32_document):
+    assert_demux_isolation_moves_only_the_crosstalk(
+        n32_document, N32_CLASSES * (32 + 1), "tradeoff")
+
+
+def assert_demux_isolation_moves_only_the_crosstalk(document, compared_count,
+                                                    command="analyze"):
     def isolated(document):
         for spec in document["components"].values():
             if spec["type"] == "mux_demux":
                 spec["nonadjacent_isolation_db"] += 10.0
 
-    before = analyzed(document)
-    after = analyzed(changed(document, isolated))
+    before = analyzed(document, command)
+    after = analyzed(changed(document, isolated), command)
     compared = 0
     for key, (_, old), (_, new) in both_levels(before, after):
         compared += 1
@@ -219,6 +243,31 @@ def test_renaming_a_part_moves_no_metric(dwdm_document, part):
         bound += any(e.component == f"renamed_{part}" for e in renamed_path.elements)
     assert compared == DWDM_CLASSES * (8 + 1)
     assert bound > 0
+
+
+def test_renaming_a_part_per_role_moves_no_metric_in_a_tradeoff_at_n32(
+        n32_document):
+    """One part of each element role, renamed everywhere it is bound in one
+    document: every path keeps its id, and every path's and class's
+    metrics stay exactly equal."""
+    parts = {"laser": "lo1_laser", "modulator": "em_modulator",
+             "mux": "vbg_mux", "fiber": "trunk_fiber", "edfa": "fojb_edfa",
+             "splitter": "fojb_splitter", "demux": "awg_demux",
+             "detector": "analog_pd"}
+    assert set(parts) == {kind.value for kind in ElementKind}
+    document = n32_document
+    for part in parts.values():
+        document = renamed(document, part, f"renamed_{part}")
+    before = analyzed(n32_document, "tradeoff")
+    after = analyzed(document, "tradeoff")
+    compared, bound = 0, set()
+    for key, (path, old), (renamed_path, new) in both_levels(before, after):
+        compared += 1
+        assert renamed_path.path_id == path.path_id, key
+        assert new == old, key
+        bound.update(e.component for e in renamed_path.elements)
+    assert compared == N32_CLASSES * (32 + 1)
+    assert {f"renamed_{part}" for part in parts.values()} <= bound
 
 
 def test_more_modules_raise_no_detector_power(reference_document):

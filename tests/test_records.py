@@ -27,16 +27,16 @@ from photonlink import cli, frozen
 from photonlink.components import validate_component
 from photonlink.frozen import Frozen
 from photonlink.linkbudget import edfa_autogain
+from photonlink.scenario import VariantOutcome
 from photonlink.topology import RETURN_ROLES
-from photonlink.tradeoff import VariantOutcome
 
 FROZEN = {
     "report.ClassResult",
     "report.PathResult",
     "report.VariantResult",
+    "scenario.VariantOutcome",
     "topology.PathClass",
     "topology.OpticalTopology",
-    "tradeoff.VariantOutcome",
 }
 
 NAMED_TUPLES = {
@@ -50,10 +50,7 @@ NAMED_TUPLES = {
     "components.SplitterSpec",
     "components.ValidationReport",
     "components.Violation",
-    "digitalpath.AdcStreamSpec",
-    "digitalpath.DigitalLinkSpec",
     "digitalpath.GroupCapacity",
-    "linkbudget.AnalysisConfig",
     "linkbudget.AutogainResult",
     "linkbudget.LedgerEntry",
     "linkbudget.LinkMetrics",
@@ -61,6 +58,11 @@ NAMED_TUPLES = {
     "linkbudget.OpticalLedger",
     "report.Report",
     "report.TopologySummary",
+    "scenario.AdcStreamSpec",
+    "scenario.AnalysisConfig",
+    "scenario.DesignVariant",
+    "scenario.DigitalLinkSpec",
+    "scenario.RequirementSet",
     "scenario.Scenario",
     "topology.ChannelPlan",
     "topology.FiberEdge",
@@ -72,11 +74,9 @@ NAMED_TUPLES = {
     "topology.Role",
     "topology.SignalPath",
     "tradeoff.ComplianceReport",
-    "tradeoff.DesignVariant",
     "tradeoff.OrdinalScore",
     "tradeoff.Recommendation",
     "tradeoff.RequirementCheck",
-    "tradeoff.RequirementSet",
 }
 
 

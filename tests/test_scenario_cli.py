@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -78,7 +79,7 @@ class TestParseScenario:
         for seed in ("1", "2"):
             done = subprocess.run(
                 [sys.executable, "-c", code], input=json.dumps(doc),
-                env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
                 capture_output=True, text=True, check=True)
             assert done.stdout.split() == [
                 "requirements.rf_freq_max_hz", "requirements.rx_power_min_dbm",

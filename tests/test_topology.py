@@ -303,6 +303,38 @@ class TestValidation:
         assert len(calls) == len(distinct) - 1 + 16
         assert sum(name.endswith(":pd_digital") for name in calls) == 16
 
+    def test_each_part_is_checked_once_per_run(self, monkeypatch):
+        """The five networks of a seed-1 ``analyze-dwdm48-csv`` run share
+        their library's specs, so no spec is checked twice: 69 checks
+        across them, where one per part of each network made 228."""
+        monkeypatch.setattr(topology_module, "_SOUND_SPECS", {})
+        calls = []
+        real = topology_module.validate_component
+
+        def counting(spec, *, name):
+            calls.append(spec)
+            return real(spec, name=name)
+
+        monkeypatch.setattr(topology_module, "validate_component", counting)
+        scenario = parse_scenario(workload_document("analyze-dwdm48-csv", 1))
+        cli.run("analyze", scenario)
+        assert len(calls) == len(set(map(id, calls))) == 69
+
+    def test_a_part_equal_to_one_that_passed_is_still_checked(self):
+        """A spec is remembered by identity: a hand-built laser whose power
+        is ``True``, equal to the 1.0 W of a laser that passed, is still
+        refused at every node that holds it."""
+        def validated(power):
+            library = forward_fixture_library()
+            library["laser_a"] = mk_laser(power_w=power)
+            return validate_topology(build_forward_network(
+                4, forward_fixture_channels(), library,
+                forward_fixture_bindings()))
+
+        assert validated(1.0).ok
+        assert [str(v) for v in validated(True).violations] == [
+            "otxc:laser_a.output_power_w: must be a finite number, got True"]
+
     def test_channel_edge_to_unknown_node_is_listed_not_raised(self):
         """The reach walk ends a trail at an unknown node instead of raising
         KeyError, so validation lists the edge and enumeration refuses."""
